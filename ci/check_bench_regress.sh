@@ -13,7 +13,12 @@
 #   * peak_rss_kb                 (memory footprint — fresh must be <=
 #                                  115% of base; the memory-diet gate)
 #
-# plus the threaded runtime's threaded_events_per_sec (>= 85% of base).
+# plus the threaded runtime's threaded_events_per_sec (>= 85% of base),
+# and — when the baseline dir holds a BENCH_micro.json — the per-message
+# kernels of bench_micro: cpu_time of BM_ComputeV/256 and
+# BM_WalkToRoot/256 must stay <= 115% of base (fresh run written by
+# `bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json`
+# into the fresh dir).
 #
 # Byte-per-reclaimed ratios are deterministic for a given seed, so the
 # 15% margin there is pure headroom for protocol drift. Throughput is
@@ -29,6 +34,8 @@ base_dir="${2:-bench/baseline}"
 
 fresh="$fresh_dir/BENCH_scale.json"
 base="$base_dir/BENCH_scale.json"
+fresh_micro="$fresh_dir/BENCH_micro.json"
+base_micro="$base_dir/BENCH_micro.json"
 
 for f in "$fresh" "$base"; do
   if [ ! -f "$f" ]; then
@@ -38,8 +45,10 @@ for f in "$fresh" "$base"; do
   fi
 done
 
-python3 - "$fresh" "$base" <<'EOF'
+python3 - "$fresh" "$base" "$fresh_micro" "$base_micro" <<'EOF'
 import json
+import os
+import statistics
 import sys
 
 fresh = json.load(open(sys.argv[1]))
@@ -102,6 +111,33 @@ for name, b_cfg in base.get("configs", {}).items():
 check("threaded", "threaded_events_per_sec",
       fresh.get("threaded", {}).get("threaded_events_per_sec"),
       base.get("threaded", {}).get("threaded_events_per_sec"), "throughput")
+
+# Per-message kernels (Google Benchmark JSON). cpu_time, not real_time:
+# the gate is about the code's own work, not the runner's scheduling.
+MICRO_KERNELS = ("BM_ComputeV/256", "BM_WalkToRoot/256")
+
+
+def micro_cpu_times(path):
+    times = {}
+    for b in json.load(open(path)).get("benchmarks", []):
+        if b.get("run_type", "iteration") == "iteration":
+            times.setdefault(b["name"], []).append(b["cpu_time"])
+    return {name: statistics.median(ts) for name, ts in times.items()}
+
+
+fresh_micro, base_micro = sys.argv[3], sys.argv[4]
+if os.path.isfile(base_micro):
+    if not os.path.isfile(fresh_micro):
+        failures.append(f"baseline has {base_micro} but {fresh_micro} is missing")
+    else:
+        f_times = micro_cpu_times(fresh_micro)
+        b_times = micro_cpu_times(base_micro)
+        for kernel in MICRO_KERNELS:
+            if kernel not in f_times:
+                failures.append(f"micro kernel {kernel} missing from fresh run")
+                continue
+            check("micro", kernel + ".cpu_time", f_times[kernel],
+                  b_times.get(kernel), "cost")
 
 if not compared:
     failures.append("no comparable metrics between fresh and baseline")

@@ -5,14 +5,6 @@
 #include <variant>
 
 namespace cgc {
-namespace {
-
-/// Sweep rounds between capacity-trim passes over the live population
-/// (GgdProcess::trim_storage). Wire-passive at any value; the throttle
-/// only balances memcpy cost against capacity-slack accumulation.
-constexpr std::uint64_t kTrimEveryRounds = 4;
-
-}  // namespace
 
 GgdProcess& GgdEngine::add_process(ProcessId id, SiteId site, bool is_root) {
   CGC_CHECK_MSG(!ids_.knows(id), "duplicate process id");
@@ -44,6 +36,12 @@ void GgdEngine::attach_obs(obs::Registry* registry, obs::Journal* journal) {
         &registry->counter("ggd.destructions_reemitted");
     metrics_.stubs_reclaimed = &registry->counter("ggd.stubs_reclaimed");
     metrics_.inquiries = &registry->counter("ggd.inquiries");
+    metrics_.inquiries_by_reason = {
+        &registry->counter("ggd.inquiries.reverify"),
+        &registry->counter("ggd.inquiries.confirm"),
+        &registry->counter("ggd.inquiries.blocked"),
+        &registry->counter("ggd.inquiries.lease"),
+    };
   } else {
     metrics_ = DetectorMetrics{};
   }
@@ -70,6 +68,9 @@ void GgdEngine::observe_walk(GgdProcess& p, SimTime now) {
       metrics_.walks_unreachable->inc();
     }
     metrics_.walk_consulted->record(obs.consulted);
+    for (std::size_t r = 0; r < obs.inquiries.size(); ++r) {
+      metrics_.inquiries_by_reason[r]->inc(obs.inquiries[r]);
+    }
   }
   if (journal_ != nullptr) {
     // WalkResult and obs::WalkVerdict share values by construction.
@@ -425,12 +426,11 @@ void GgdEngine::on_ggd_message(const GgdMessage& msg) {
     return;
   }
   ++participating_sites_[site_of(msg.to)];
-  const bool was_removed = target.removed();
   std::vector<GgdMessage> out =
       target.receive(msg, [this](ProcessId p) { return root_flag(p); },
                      net_.simulator().now());
   observe_walk(target, net_.simulator().now());
-  if (!was_removed && target.removed()) {
+  if (target.removed()) {
     removed_.push_back(msg.to);
     target.retire_tombstone();
     if (journal_ != nullptr) {
@@ -632,13 +632,12 @@ bool GgdEngine::sweep_slice(std::uint64_t budget_units) {
       ++sweep_cursor_.scanned;
       proc.reset_inquiry_gates();
       proc.sync_sweep_round();
-      const bool was_removed = proc.removed();
       std::vector<GgdMessage> out =
           proc.decide([this](ProcessId p) { return root_flag(p); },
                       /*allow_inquiry=*/true, net_.simulator().now());
       observe_walk(proc, sweep_at);
       const bool now_removed = proc.removed();
-      if (!was_removed && now_removed) {
+      if (now_removed) {
         removed_.push_back(proc.id());
         proc.retire_tombstone();
         if (journal_ != nullptr) {
@@ -657,7 +656,7 @@ bool GgdEngine::sweep_slice(std::uint64_t budget_units) {
       // slice pays only for the processes it visits (a whole-population
       // trim at round end would put one giant memcpy in a single pause).
       // Content (and therefore the wire trace) is untouched.
-      if (!now_removed && sweep_round_ % kTrimEveryRounds == 0) {
+      if (!now_removed && sweep_round_ % sweep::kTrimEveryRounds == 0) {
         proc.trim_storage();
       }
       dispatch_all(std::move(out));

@@ -23,6 +23,7 @@
 // `std::map` tables.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -438,6 +439,10 @@ class GgdEngine : public wire::Mailbox {
     obs::Counter* destructions_reemitted = nullptr;
     obs::Counter* stubs_reclaimed = nullptr;
     obs::Counter* inquiries = nullptr;
+    /// ggd.inquiries split by GgdProcess::InquiryReason; the four sum to
+    /// `inquiries` because decide() is the only inquiry source.
+    std::array<obs::Counter*, GgdProcess::kInquiryReasons>
+        inquiries_by_reason{};
   };
   DetectorMetrics metrics_;
   obs::Journal* journal_ = nullptr;

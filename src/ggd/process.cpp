@@ -49,6 +49,72 @@ bool adopt_row(RowTable& rows, ProcessId subject,
   return false;
 }
 
+/// Per-thread working sets of the per-message closure, walk and decision.
+/// Each user clears what it takes on entry, so capacity carries over from
+/// message to message and a warm thread allocates nothing here. Per
+/// thread rather than per process: the threaded runtime runs GgdProcess
+/// code on several workers at once, and a per-process copy would be
+/// resident state the memory diet has to pay for.
+struct Scratch {
+  // compute_v()
+  std::vector<ProcessId> closure_stack;
+  FlatSet<ProcessId> expanded;
+  // walk_to_root(): (process, subject of the row that contributed it)
+  std::vector<std::pair<ProcessId, ProcessId>> walk_stack;
+  FlatSet<ProcessId> visited;
+  // decide()
+  FlatSet<ProcessId> missing;
+  FlatSet<ProcessId> root_evidence;
+  FlatSet<ProcessId> consulted;
+  FlatSet<ProcessId> unconfirmed;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// Calls fn(id, ts) for every id present in any of the three rows, in
+/// increasing id order, with ts the Timestamp::merge of the row entries:
+/// the component-wise merge of the rows, without materializing it.
+template <typename Fn>
+void for_each_merged(const RowTable::RowView& a, const RowTable::RowView& b,
+                     const RowTable::RowView& c, Fn&& fn) {
+  if (b.empty() && c.empty()) {
+    for (const auto& [q, ts] : a) {
+      fn(q, ts);
+    }
+    return;
+  }
+  struct Cursor {
+    RowTable::EntryIterator it;
+    RowTable::EntryIterator end;
+  };
+  Cursor rows[] = {{a.begin(), a.end()}, {b.begin(), b.end()},
+                   {c.begin(), c.end()}};
+  for (;;) {
+    const Cursor* lowest = nullptr;
+    for (const Cursor& r : rows) {
+      if (r.it != r.end &&
+          (lowest == nullptr || (*r.it).first < (*lowest->it).first)) {
+        lowest = &r;
+      }
+    }
+    if (lowest == nullptr) {
+      return;
+    }
+    const ProcessId q = (*lowest->it).first;
+    Timestamp ts;
+    for (Cursor& r : rows) {
+      if (r.it != r.end && (*r.it).first == q) {
+        ts = Timestamp::merge(ts, (*r.it).second);
+        ++r.it;
+      }
+    }
+    fn(q, ts);
+  }
+}
+
 }  // namespace
 
 std::vector<GgdMessage> GgdProcess::receive(
@@ -267,9 +333,13 @@ std::vector<GgdMessage> GgdProcess::decide(
   if (is_root_ || removed_) {
     return out;
   }
-  FlatSet<ProcessId> missing;
-  FlatSet<ProcessId> root_evidence;
-  FlatSet<ProcessId> consulted;
+  Scratch& s = scratch();
+  FlatSet<ProcessId>& missing = s.missing;
+  FlatSet<ProcessId>& root_evidence = s.root_evidence;
+  FlatSet<ProcessId>& consulted = s.consulted;
+  missing.clear();
+  root_evidence.clear();
+  consulted.clear();
   const WalkResult res = walk_to_root(is_root, missing, root_evidence,
                                       consulted);
   if (observed_) {
@@ -278,6 +348,7 @@ std::vector<GgdMessage> GgdProcess::decide(
     walk_obs_.missing = static_cast<std::uint32_t>(missing.size());
     walk_obs_.first_missing =
         missing.empty() ? ProcessId{} : *missing.begin();
+    walk_obs_.inquiries = {};
     walk_obs_.valid = true;
   }
   if (!allow_inquiry && res != WalkResult::kUnreachable) {
@@ -311,13 +382,7 @@ std::vector<GgdMessage> GgdProcess::decide(
       auto [vit, fresh] = inquired_version_.emplace(q, version);
       if (fresh || vit->second < version) {
         vit->second = version;
-        GgdMessage inq;
-        inq.from = id_;
-        inq.to = q;
-        inq.inquiry = true;
-        inq.behalf = log_.row(q);
-        attach_sync(inq, /*include_rows=*/false);
-        out.push_back(std::move(inq));
+        emit_inquiry(out, q, InquiryReason::kReverify);
       }
     }
   } else if (res == WalkResult::kUnreachable) {
@@ -336,7 +401,8 @@ std::vector<GgdMessage> GgdProcess::decide(
       pending_verify_ = true;
       pending_verify_since_ = now;
     }
-    FlatSet<ProcessId> unconfirmed;
+    FlatSet<ProcessId>& unconfirmed = s.unconfirmed;
+    unconfirmed.clear();
     for (ProcessId q : consulted) {
       if (!known_rows_.contains(q)) {
         continue;  // row vanished (death learned mid-walk): nothing to ask
@@ -355,17 +421,7 @@ std::vector<GgdMessage> GgdProcess::decide(
     } else {
       for (ProcessId q : unconfirmed) {
         if (inflight_inquiries_.insert(q).second) {
-          GgdMessage inq;
-          inq.from = id_;
-          inq.to = q;
-          inq.inquiry = true;
-          // Deferred grants we hold for q ride along: q must adjudicate
-          // them (a regrant below an old destruction marker resurrects
-          // and lease-verifies at q) before its reply can certify an
-          // all-dead in-edge row.
-          inq.behalf = log_.row(q);
-          attach_sync(inq, /*include_rows=*/false);
-          out.push_back(std::move(inq));
+          emit_inquiry(out, q, InquiryReason::kConfirm);
         }
       }
     }
@@ -388,13 +444,7 @@ std::vector<GgdMessage> GgdProcess::decide(
       vit->second = version;
       inquired_.insert(q);
       if (inflight_inquiries_.insert(q).second) {
-        GgdMessage inq;
-        inq.from = id_;
-        inq.to = q;
-        inq.inquiry = true;
-        inq.behalf = log_.row(q);
-        attach_sync(inq, /*include_rows=*/false);
-        out.push_back(std::move(inq));
+        emit_inquiry(out, q, InquiryReason::kBlocked);
       }
     }
   }
@@ -415,17 +465,28 @@ std::vector<GgdMessage> GgdProcess::decide(
         continue;
       }
       if (inflight_inquiries_.insert(q).second) {
-        GgdMessage inq;
-        inq.from = id_;
-        inq.to = q;
-        inq.inquiry = true;
-        inq.behalf = log_.row(q);
-        attach_sync(inq, /*include_rows=*/false);
-        out.push_back(std::move(inq));
+        emit_inquiry(out, q, InquiryReason::kLease);
       }
     }
   }
   return out;
+}
+
+void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
+                              InquiryReason why) {
+  GgdMessage inq;
+  inq.from = id_;
+  inq.to = q;
+  inq.inquiry = true;
+  // Deferred grants we hold for q ride along: q must adjudicate them (a
+  // regrant below an old destruction marker resurrects and lease-verifies
+  // at q) before its reply can certify an all-dead in-edge row.
+  inq.behalf = log_.row(q);
+  attach_sync(inq, /*include_rows=*/false);
+  out.push_back(std::move(inq));
+  if (observed_) {
+    ++walk_obs_.inquiries[static_cast<std::size_t>(why)];
+  }
 }
 
 void GgdProcess::reset_inquiry_gates() {
@@ -627,38 +688,40 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     const std::function<bool(ProcessId)>& is_root,
     FlatSet<ProcessId>& missing, FlatSet<ProcessId>& root_evidence,
     FlatSet<ProcessId>& consulted) const {
-  FlatSet<ProcessId> visited{id_};
+  Scratch& s = scratch();
+  FlatSet<ProcessId>& visited = s.visited;
+  visited.clear();
+  visited.insert(id_);
   // Stack of (process, subject of the row that contributed it); the
   // invalid id marks entries contributed by our own self row.
-  std::vector<std::pair<ProcessId, ProcessId>> stack;
+  std::vector<std::pair<ProcessId, ProcessId>>& stack = s.walk_stack;
+  stack.clear();
   bool reachable = false;
   bool blocked = false;
-  // Generic over DependencyVector and RowTable::RowView: both yield
-  // (ProcessId, Timestamp) pairs from entries() in increasing-id order.
-  auto push_live_slots = [&](const auto& row, ProcessId source) {
-    for (const auto& [q, ts] : row.entries()) {
-      if (ts.is_delta() || ts.destroyed() || visited.contains(q)) {
-        continue;
-      }
-      if (dead_.contains(q)) {
-        // A LIVE slot of a collected process: the corpse's final
-        // destruction bundle — which atomically carries its deferred
-        // on-behalf grants (§3.4) — has not been processed at the row's
-        // owner yet, so the row is mid-update: a rescue grant the corpse
-        // deferred may still be in flight. Death certificates travel
-        // faster than bundles (they relay on every message); concluding
-        // "all paths dead" here removes a live process (found by
-        // scenario fuzzing). Block; inquiring the slot's subject fetches
-        // the bundle posthumously for our own row, and a replica owner's
-        // refreshed row arrives via the usual confirmation round.
-        missing.insert(source.valid() ? source : q);
-        blocked = true;
-        continue;
-      }
-      stack.emplace_back(q, source);
+  auto push_live_slot = [&](ProcessId q, Timestamp ts, ProcessId source) {
+    if (ts.is_delta() || visited.contains(q)) {
+      return;
     }
+    if (dead_.contains(q)) {
+      // A LIVE slot of a collected process: the corpse's final
+      // destruction bundle — which atomically carries its deferred
+      // on-behalf grants (§3.4) — has not been processed at the row's
+      // owner yet, so the row is mid-update: a rescue grant the corpse
+      // deferred may still be in flight. Death certificates travel
+      // faster than bundles (they relay on every message); concluding
+      // "all paths dead" here removes a live process (found by
+      // scenario fuzzing). Block; inquiring the slot's subject fetches
+      // the bundle posthumously for our own row, and a replica owner's
+      // refreshed row arrives via the usual confirmation round.
+      missing.insert(source.valid() ? source : q);
+      blocked = true;
+      return;
+    }
+    stack.emplace_back(q, source);
   };
-  push_live_slots(log_.self_row(), ProcessId{});
+  for (const auto& [q, ts] : log_.self_row()) {
+    push_live_slot(q, ts, ProcessId{});
+  }
   while (!stack.empty()) {
     const auto [q, source] = stack.back();
     stack.pop_back();
@@ -697,39 +760,23 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     // "prove" a live structure dead (found by scenario fuzzing). A stale
     // behalf entry cannot pin garbage for ever: the edge's destruction
     // carries the dropper's own counter, which supersedes the per-slot
-    // behalf index in the merge.
+    // behalf index in the merge. The overlay is walked as a merged view of
+    // the three rows, in place; an absent row reads as empty.
     const RowTable::RowView replica = std::as_const(known_rows_).row(q);
-    const DvLog::RowView behalf = std::as_const(log_).row(q);
-    const RowTable::RowView deferred = std::as_const(known_behalf_).row(q);
-    const bool overlay = !behalf.empty() || deferred.exists();
-    if (!replica.exists()) {
+    if (replica.exists()) {
+      consulted.insert(q);
+    } else {
       // Unknown predecessor: cannot prove this path dead. Conservatively
       // blocked until q's row arrives — but deferred grants already known
       // here (ours or relayed) still contribute live continuations.
       missing.insert(q);
       blocked = true;
-      if (overlay) {
-        DependencyVector view = behalf;
-        if (deferred.exists()) {
-          view.merge(deferred);
-        }
-        push_live_slots(view, q);
-      }
-      continue;
     }
-    consulted.insert(q);
-    if (!overlay) {
-      // Common case: no deferred-grant overlay — walk the stored replica
-      // in place, no copies.
-      push_live_slots(replica, q);
-    } else {
-      DependencyVector view = replica;
-      view.merge(behalf);
-      if (deferred.exists()) {
-        view.merge(deferred);
-      }
-      push_live_slots(view, q);
-    }
+    for_each_merged(replica, std::as_const(log_).row(q),
+                    std::as_const(known_behalf_).row(q),
+                    [&](ProcessId p, Timestamp ts) {
+                      push_live_slot(p, ts, q);
+                    });
   }
   if (reachable) {
     return WalkResult::kReachable;
@@ -757,8 +804,12 @@ DependencyVector GgdProcess::compute_v() const {
       v.set(q, ts);
     }
   }
-  std::vector<ProcessId> stack;
-  FlatSet<ProcessId> expanded{id_};
+  Scratch& s = scratch();
+  std::vector<ProcessId>& stack = s.closure_stack;
+  FlatSet<ProcessId>& expanded = s.expanded;
+  stack.clear();
+  expanded.clear();
+  expanded.insert(id_);
   for (const auto& [q, ts] : v.entries()) {
     if (q != id_ && !ts.is_delta()) {
       stack.push_back(q);
@@ -770,21 +821,19 @@ DependencyVector GgdProcess::compute_v() const {
     if (!expanded.insert(p).second) {
       continue;
     }
-    const RowTable::RowView hist = std::as_const(history_).row(p);
-    if (!hist.exists()) {
-      continue;
-    }
-    for (const auto& [q, alpha] : hist) {
-      if (q == p || q == id_ || alpha.is_delta() || dead_.contains(q)) {
+    for (const auto& [q, alpha] : std::as_const(history_).row(p)) {
+      if (q == p || q == id_ || alpha.is_delta()) {
         // Destruction markers inside a history describe edges of *that*
-        // process, not ours; entries of dead processes contribute nothing.
+        // process, not ours.
         continue;
       }
-      const Timestamp cur = v.get(q);
-      if (alpha.index() > cur.index()) {
+      // Only a strictly newer index changes v, and every live entry of v
+      // was pushed when it was seeded or raised: an equal index has
+      // nothing left to expand. v never holds an entry of a dead process,
+      // so only a rise needs the death check (dead entries contribute
+      // nothing).
+      if (alpha.index() > v.get(q).index() && !dead_.contains(q)) {
         v.set(q, alpha);
-        stack.push_back(q);
-      } else if (alpha.index() == cur.index() && !cur.destroyed()) {
         stack.push_back(q);
       }
     }

@@ -15,6 +15,7 @@
 // finalisation (edge-destruction) cascade.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -211,7 +212,8 @@ class GgdProcess {
   /// process's latest log-keeping event derivable from the local log alone.
   /// Seeded with the self row (destruction markers included — they act as
   /// floors that prevent stale third-party rows from resurrecting masked
-  /// entries), then closed transitively over the log's rows.
+  /// entries), then closed transitively over the log's rows. Each certified
+  /// history is expanded at most once per call.
   [[nodiscard]] DependencyVector compute_v() const;
 
   /// True iff `v` contains at least one live (non-Δ) entry of an actual
@@ -268,6 +270,18 @@ class GgdProcess {
   /// Outcome of the edge-precise reachability walk over known self rows.
   enum class WalkResult { kReachable, kUnreachable, kBlocked };
 
+  /// Why decide() sent an inquiry, one value per inquiry site:
+  /// re-verifying a reachable verdict's replica evidence, confirming an
+  /// unreachable verdict's consulted rows, fetching a blocked walk's
+  /// missing row, or verifying an unconfirmed in-edge lease.
+  enum class InquiryReason : std::uint8_t {
+    kReverify,
+    kConfirm,
+    kBlocked,
+    kLease,
+  };
+  static constexpr std::size_t kInquiryReasons = 4;
+
   /// Shape of the most recent decision walk, captured only when the
   /// engine has observability attached (`set_observed(true)`). Strictly
   /// diagnostic: never consulted by protocol code and deliberately NOT
@@ -278,6 +292,8 @@ class GgdProcess {
     std::uint32_t consulted = 0;  // replica rows the walk expanded
     std::uint32_t missing = 0;    // rows the walk wanted but lacked
     ProcessId first_missing;      // one concrete inquiry target, if any
+    /// Inquiries the decision sent, indexed by InquiryReason.
+    std::array<std::uint32_t, kInquiryReasons> inquiries{};
     bool valid = false;
   };
 
@@ -299,7 +315,8 @@ class GgdProcess {
   /// rows that supplied the live root entries (empty when the evidence is
   /// this process's own self row, which is authoritative). `consulted`
   /// receives every non-dead subject whose replica row the walk expanded —
-  /// the rows an unreachable verdict rests on.
+  /// the rows an unreachable verdict rests on. The walk's own visited set
+  /// and stack are per-thread scratch: it allocates nothing once warm.
   [[nodiscard]] WalkResult walk_to_root(
       const std::function<bool(ProcessId)>& is_root,
       FlatSet<ProcessId>& missing, FlatSet<ProcessId>& root_evidence,
@@ -513,6 +530,12 @@ class GgdProcess {
   /// engine answers them without running receive() at the target, so
   /// attached rows would be wasted bytes yet still counted as sent.
   void attach_sync(GgdMessage& msg, bool include_rows);
+
+  /// Appends one inquiry to `q` to `out`: the deferred grants held for q
+  /// ride along (q adjudicates them before its reply certifies anything),
+  /// plus pending acks but no rows. Counts `why` when observed.
+  void emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
+                    InquiryReason why);
 
   /// Accumulates acks for the rows `msg` shipped, to ride on the next
   /// message addressed to msg.from.

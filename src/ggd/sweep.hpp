@@ -34,6 +34,12 @@ namespace cgc::sweep {
 /// Budget value meaning "no limit": one slice runs the round to the end.
 inline constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
+/// Sweep rounds between capacity-trim passes over the live population
+/// (GgdProcess::trim_storage), in both runtimes. Wire-passive at any
+/// value; the throttle only balances memcpy cost against capacity-slack
+/// accumulation.
+inline constexpr std::uint64_t kTrimEveryRounds = 4;
+
 /// Work-unit accountant for one slice. `take()` answers whether the next
 /// unit of work may run; once it refuses, the slice is over.
 class Budget {

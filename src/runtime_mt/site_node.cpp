@@ -285,7 +285,7 @@ bool SiteNode::sweep_slice(std::uint64_t budget_units) {
       // Same amortized capacity diet as the engine's sweep, on this
       // worker's own processes (thread-confined; content untouched, so
       // replay-conformant).
-      if (!now_removed && sweep_round_ % 4 == 0) {
+      if (!now_removed && sweep_round_ % sweep::kTrimEveryRounds == 0) {
         proc.trim_storage();
       }
       dispatch_all(std::move(out));

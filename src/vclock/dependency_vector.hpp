@@ -95,6 +95,9 @@ class DependencyVector {
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Pre-sizes for `n` entries: builders that know the count (decoders,
+  /// row materialization) fill with one allocation instead of ~log2(n).
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
   /// Deterministically ordered iteration for printing and hashing.
   [[nodiscard]] const FlatMap<ProcessId, Timestamp>& entries() const {

@@ -138,6 +138,7 @@ class RowTable {
 
     [[nodiscard]] DependencyVector to_dv() const {
       DependencyVector dv;
+      dv.reserve(size());
       for (const auto& [p, ts] : *this) {
         dv.set(p, ts);
       }

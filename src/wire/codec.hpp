@@ -15,6 +15,7 @@
 // callers check once at the end (truncated-buffer rejection is tested).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -271,6 +272,7 @@ class Decoder {
   DependencyVector dependency_vector() {
     DependencyVector dv;
     const std::uint64_t n = varint();
+    dv.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       const std::uint64_t delta = varint();
@@ -289,12 +291,18 @@ class Decoder {
       }
       dv.set(ProcessId{prev}, ts);
     }
-    return ok() ? dv : DependencyVector{};
+    // Two returns, not `ok() ? dv : T{}`: the conditional would
+    // deep-copy the decoded value on every message.
+    if (!ok()) {
+      return {};
+    }
+    return dv;
   }
 
   FlatSet<ProcessId> process_set() {
     FlatSet<ProcessId> s;
     const std::uint64_t n = varint();
+    s.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       const std::uint64_t delta = varint();
@@ -305,7 +313,10 @@ class Decoder {
       prev = (i == 0) ? delta : prev + delta;
       s.insert(ProcessId{prev});  // increasing ids: O(1) append
     }
-    return ok() ? s : FlatSet<ProcessId>{};
+    if (!ok()) {
+      return {};
+    }
+    return s;
   }
 
   std::vector<ProcessId> process_seq() {
@@ -321,12 +332,16 @@ class Decoder {
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       v.push_back(process_id());
     }
-    return ok() ? v : std::vector<ProcessId>{};
+    if (!ok()) {
+      return {};
+    }
+    return v;
   }
 
   FlatMap<ProcessId, DependencyVector> row_map() {
     FlatMap<ProcessId, DependencyVector> rows;
     const std::uint64_t n = varint();
+    rows.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       const std::uint64_t delta = varint();
@@ -337,7 +352,10 @@ class Decoder {
       prev = (i == 0) ? delta : prev + delta;
       rows[ProcessId{prev}] = dependency_vector();  // increasing: append
     }
-    return ok() ? rows : FlatMap<ProcessId, DependencyVector>{};
+    if (!ok()) {
+      return {};
+    }
+    return rows;
   }
 
   /// Decodes a columnar row batch into aligned (rows, revs) maps. Total
@@ -357,7 +375,18 @@ class Decoder {
     if (!ok()) {
       return;
     }
-    std::vector<std::uint64_t> ids;
+    // The batch is decoded column by column before any row can be
+    // assembled; the columns are per-thread scratch, reused across calls.
+    thread_local std::vector<std::uint64_t> ids;
+    thread_local std::vector<std::uint64_t> rev_vals;
+    thread_local std::vector<std::uint64_t> counts;
+    thread_local std::vector<std::uint64_t> entry_ids;
+    thread_local std::vector<std::uint64_t> packed;
+    ids.clear();
+    rev_vals.clear();
+    counts.clear();
+    entry_ids.clear();
+    packed.clear();
     ids.reserve(n);
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
@@ -369,12 +398,10 @@ class Decoder {
       prev = (i == 0) ? delta : prev + delta;
       ids.push_back(prev);
     }
-    std::vector<std::uint64_t> rev_vals;
     rev_vals.reserve(n);
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       rev_vals.push_back(varint());
     }
-    std::vector<std::uint64_t> counts;
     counts.reserve(n);
     std::uint64_t total = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
@@ -387,7 +414,6 @@ class Decoder {
     if (!ok()) {
       return;
     }
-    std::vector<std::uint64_t> entry_ids;
     entry_ids.reserve(total);
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       std::uint64_t eprev = 0;
@@ -405,7 +431,6 @@ class Decoder {
     if (ok() && n_runs > size_ - pos_) {  // each run costs >= 2 bytes
       fail(Error::kTruncated);
     }
-    std::vector<std::uint64_t> packed;
     packed.reserve(ok() ? total : 0);
     std::uint64_t prev_value = 0;
     for (std::uint64_t r = 0; ok() && r < n_runs; ++r) {
@@ -428,9 +453,12 @@ class Decoder {
     if (!ok()) {
       return;
     }
+    rows.reserve(n);
+    revs.reserve(n);
     std::size_t cursor = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       DependencyVector dv;
+      dv.reserve(counts[i]);
       for (std::uint64_t j = 0; j < counts[i]; ++j) {
         const std::uint64_t raw = packed[cursor];
         const ProcessId q{entry_ids[cursor]};
@@ -446,6 +474,7 @@ class Decoder {
   FlatMap<ProcessId, std::uint64_t> u64_map() {
     FlatMap<ProcessId, std::uint64_t> m;
     const std::uint64_t n = varint();
+    m.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {
       const std::uint64_t delta = varint();
@@ -456,10 +485,21 @@ class Decoder {
       prev = (i == 0) ? delta : prev + delta;
       m[ProcessId{prev}] = varint();  // increasing: append
     }
-    return ok() ? m : FlatMap<ProcessId, std::uint64_t>{};
+    if (!ok()) {
+      return {};
+    }
+    return m;
   }
 
  private:
+  /// Capacity to reserve for a decoded element count: every element costs
+  /// at least one byte, so a count past the remaining buffer is truncated
+  /// input and gets no more than the buffer could hold (the decode loop
+  /// still classifies the error).
+  [[nodiscard]] std::size_t capacity_hint(std::uint64_t n) const {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(n, size_ - pos_));
+  }
+
   std::uint64_t fail(Error reason) {
     if (error_ == Error::kNone) {
       error_ = reason;  // first failure wins: later reads return zeroes

@@ -2,6 +2,11 @@
 // closure, finalisation and idempotence — independent of any network.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "ggd/process.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 
@@ -268,6 +273,213 @@ TEST(GgdProcess, AnnounceCarriesFreshVector) {
   EXPECT_EQ(ann.v.get(P(2)).index(), p.log().own_timestamp().index())
       << "announce must reflect the acquisition it reports";
   EXPECT_FALSE(ann.reply);
+}
+
+// ---- compute_v() and decide() against references ------------------------
+
+/// What the reference closure saw across a batch of states: proof that the
+/// random states below exercise every case the one-pass closure reasons
+/// about, not just the easy ones.
+struct ClosureCoverage {
+  std::size_t live_ties = 0;       // history index == a live entry of v
+  std::size_t marker_ties = 0;     // history index == a seeded marker
+  std::size_t dead_in_history = 0; // live history entry of a dead process
+  std::size_t repushes = 0;        // subjects pushed again after expansion
+};
+
+/// The closure as it stood before the one-pass rewrite, kept verbatim as
+/// the oracle: it re-pushes a subject on every equal-index tie with a live
+/// entry and tests death before comparing.
+DependencyVector reference_compute_v(const GgdProcess& proc,
+                                     ClosureCoverage& cov) {
+  const ProcessId self = proc.id();
+  DependencyVector v;
+  for (const auto& [q, ts] : proc.log().self_row().entries()) {
+    if (q == self || !proc.dead().contains(q)) {
+      v.set(q, ts);
+    }
+  }
+  std::vector<ProcessId> stack;
+  FlatSet<ProcessId> expanded{self};
+  for (const auto& [q, ts] : v.entries()) {
+    if (q != self && !ts.is_delta()) {
+      stack.push_back(q);
+    }
+  }
+  while (!stack.empty()) {
+    const ProcessId p = stack.back();
+    stack.pop_back();
+    if (!expanded.insert(p).second) {
+      continue;
+    }
+    const RowTable::RowView hist = proc.history().row(p);
+    if (!hist.exists()) {
+      continue;
+    }
+    for (const auto& [q, alpha] : hist) {
+      if (q != p && q != self && !alpha.is_delta() &&
+          proc.dead().contains(q)) {
+        ++cov.dead_in_history;
+      }
+      if (q == p || q == self || alpha.is_delta() || proc.dead().contains(q)) {
+        continue;
+      }
+      const Timestamp cur = v.get(q);
+      if (alpha.index() > cur.index()) {
+        v.set(q, alpha);
+        stack.push_back(q);
+      } else if (alpha.index() == cur.index() && !cur.destroyed()) {
+        ++cov.live_ties;
+        cov.repushes += expanded.contains(q) ? 1 : 0;
+        stack.push_back(q);
+      } else if (alpha.index() == cur.index()) {
+        ++cov.marker_ties;
+      }
+    }
+  }
+  return v;
+}
+
+/// Indexes from a narrow range, so equal-index ties are common; one entry
+/// in four is a destruction marker.
+Timestamp random_ts(Rng& rng) {
+  const std::uint64_t index = rng.between(1, 4);
+  return rng.chance(0.25) ? Timestamp::destruction(index)
+                          : Timestamp::creation(index);
+}
+
+DependencyVector random_row(Rng& rng, std::uint64_t universe,
+                            std::uint64_t max_entries) {
+  DependencyVector row;
+  const std::uint64_t n = rng.below(max_entries + 1);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    row.set(P(rng.between(1, universe)), random_ts(rng));
+  }
+  return row;
+}
+
+/// A root (roots never decide, so receive() cannot remove it) with random
+/// certified histories, death knowledge and self row over a small
+/// universe: cyclic histories, seeded/history ties, markers on both sides
+/// and dead subjects named inside live histories are all frequent.
+GgdProcess random_closure_state(std::uint64_t seed) {
+  constexpr std::uint64_t kUniverse = 10;
+  Rng rng(seed);
+  GgdProcess p(P(1), /*is_root=*/true);
+  const std::uint64_t histories = rng.between(1, 8);
+  for (std::uint64_t i = 0; i < histories; ++i) {
+    GgdMessage reply;
+    reply.from = P(rng.between(2, kUniverse));
+    reply.to = P(1);
+    reply.reply = true;
+    reply.v = random_row(rng, kUniverse, 6);
+    (void)p.receive(reply, roots({}));
+  }
+  // Death arrives last: a dead subject's own history is purged, but the
+  // entries naming it inside other histories stay.
+  GgdMessage death;
+  death.from = P(kUniverse + 1);
+  death.to = P(1);
+  death.reply = true;
+  for (std::uint64_t q = 2; q <= kUniverse; ++q) {
+    if (rng.chance(0.2)) {
+      death.dead.insert(P(q));
+    }
+  }
+  (void)p.receive(death, roots({}));
+  p.log().self_row() = random_row(rng, kUniverse, 8);
+  return p;
+}
+
+TEST(GgdProcess, ComputeVMatchesReferenceClosureOnRandomStates) {
+  ClosureCoverage cov;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    const GgdProcess p = random_closure_state(seed);
+    ASSERT_EQ(p.compute_v(), reference_compute_v(p, cov)) << "seed " << seed;
+  }
+  EXPECT_GT(cov.live_ties, 0u);
+  EXPECT_GT(cov.marker_ties, 0u);
+  EXPECT_GT(cov.dead_in_history, 0u);
+  EXPECT_GT(cov.repushes, 0u);
+}
+
+/// A non-root with random in-edges, relayed replica rows, relayed and own
+/// deferred grants over a small universe whose root is P(1): depending on
+/// the seed its walk reaches the root, blocks or proves it unreachable.
+GgdProcess random_walk_state(std::uint64_t seed) {
+  constexpr std::uint64_t kUniverse = 8;
+  Rng rng(seed);
+  GgdProcess p(P(2), /*is_root=*/false);
+  for (int i = 0; i < 3; ++i) {
+    p.log().self_row().set(P(rng.between(1, kUniverse)), random_ts(rng));
+  }
+  GgdMessage relay;
+  relay.from = P(kUniverse + 1);
+  relay.to = P(2);
+  relay.reply = true;
+  for (std::uint64_t q = 1; q <= kUniverse; ++q) {
+    if (rng.chance(0.6)) {
+      relay.rows.emplace(P(q), random_row(rng, kUniverse, 4));
+      relay.row_revs.emplace(P(q), std::uint64_t{1});
+    }
+    if (rng.chance(0.3)) {
+      relay.behalf_rows.emplace(P(q), random_row(rng, kUniverse, 2));
+    }
+    if (q != 2 && rng.chance(0.2)) {
+      p.log().row(P(q)) = random_row(rng, kUniverse, 2);
+    }
+  }
+  (void)p.receive(relay, roots({1}), /*now=*/1);
+  return p;
+}
+
+TEST(GgdProcess, DecideOnReusedScratchMatchesFreshThreadTwins) {
+  const auto is_root = roots({1});
+  std::size_t inquiries = 0;
+  std::size_t removals = 0;
+  for (std::uint64_t seed = 1; seed <= 400; seed += 2) {
+    // Two processes decide in turn, each leaving its working sets in
+    // this thread's scratch for the other to reuse...
+    std::vector<std::vector<GgdMessage>> got;
+    std::vector<DependencyVector> got_v;
+    {
+      GgdProcess a = random_walk_state(seed);
+      GgdProcess b = random_walk_state(seed + 1);
+      // Each decision runs as a sweep scan does: gates reset first.
+      for (SimTime now = 2; now < 4; ++now) {
+        a.reset_inquiry_gates();
+        got.push_back(a.decide(is_root, /*allow_inquiry=*/true, now));
+        b.reset_inquiry_gates();
+        got.push_back(b.decide(is_root, /*allow_inquiry=*/true, now));
+      }
+      got_v = {a.compute_v(), b.compute_v()};
+      removals += (a.removed() ? 1 : 0) + (b.removed() ? 1 : 0);
+    }
+    // ...and each must match a twin built and decided alone on a new
+    // thread, whose scratch starts out empty.
+    std::vector<std::vector<GgdMessage>> want(got.size());
+    std::vector<DependencyVector> want_v(2);
+    std::thread([&] {
+      for (std::size_t k = 0; k < 2; ++k) {
+        GgdProcess twin = random_walk_state(seed + k);
+        for (SimTime now = 2; now < 4; ++now) {
+          twin.reset_inquiry_gates();
+          want[2 * (now - 2) + k] =
+              twin.decide(is_root, /*allow_inquiry=*/true, now);
+        }
+        want_v[k] = twin.compute_v();
+      }
+    }).join();
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(got_v, want_v) << "seed " << seed;
+    for (const auto& out : got) {
+      for (const GgdMessage& m : out) {
+        inquiries += m.inquiry ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(inquiries, 0u);
+  EXPECT_GT(removals, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -107,6 +108,15 @@ void run_and_check(const Golden& golden, bool observed = false) {
     // be vacuous.
     EXPECT_GT(journal.recorded(), 0u);
     EXPECT_GT(registry.counter("ggd.walks").value(), 0u);
+    // decide() is the only inquiry source and names one reason per
+    // inquiry, so the per-reason counters partition ggd.inquiries.
+    std::uint64_t by_reason = 0;
+    for (const char* reason : {"reverify", "confirm", "blocked", "lease"}) {
+      by_reason +=
+          registry.counter(std::string("ggd.inquiries.") + reason).value();
+    }
+    EXPECT_GT(registry.counter("ggd.inquiries").value(), 0u);
+    EXPECT_EQ(by_reason, registry.counter("ggd.inquiries").value());
   }
 }
 
