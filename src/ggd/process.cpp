@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/scratch.hpp"
 
 namespace cgc {
 
@@ -50,8 +51,9 @@ bool adopt_row(RowTable& rows, ProcessId subject,
 }
 
 /// Per-thread working sets of the per-message closure, walk and decision.
-/// Each user clears what it takes on entry, so capacity carries over from
-/// message to message and a warm thread allocates nothing here. Per
+/// Each user takes what it needs through a ScratchUse, so capacity up to
+/// kScratchRetain carries over from message to message and a warm thread
+/// allocates nothing here. Per
 /// thread rather than per process: the threaded runtime runs GgdProcess
 /// code on several workers at once, and a per-process copy would be
 /// resident state the memory diet has to pay for.
@@ -334,12 +336,11 @@ std::vector<GgdMessage> GgdProcess::decide(
     return out;
   }
   Scratch& s = scratch();
+  const ScratchUse use(s.missing, s.root_evidence, s.consulted,
+                       s.unconfirmed);
   FlatSet<ProcessId>& missing = s.missing;
   FlatSet<ProcessId>& root_evidence = s.root_evidence;
   FlatSet<ProcessId>& consulted = s.consulted;
-  missing.clear();
-  root_evidence.clear();
-  consulted.clear();
   const WalkResult res = walk_to_root(is_root, missing, root_evidence,
                                       consulted);
   if (observed_) {
@@ -402,7 +403,6 @@ std::vector<GgdMessage> GgdProcess::decide(
       pending_verify_since_ = now;
     }
     FlatSet<ProcessId>& unconfirmed = s.unconfirmed;
-    unconfirmed.clear();
     for (ProcessId q : consulted) {
       if (!known_rows_.contains(q)) {
         continue;  // row vanished (death learned mid-walk): nothing to ask
@@ -689,13 +689,12 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     FlatSet<ProcessId>& missing, FlatSet<ProcessId>& root_evidence,
     FlatSet<ProcessId>& consulted) const {
   Scratch& s = scratch();
+  const ScratchUse use(s.visited, s.walk_stack);
   FlatSet<ProcessId>& visited = s.visited;
-  visited.clear();
   visited.insert(id_);
   // Stack of (process, subject of the row that contributed it); the
   // invalid id marks entries contributed by our own self row.
   std::vector<std::pair<ProcessId, ProcessId>>& stack = s.walk_stack;
-  stack.clear();
   bool reachable = false;
   bool blocked = false;
   auto push_live_slot = [&](ProcessId q, Timestamp ts, ProcessId source) {
@@ -805,10 +804,9 @@ DependencyVector GgdProcess::compute_v() const {
     }
   }
   Scratch& s = scratch();
+  const ScratchUse use(s.closure_stack, s.expanded);
   std::vector<ProcessId>& stack = s.closure_stack;
   FlatSet<ProcessId>& expanded = s.expanded;
-  stack.clear();
-  expanded.clear();
   expanded.insert(id_);
   for (const auto& [q, ts] : v.entries()) {
     if (q != id_ && !ts.is_delta()) {

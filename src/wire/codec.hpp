@@ -22,6 +22,7 @@
 
 #include "common/assert.hpp"
 #include "common/flat_map.hpp"
+#include "common/scratch.hpp"
 #include "common/types.hpp"
 #include "vclock/dependency_vector.hpp"
 
@@ -382,11 +383,7 @@ class Decoder {
     thread_local std::vector<std::uint64_t> counts;
     thread_local std::vector<std::uint64_t> entry_ids;
     thread_local std::vector<std::uint64_t> packed;
-    ids.clear();
-    rev_vals.clear();
-    counts.clear();
-    entry_ids.clear();
-    packed.clear();
+    const ScratchUse use(ids, rev_vals, counts, entry_ids, packed);
     ids.reserve(n);
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; ok() && i < n; ++i) {

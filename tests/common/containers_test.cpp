@@ -14,6 +14,7 @@
 #include "common/flat_map.hpp"
 #include "common/interner.hpp"
 #include "common/rng.hpp"
+#include "common/scratch.hpp"
 #include "common/types.hpp"
 
 namespace cgc {
@@ -141,6 +142,23 @@ TEST(FlatSet, DifferentialAgainstStdSetUnderRandomOps) {
       ASSERT_TRUE(flat == ref) << "same elements in same (sorted) order";
     }
   }
+}
+
+TEST(ScratchUse, ClearsOnEntryAndReleasesOnlyPastTheRetainCap) {
+  std::vector<std::uint64_t> small(10, 7);
+  FlatSet<ProcessId> big;
+  {
+    const ScratchUse use(small, big);
+    EXPECT_TRUE(small.empty()) << "entry clears every container";
+    for (std::uint64_t i = 0; i <= kScratchRetain; ++i) {
+      big.insert(P(i));
+    }
+    small.assign(100, 3);
+  }
+  EXPECT_GE(small.capacity(), 100u)
+      << "capacity within the cap carries over to the next use";
+  EXPECT_EQ(big.capacity(), 0u)
+      << "a container that outgrew the cap hands its block back";
 }
 
 TEST(DenseMap, DifferentialAgainstStdMapUnderRandomOps) {

@@ -455,12 +455,12 @@ TEST(GgdProcess, DecideOnReusedScratchMatchesFreshThreadTwins) {
       got_v = {a.compute_v(), b.compute_v()};
       removals += (a.removed() ? 1 : 0) + (b.removed() ? 1 : 0);
     }
-    // ...and each must match a twin built and decided alone on a new
-    // thread, whose scratch starts out empty.
+    // ...and each must match a twin built and decided alone, each twin on
+    // a thread of its own whose scratch starts out empty.
     std::vector<std::vector<GgdMessage>> want(got.size());
     std::vector<DependencyVector> want_v(2);
-    std::thread([&] {
-      for (std::size_t k = 0; k < 2; ++k) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      std::thread([&, k] {
         GgdProcess twin = random_walk_state(seed + k);
         for (SimTime now = 2; now < 4; ++now) {
           twin.reset_inquiry_gates();
@@ -468,8 +468,8 @@ TEST(GgdProcess, DecideOnReusedScratchMatchesFreshThreadTwins) {
               twin.decide(is_root, /*allow_inquiry=*/true, now);
         }
         want_v[k] = twin.compute_v();
-      }
-    }).join();
+      }).join();
+    }
     EXPECT_EQ(got, want) << "seed " << seed;
     EXPECT_EQ(got_v, want_v) << "seed " << seed;
     for (const auto& out : got) {
