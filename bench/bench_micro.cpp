@@ -1,10 +1,14 @@
 // Microbenchmarks for the per-message hot paths of a GGD process: the
-// vector-time closure (ComputeV) and the edge-precise reachability walk.
-// These bound the CPU cost a site pays per GGD message as structures grow.
+// vector-time closure (ComputeV), the edge-precise reachability walk and
+// the decoding of a control message. These bound the CPU cost a site pays
+// per GGD message as structures grow.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "ggd/process.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
+#include "wire/messages.hpp"
 
 namespace cgc {
 namespace {
@@ -45,6 +49,52 @@ void BM_ComputeV(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeV)->Range(4, 256)->Complexity();
 
+/// The closure's shape on a cyclic-garbage workload: a few live in-edges
+/// seed V, and `n` certified histories over one shared pool of ids each
+/// name most of the pool. So almost every scanned entry ties an entry V
+/// already holds, rows are expanded one after another, and V stays about
+/// as small as one row. Some pool ids are dead, some entries are markers.
+GgdProcess make_dense_process(std::size_t n) {
+  GgdProcess p(P(1), /*is_root=*/true);
+  const auto pool = [](std::size_t j) { return P(j + 2); };
+  for (std::size_t i = 0; i < n; ++i) {
+    GgdMessage reply;
+    reply.from = pool(i);
+    reply.to = P(1);
+    reply.reply = true;
+    for (std::size_t j = 0; j < n; ++j) {
+      if ((i * 7 + j) % 5 == 0) {
+        continue;
+      }
+      const std::uint64_t index = 1 + (i + j) % 3;
+      reply.v.set(pool(j), (i + j) % 11 == 0 ? Timestamp::destruction(index)
+                                             : Timestamp::creation(index));
+    }
+    (void)p.receive(reply, [](ProcessId) { return true; });
+  }
+  GgdMessage death;
+  death.from = pool(n);
+  death.to = P(1);
+  death.reply = true;
+  for (std::size_t j = 0; j < n; j += 13) {
+    death.dead.insert(pool(j + 5));
+  }
+  (void)p.receive(death, [](ProcessId) { return true; });
+  for (std::size_t j = 0; j < 3; ++j) {
+    p.log().self_row().set(pool(j * 3), Timestamp::creation(1));
+  }
+  return p;
+}
+
+void BM_ComputeVDense(benchmark::State& state) {
+  const GgdProcess p =
+      make_dense_process(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.compute_v());
+  }
+}
+BENCHMARK(BM_ComputeVDense)->Arg(16)->Arg(64);
+
 void BM_WalkToRoot(benchmark::State& state) {
   GgdProcess p = make_loaded_process(static_cast<std::size_t>(state.range(0)));
   const auto is_root = [](ProcessId) { return false; };
@@ -55,6 +105,61 @@ void BM_WalkToRoot(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_WalkToRoot)->Range(4, 256)->Complexity();
+
+/// An inquiry reply as a cyclic-garbage workload ships it: a vector,
+/// in-edge and behalf rows, deferred rows of third parties, a batch of
+/// relayed rows with their revisions, acks, death knowledge, out-edges.
+std::vector<std::uint8_t> encode_reply_message() {
+  GgdMessage m;
+  m.from = P(3);
+  m.to = P(4);
+  const auto row = [](std::uint64_t first, std::uint64_t n) {
+    DependencyVector dv;
+    for (std::uint64_t j = 0; j < n; ++j) {
+      dv.set(P(first + 2 * j), j % 4 == 3 ? Timestamp::destruction(j + 1)
+                                           : Timestamp::creation(1 + j % 3));
+    }
+    return dv;
+  };
+  m.v = row(2, 16);
+  m.self_row = row(5, 4);
+  m.behalf = row(9, 2);
+  for (std::uint64_t q = 0; q < 3; ++q) {
+    m.behalf_rows.emplace(P(20 + q), row(4 + q, 3));
+  }
+  for (std::uint64_t q = 0; q < 8; ++q) {
+    m.rows.emplace(P(30 + q), row(2 + q, 13));
+    m.row_revs.emplace(P(30 + q), 100 + q);
+    m.row_acks.emplace(P(40 + q), 50 + q);
+  }
+  m.sync_epoch = 1;
+  m.ack_epoch = 1;
+  for (std::uint64_t q = 0; q < 5; ++q) {
+    m.dead.insert(P(60 + 3 * q));
+  }
+  m.reply = true;
+  m.has_out_edges = true;
+  m.out_edges = {P(4), P(7), P(11)};
+  std::vector<std::uint8_t> bytes;
+  wire::Encoder enc(bytes);
+  wire::encode_message(
+      enc, wire::WireMessage{MessageKind::kGgdInquiry, wire::GgdControl{m}});
+  return bytes;
+}
+
+/// Decoding one reply into a reused message, as the packet reader does.
+void BM_DecodeGgdControl(benchmark::State& state) {
+  const std::vector<std::uint8_t> bytes = encode_reply_message();
+  wire::MessageDecoder reader;
+  for (auto _ : state) {
+    wire::Decoder dec(bytes);
+    benchmark::DoNotOptimize(reader.decode(dec));
+    benchmark::DoNotOptimize(&reader.message());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    bytes.size()));
+}
+BENCHMARK(BM_DecodeGgdControl);
 
 void BM_TimestampMerge(benchmark::State& state) {
   const Timestamp a = Timestamp::creation(41);

@@ -121,7 +121,7 @@ check("threaded", "threaded_events_per_sec",
 # cannot be told apart from noise: the kernel is reported, not gated,
 # until the baseline is re-recorded tighter. No fresh file (Google Benchmark is
 # optional, so bench_micro may not be built) skips the micro gate.
-MICRO_KERNELS = ("BM_ComputeV/256", "BM_WalkToRoot/256")
+MICRO_KERNELS = ("BM_ComputeV/256", "BM_WalkToRoot/256", "BM_DecodeGgdControl")
 MICRO_REFERENCE = "BM_VectorMerge/512"
 
 

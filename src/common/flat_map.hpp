@@ -43,6 +43,23 @@ namespace cgc {
 /// branch-predictable, no mispredicted halving, one cache line.
 inline constexpr std::size_t kFlatLinearScanMax = 8;
 
+/// std::lower_bound over the n elements at `first`, for `less(e)` meaning
+/// "e orders before the key". Each halving step is a conditional move, not
+/// a branch, so a lookup in a table of a few hundred keys pays no
+/// mispredictions.
+template <typename T, typename Less>
+[[nodiscard]] T* branchless_lower_bound(T* first, std::size_t n, Less less) {
+  if (n == 0) {
+    return first;
+  }
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    first = less(first[half]) ? first + half : first;
+    n -= half;
+  }
+  return first + (less(*first) ? 1 : 0);
+}
+
 template <typename K, typename V>
 class FlatMap {
  public:
@@ -80,9 +97,12 @@ class FlatMap {
       }
       return it;
     }
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const value_type& e, const K& k) { return e.first < k; });
+    value_type* const first = entries_.data();
+    return entries_.begin() +
+           (branchless_lower_bound(
+                first, entries_.size(),
+                [&key](const value_type& e) { return e.first < key; }) -
+            first);
   }
   [[nodiscard]] const_iterator lower_bound(const K& key) const {
     return const_cast<FlatMap*>(this)->lower_bound(key);
@@ -304,7 +324,11 @@ class FlatSet {
       }
       return it;
     }
-    return std::lower_bound(keys_.begin(), keys_.end(), key);
+    K* const first = keys_.data();
+    return keys_.begin() +
+           (branchless_lower_bound(first, keys_.size(),
+                                   [&key](const K& k) { return k < key; }) -
+            first);
   }
   [[nodiscard]] typename std::vector<K>::const_iterator lower(
       const K& key) const {

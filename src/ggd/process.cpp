@@ -1,6 +1,7 @@
 #include "ggd/process.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 
@@ -58,9 +59,15 @@ bool adopt_row(RowTable& rows, ProcessId subject,
 /// code on several workers at once, and a per-process copy would be
 /// resident state the memory diet has to pay for.
 struct Scratch {
-  // compute_v()
+  // compute_v(): V as two parallel sorted arrays, ids and RowTable-packed
+  // timestamps. A history row that raises V is merged into the next_*
+  // pair, which then swaps in.
   std::vector<ProcessId> closure_stack;
   FlatSet<ProcessId> expanded;
+  std::vector<ProcessId> v_ids;
+  std::vector<std::uint64_t> v_ts;
+  std::vector<ProcessId> next_ids;
+  std::vector<std::uint64_t> next_ts;
   // walk_to_root(): (process, subject of the row that contributed it)
   std::vector<std::pair<ProcessId, ProcessId>> walk_stack;
   FlatSet<ProcessId> visited;
@@ -117,11 +124,135 @@ void for_each_merged(const RowTable::RowView& a, const RowTable::RowView& b,
   }
 }
 
+/// ComputeV's closure (GgdProcess::compute_v) over the given state, left
+/// in s.v_ids / s.v_ts, which must be empty on entry.
+///
+/// Seeded with the self row *including* destruction markers: a marker
+/// E(t) occupies its slot with numeric index t, so the closure can only
+/// replace it with a strictly newer creation entry — this is what the
+/// paper's figures show circulating. (The garbage decision itself uses the
+/// edge-precise walk, not this aggregate.)
+///
+/// Worklist closure rather than the paper's literal recursion: expanding
+/// each known process's history exactly once computes the same transitive
+/// merge while terminating on cyclic global root graphs — the structures
+/// this algorithm exists to collect.
+void close_v(ProcessId self, const RowTable::RowView& self_row,
+             const RowTable& history, const FlatSet<ProcessId>& dead,
+             Scratch& s) {
+  std::vector<ProcessId>& ids = s.v_ids;
+  std::vector<std::uint64_t>& ts = s.v_ts;
+  const ScratchUse use(s.closure_stack, s.expanded, s.next_ids, s.next_ts);
+  std::vector<ProcessId>& stack = s.closure_stack;
+  const auto live = [](std::uint64_t packed) {
+    return !RowTable::unpack(packed).is_delta();
+  };
+  const ProcessId* seed_ids = self_row.ids();
+  const std::uint64_t* seed_ts = self_row.packed();
+  for (std::size_t k = 0; k < self_row.size(); ++k) {
+    // Self-row entries of dead processes are elided: a collected process
+    // has no outgoing edges, so the edge it once held to us is gone even
+    // if its destruction message was lost.
+    if (seed_ids[k] == self || !dead.contains(seed_ids[k])) {
+      ids.push_back(seed_ids[k]);
+      ts.push_back(seed_ts[k]);
+    }
+  }
+  s.expanded.insert(self);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if (ids[k] != self && live(ts[k])) {
+      stack.push_back(ids[k]);
+    }
+  }
+  while (!stack.empty()) {
+    const ProcessId p = stack.back();
+    stack.pop_back();
+    if (!s.expanded.insert(p).second) {
+      continue;
+    }
+    // Merge-join of p's history row against V, both in increasing id
+    // order. Nothing is copied until the first rise; from then on the
+    // untouched stretches of V move to next_* in bulk between rises.
+    const RowTable::RowView row = history.row(p);
+    const ProcessId* row_ids = row.ids();
+    const std::uint64_t* row_ts = row.packed();
+    const std::size_t n = row.size();
+    const std::size_t m = ids.size();
+    std::size_t i = 0;       // V cursor
+    std::size_t copied = 0;  // V entries already in next_*, once rising
+    bool rose = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      const ProcessId q = row_ids[k];
+      const std::uint64_t alpha = row_ts[k];
+      if (q == p || q == self || !live(alpha)) {
+        // Destruction markers inside a history describe edges of *that*
+        // process, not ours.
+        continue;
+      }
+      while (i < m && ids[i] < q) {
+        ++i;
+      }
+      const bool present = i < m && ids[i] == q;
+      // Only a strictly newer index changes V, and every live entry of V
+      // was pushed when it was seeded or raised: an equal index has
+      // nothing left to expand. V never holds an entry of a dead process,
+      // so only a rise needs the death check (dead entries contribute
+      // nothing).
+      if ((present && (alpha >> 1) <= (ts[i] >> 1)) || dead.contains(q)) {
+        continue;
+      }
+      if (!rose) {
+        rose = true;
+        s.next_ids.clear();
+        s.next_ts.clear();
+      }
+      s.next_ids.insert(s.next_ids.end(), ids.begin() + copied,
+                        ids.begin() + i);
+      s.next_ts.insert(s.next_ts.end(), ts.begin() + copied, ts.begin() + i);
+      s.next_ids.push_back(q);
+      s.next_ts.push_back(alpha);
+      copied = present ? i + 1 : i;
+      stack.push_back(q);
+    }
+    if (rose) {
+      s.next_ids.insert(s.next_ids.end(), ids.begin() + copied, ids.end());
+      s.next_ts.insert(s.next_ts.end(), ts.begin() + copied, ts.end());
+      ids.swap(s.next_ids);
+      ts.swap(s.next_ts);
+    }
+  }
+}
+
+/// Whether `v` holds exactly the closure close_v() left in `s`.
+bool equals_v(const DependencyVector& v, const Scratch& s) {
+  if (v.size() != s.v_ids.size()) {
+    return false;
+  }
+  std::size_t k = 0;
+  for (const auto& [q, ts] : v.entries()) {
+    if (q != s.v_ids[k] || RowTable::pack(ts) != s.v_ts[k]) {
+      return false;
+    }
+    ++k;
+  }
+  return true;
+}
+
+/// Overwrites `v` with the closure close_v() left in `s`, reusing its
+/// capacity.
+void assign_v(DependencyVector& v, const Scratch& s) {
+  v.clear();
+  v.reserve(s.v_ids.size());
+  for (std::size_t k = 0; k < s.v_ids.size(); ++k) {
+    v.set(s.v_ids[k], RowTable::unpack(s.v_ts[k]));
+  }
+}
+
 }  // namespace
 
-std::vector<GgdMessage> GgdProcess::receive(
-    const GgdMessage& msg, const std::function<bool(ProcessId)>& is_root,
-    SimTime now) {
+std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
+                                            RootPredicate is_root,
+                                            SimTime now) {
   CGC_CHECK(msg.to == id_);
   // Frontier acks apply even to an already-collected receiver: its
   // posthumous destruction re-emissions still attach rows, and ignoring
@@ -277,16 +408,19 @@ std::vector<GgdMessage> GgdProcess::receive(
     }
   }
 
-  const DependencyVector v = compute_v();
-
-  std::vector<GgdMessage> out;
-  if (!(v == last_v_)) {
-    // The approximation improved: it must circulate along the out-bound
-    // edges of the global root graph (Fig. 6 / §3.3 step 3). The engine
-    // coalesces the actual sends (one consolidated vector per process per
-    // tick) so a burst of partial improvements does not multiply traffic.
-    last_v_ = v;
-    forward_pending_ = true;
+  {
+    Scratch& s = scratch();
+    const ScratchUse use(s.v_ids, s.v_ts);
+    close_v(id_, std::as_const(log_).self_row(), history_, dead_, s);
+    if (!equals_v(last_v_, s)) {
+      // The approximation improved: it must circulate along the out-bound
+      // edges of the global root graph (Fig. 6 / §3.3 step 3). The engine
+      // coalesces the actual sends (one consolidated vector per process
+      // per tick) so a burst of partial improvements does not multiply
+      // traffic.
+      assign_v(last_v_, s);
+      forward_pending_ = true;
+    }
   }
 
   // Garbage decision: edge-precise reachability over the replicated
@@ -301,10 +435,7 @@ std::vector<GgdMessage> GgdProcess::receive(
   // reply's row just uncovered must be chased NOW (demand-driven
   // completion), or a discovery chain of depth d would need d sweep
   // rounds to drain.
-  std::vector<GgdMessage> decision =
-      decide(is_root, /*allow_inquiry=*/msg.reply, now);
-  out.insert(out.end(), decision.begin(), decision.end());
-  return out;
+  return decide(is_root, /*allow_inquiry=*/msg.reply, now);
 }
 
 std::vector<GgdMessage> GgdProcess::take_forwards() {
@@ -328,9 +459,8 @@ std::vector<GgdMessage> GgdProcess::take_forwards() {
   return out;
 }
 
-std::vector<GgdMessage> GgdProcess::decide(
-    const std::function<bool(ProcessId)>& is_root, bool allow_inquiry,
-    SimTime now) {
+std::vector<GgdMessage> GgdProcess::decide(RootPredicate is_root,
+                                           bool allow_inquiry, SimTime now) {
   std::vector<GgdMessage> out;
   if (is_root_ || removed_) {
     return out;
@@ -417,7 +547,8 @@ std::vector<GgdMessage> GgdProcess::decide(
       // Finalise by cascading edge-destruction messages to all successors.
       pending_verify_ = false;
       std::vector<GgdMessage> fin = remove_self();
-      out.insert(out.end(), fin.begin(), fin.end());
+      out.insert(out.end(), std::make_move_iterator(fin.begin()),
+                 std::make_move_iterator(fin.end()));
     } else {
       for (ProcessId q : unconfirmed) {
         if (inflight_inquiries_.insert(q).second) {
@@ -685,9 +816,8 @@ void GgdProcess::merge_edge_facts(const DependencyVector& facts,
 }
 
 GgdProcess::WalkResult GgdProcess::walk_to_root(
-    const std::function<bool(ProcessId)>& is_root,
-    FlatSet<ProcessId>& missing, FlatSet<ProcessId>& root_evidence,
-    FlatSet<ProcessId>& consulted) const {
+    RootPredicate is_root, FlatSet<ProcessId>& missing,
+    FlatSet<ProcessId>& root_evidence, FlatSet<ProcessId>& consulted) const {
   Scratch& s = scratch();
   const ScratchUse use(s.visited, s.walk_stack);
   FlatSet<ProcessId>& visited = s.visited;
@@ -724,6 +854,9 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
   while (!stack.empty()) {
     const auto [q, source] = stack.back();
     stack.pop_back();
+    if (visited.contains(q)) {
+      continue;  // pushed again before its first visit; roots never enter
+    }
     if (is_root(q)) {
       reachable = true;
       const Timestamp own = log_.self_row().get(q);
@@ -748,9 +881,7 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
       }
       continue;
     }
-    if (!visited.insert(q).second) {
-      continue;
-    }
+    visited.insert(q);
     // The subject's replica row, overlaid with OUR deferred on-behalf
     // entries for it: a third-party forward this process performed is edge
     // knowledge the subject itself does not have yet (§3.4 — it travels
@@ -784,69 +915,12 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
 }
 
 DependencyVector GgdProcess::compute_v() const {
-  // Seed with the self row *including* destruction markers: a marker E(t)
-  // occupies its slot with numeric index t, so the closure below can only
-  // replace it with a strictly newer creation entry — this is what the
-  // paper's figures show circulating. (The garbage decision itself uses
-  // the edge-precise walk above, not this aggregate.)
-  //
-  // Worklist closure rather than the paper's literal recursion: expanding
-  // each known process's history exactly once computes the same transitive
-  // merge while terminating on cyclic global root graphs — the structures
-  // this algorithm exists to collect.
-  DependencyVector v;
-  for (const auto& [q, ts] : log_.self_row().entries()) {
-    // Self-row entries of dead processes are elided: a collected process
-    // has no outgoing edges, so the edge it once held to us is gone even
-    // if its destruction message was lost.
-    if (q == id_ || !dead_.contains(q)) {
-      v.set(q, ts);
-    }
-  }
   Scratch& s = scratch();
-  const ScratchUse use(s.closure_stack, s.expanded);
-  std::vector<ProcessId>& stack = s.closure_stack;
-  FlatSet<ProcessId>& expanded = s.expanded;
-  expanded.insert(id_);
-  for (const auto& [q, ts] : v.entries()) {
-    if (q != id_ && !ts.is_delta()) {
-      stack.push_back(q);
-    }
-  }
-  while (!stack.empty()) {
-    const ProcessId p = stack.back();
-    stack.pop_back();
-    if (!expanded.insert(p).second) {
-      continue;
-    }
-    for (const auto& [q, alpha] : std::as_const(history_).row(p)) {
-      if (q == p || q == id_ || alpha.is_delta()) {
-        // Destruction markers inside a history describe edges of *that*
-        // process, not ours.
-        continue;
-      }
-      // Only a strictly newer index changes v, and every live entry of v
-      // was pushed when it was seeded or raised: an equal index has
-      // nothing left to expand. v never holds an entry of a dead process,
-      // so only a rise needs the death check (dead entries contribute
-      // nothing).
-      if (alpha.index() > v.get(q).index() && !dead_.contains(q)) {
-        v.set(q, alpha);
-        stack.push_back(q);
-      }
-    }
-  }
+  const ScratchUse use(s.v_ids, s.v_ts);
+  close_v(id_, log_.self_row(), history_, dead_, s);
+  DependencyVector v;
+  assign_v(v, s);
   return v;
-}
-
-bool GgdProcess::reachable_from_root(
-    const DependencyVector& v, const std::function<bool(ProcessId)>& is_root) {
-  for (const auto& [p, ts] : v.entries()) {
-    if (!ts.is_delta() && is_root(p)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 GgdMessage GgdProcess::make_destruction_message(ProcessId to) {

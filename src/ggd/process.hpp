@@ -17,12 +17,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "common/flat_map.hpp"
+#include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
 #include "vclock/dv_log.hpp"
@@ -172,6 +172,11 @@ struct GgdProcessSnapshot {
 /// differential conformance sweep and as an operational escape hatch.
 enum class RelayPolicy : std::uint8_t { kDelta, kWholeMap };
 
+/// Whether a process is an actual root of the global root graph: asked by
+/// the decision walk for every process it reaches, so it is passed as a
+/// non-owning reference to the host's callable.
+using RootPredicate = FunctionRef<bool(ProcessId)>;
+
 class GgdProcess {
  public:
   /// `pool` (optional) supplies bulk-owned memory for the log and the
@@ -204,9 +209,9 @@ class GgdProcess {
   ///
   /// Idempotent: processing a duplicate of any previously processed message
   /// produces no state change and no output (tested, not assumed).
-  [[nodiscard]] std::vector<GgdMessage> receive(
-      const GgdMessage& msg, const std::function<bool(ProcessId)>& is_root,
-      SimTime now = 0);
+  [[nodiscard]] std::vector<GgdMessage> receive(const GgdMessage& msg,
+                                                RootPredicate is_root,
+                                                SimTime now = 0);
 
   /// ComputeV (Fig. 6): the best vector-time approximation of this
   /// process's latest log-keeping event derivable from the local log alone.
@@ -215,11 +220,6 @@ class GgdProcess {
   /// entries), then closed transitively over the log's rows. Each certified
   /// history is expanded at most once per call.
   [[nodiscard]] DependencyVector compute_v() const;
-
-  /// True iff `v` contains at least one live (non-Δ) entry of an actual
-  /// root — the paper's `∃k : ¬Δ(V[k]) ∧ root(V[k])`.
-  [[nodiscard]] static bool reachable_from_root(
-      const DependencyVector& v, const std::function<bool(ProcessId)>& is_root);
 
   /// Builds the finalisation messages this process sends when it removes
   /// itself (or when the mutator side destroys one specific edge — see
@@ -318,9 +318,8 @@ class GgdProcess {
   /// the rows an unreachable verdict rests on. The walk's own visited set
   /// and stack are per-thread scratch: it allocates nothing once warm.
   [[nodiscard]] WalkResult walk_to_root(
-      const std::function<bool(ProcessId)>& is_root,
-      FlatSet<ProcessId>& missing, FlatSet<ProcessId>& root_evidence,
-      FlatSet<ProcessId>& consulted) const;
+      RootPredicate is_root, FlatSet<ProcessId>& missing,
+      FlatSet<ProcessId>& root_evidence, FlatSet<ProcessId>& consulted) const;
 
   /// Runs the garbage decision (walk + removal or inquiries) without a
   /// triggering message. Used by the periodic sweep that models the
@@ -330,9 +329,9 @@ class GgdProcess {
   /// cascade the missing information is already on its way in relayed
   /// rows, and inquiring for it would multiply traffic; after quiescence
   /// the sweep's inquiries are the stall-recovery mechanism.
-  [[nodiscard]] std::vector<GgdMessage> decide(
-      const std::function<bool(ProcessId)>& is_root, bool allow_inquiry,
-      SimTime now = 0);
+  [[nodiscard]] std::vector<GgdMessage> decide(RootPredicate is_root,
+                                               bool allow_inquiry,
+                                               SimTime now = 0);
 
   /// True when this process's vector time improved since its last flush —
   /// the engine coalesces forwards (one per process per delivery tick), so

@@ -87,25 +87,24 @@ class Network {
   /// the destination mailbox. The normal delivery path lands here after
   /// the latency delay; trace replay calls it directly.
   void deliver_packet(const std::vector<std::uint8_t>& bytes) {
-    wire::Decoder dec(bytes);
-    const SiteId from = dec.site_id();
-    const SiteId to = dec.site_id();
-    const std::uint64_t count = dec.varint();
-    CGC_CHECK_MSG(dec.ok(), "malformed packet header");
-    wire::Mailbox* const* box = mailboxes_.find(to);
-    CGC_CHECK_MSG(box != nullptr,
-                  "no mailbox registered for destination site");
-    stats_.on_packet_deliver(bytes.size());
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::size_t before = dec.consumed();
-      std::optional<wire::WireMessage> msg = wire::decode_message(dec);
-      CGC_CHECK_MSG(msg.has_value(), "malformed message in packet");
-      // Decoder-position delta = this message's exact framed size, so
-      // delivered bytes mirror the sender-side bytes_sent accounting.
-      stats_.on_deliver(msg->kind, dec.consumed() - before);
-      (*box)->deliver(from, to, *msg);
-    }
-    CGC_CHECK_MSG(dec.done(), "trailing bytes after last message");
+    SiteId from;
+    SiteId to;
+    wire::Mailbox* box = nullptr;
+    wire::read_packet(
+        bytes,
+        [&](const wire::PacketHeader& h) {
+          from = h.from;
+          to = h.to;
+          wire::Mailbox* const* found = mailboxes_.find(to);
+          CGC_CHECK_MSG(found != nullptr,
+                        "no mailbox registered for destination site");
+          box = *found;
+          stats_.on_packet_deliver(bytes.size());
+        },
+        [&](const wire::WireMessage& msg, std::size_t framed) {
+          stats_.on_deliver(msg.kind, framed);
+          box->deliver(from, to, msg);
+        });
   }
 
   [[nodiscard]] const MessageStats& stats() const { return stats_; }
@@ -170,7 +169,9 @@ class Network {
       if (trace_ != nullptr) {
         record.delivered_at.push_back(sim_.now() + latency);
       }
-      auto bytes = packet.bytes;
+      // The last copy takes the packet's bytes; only a duplicate copies.
+      auto bytes =
+          c + 1 == copies ? std::move(packet.bytes) : packet.bytes;
       sim_.schedule_in(latency, [this, bytes = std::move(bytes)]() {
         deliver_packet(bytes);
       });

@@ -2,6 +2,7 @@
 
 #include <variant>
 
+#include "wire/batching.hpp"
 #include "wire/codec.hpp"
 
 namespace cgc::runtime_mt {
@@ -11,7 +12,6 @@ SiteNode::SiteNode(SiteId site, const Placement& placement,
     : site_(site),
       placement_(placement),
       logkeeping_(mode),
-      is_root_fn_([this](ProcessId p) { return placement_.is_root(p); }),
       stats_(stats) {}
 
 void SiteNode::register_process(ProcessId id, bool is_root) {
@@ -120,33 +120,27 @@ void SiteNode::flush(ProcessId p) {
 
 void SiteNode::deliver_packet(const std::vector<std::uint8_t>& bytes) {
   ++clock_;
-  wire::Decoder dec(bytes);
-  const SiteId from = dec.site_id();
-  (void)from;
-  const SiteId to = dec.site_id();
-  const std::uint64_t count = dec.varint();
-  CGC_CHECK_MSG(dec.ok(), "malformed packet header");
-  CGC_CHECK_MSG(to == site_, "packet delivered to wrong site");
-  if (stats_ != nullptr) {
-    stats_->on_packet_deliver(bytes.size());
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::size_t before = dec.consumed();
-    std::optional<wire::WireMessage> msg = wire::decode_message(dec);
-    CGC_CHECK_MSG(msg.has_value(), "malformed message in packet");
-    if (stats_ != nullptr) {
-      stats_->on_deliver(msg->kind, dec.consumed() - before);
-    }
-    if (const auto* transfer = std::get_if<wire::RefTransfer>(&msg->body)) {
-      on_ref_transfer(*transfer);
-    } else if (const auto* control =
-                   std::get_if<wire::GgdControl>(&msg->body)) {
-      on_ggd_message(control->msg);
-    } else {
-      CGC_CHECK_MSG(false, "unexpected wire body at a threaded GGD site");
-    }
-  }
-  CGC_CHECK_MSG(dec.done(), "trailing bytes after last message");
+  wire::read_packet(
+      bytes,
+      [&](const wire::PacketHeader& h) {
+        CGC_CHECK_MSG(h.to == site_, "packet delivered to wrong site");
+        if (stats_ != nullptr) {
+          stats_->on_packet_deliver(bytes.size());
+        }
+      },
+      [&](const wire::WireMessage& msg, std::size_t framed) {
+        if (stats_ != nullptr) {
+          stats_->on_deliver(msg.kind, framed);
+        }
+        if (const auto* transfer = std::get_if<wire::RefTransfer>(&msg.body)) {
+          on_ref_transfer(*transfer);
+        } else if (const auto* control =
+                       std::get_if<wire::GgdControl>(&msg.body)) {
+          on_ggd_message(control->msg);
+        } else {
+          CGC_CHECK_MSG(false, "unexpected wire body at a threaded GGD site");
+        }
+      });
 }
 
 void SiteNode::on_ref_transfer(const wire::RefTransfer& transfer) {
@@ -190,7 +184,7 @@ void SiteNode::on_ggd_message(const GgdMessage& msg) {
   if (target.removed()) {
     return;
   }
-  std::vector<GgdMessage> out = target.receive(msg, is_root_fn_, clock_);
+  std::vector<GgdMessage> out = target.receive(msg, is_root(), clock_);
   if (target.removed()) {
     note_removed(msg.to);
   }
@@ -275,7 +269,7 @@ bool SiteNode::sweep_slice(std::uint64_t budget_units) {
       proc.reset_inquiry_gates();
       proc.sync_sweep_round();
       std::vector<GgdMessage> out =
-          proc.decide(is_root_fn_, /*allow_inquiry=*/true, clock_);
+          proc.decide(is_root(), /*allow_inquiry=*/true, clock_);
       const bool now_removed = proc.removed();
       if (now_removed) {
         note_removed(id);

@@ -130,6 +130,10 @@ class SiteNode {
   /// Delivered-refs view of a hosted process: the references that actually
   /// arrived (minus drops) — the forwarder/dropper preconditions.
   [[nodiscard]] bool holds(ProcessId holder, ProcessId target) const;
+  /// The root predicate handed to GgdProcess calls.
+  [[nodiscard]] auto is_root() const {
+    return [this](ProcessId p) { return placement_.is_root(p); };
+  }
 
   void send_ref_transfer(ProcessId recipient, ProcessId subject);
   void deliver_ggd(GgdMessage msg);
@@ -150,7 +154,6 @@ class SiteNode {
   SiteId site_;
   const Placement& placement_;
   LazyLogKeeping logkeeping_;
-  std::function<bool(ProcessId)> is_root_fn_;
   std::function<void(SiteId, const wire::WireMessage&)> sender_;
   std::function<void(ProcessId, ProcessId)> on_ref_delivered_;
   std::function<void(ProcessId)> on_removed_;

@@ -95,6 +95,9 @@ class DependencyVector {
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Drops every entry, keeping the capacity for a refill.
+  void clear() { entries_.clear(); }
+  [[nodiscard]] std::size_t capacity() const { return entries_.capacity(); }
   /// Pre-sizes for `n` entries: builders that know the count (decoders,
   /// row materialization) fill with one allocation instead of ~log2(n).
   void reserve(std::size_t n) { entries_.reserve(n); }

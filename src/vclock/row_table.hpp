@@ -136,6 +136,17 @@ class RowTable {
     /// DependencyVector-shaped access for generic code.
     [[nodiscard]] RowView entries() const { return *this; }
 
+    /// The row's raw column span: ids()[i] pairs with packed()[i] (a
+    /// pack()ed timestamp) for i < size(), in increasing id order — what a
+    /// merge-join reads without unpacking every entry. Valid until the
+    /// table is next mutated; null for an absent row.
+    [[nodiscard]] const ProcessId* ids() const {
+      return exists() ? t_->ids_.data() + t_->spans_[slot_].off : nullptr;
+    }
+    [[nodiscard]] const std::uint64_t* packed() const {
+      return exists() ? t_->ts_.data() + t_->spans_[slot_].off : nullptr;
+    }
+
     [[nodiscard]] DependencyVector to_dv() const {
       DependencyVector dv;
       dv.reserve(size());
@@ -448,9 +459,11 @@ class RowTable {
       }
       return kNotFound;
     }
-    auto it = std::lower_bound(ids_.begin() + lo, ids_.begin() + hi, p);
-    if (it != ids_.begin() + hi && *it == p) {
-      return static_cast<std::uint32_t>(it - ids_.begin());
+    const ProcessId* first = ids_.data() + lo;
+    const ProcessId* it = branchless_lower_bound(
+        first, s.len, [p](ProcessId id) { return id < p; });
+    if (it != first + s.len && *it == p) {
+      return static_cast<std::uint32_t>(it - ids_.data());
     }
     return kNotFound;
   }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "net/message.hpp"
 #include "wire/codec.hpp"
@@ -60,7 +61,7 @@ class BatchingChannel {
     enc.site_id(to_);
     enc.varint(kinds_.size());
     p.bytes.insert(p.bytes.end(), pending_.begin(), pending_.end());
-    p.kinds = std::move(kinds_);
+    p.kinds = kinds_;  // exact-size copy: kinds_ keeps its capacity
     pending_.clear();
     kinds_.clear();
     // A channel keeps only a modest buffer between batches: with
@@ -71,11 +72,15 @@ class BatchingChannel {
     if (pending_.capacity() > kRetainCapacity) {
       pending_.shrink_to_fit();
     }
+    if (kinds_.capacity() > kRetainCapacity) {
+      kinds_.shrink_to_fit();
+    }
     return p;
   }
 
-  /// Post-flush buffer capacity above which the backing block is
-  /// returned to the allocator instead of kept for the next batch.
+  /// Post-flush capacity, in elements, above which a buffer's backing
+  /// block is returned to the allocator instead of kept for the next
+  /// batch.
   static constexpr std::size_t kRetainCapacity = 1024;
 
   [[nodiscard]] SiteId from() const { return from_; }
@@ -91,5 +96,25 @@ class BatchingChannel {
   std::vector<std::uint8_t> pending_;
   std::vector<MessageKind> kinds_;
 };
+
+/// A packet's framing header.
+struct PacketHeader {
+  SiteId from;
+  SiteId to;
+  std::uint64_t count = 0;
+};
+
+/// Takes one framed packet apart — the packet loop both hosts share.
+/// Passes the header to `on_header`, then decodes each message in place
+/// into the calling thread's reused MessageDecoder and passes it, with
+/// its framed size, to `on_message`; the message lives only for that
+/// call. The decoder's retained storage is capped through ScratchUse.
+/// CHECK-fails on malformed bytes, and on re-entry: a delivery that read
+/// another packet on the same thread would overwrite the message it is
+/// still reading.
+void read_packet(
+    const std::vector<std::uint8_t>& bytes,
+    FunctionRef<void(const PacketHeader&)> on_header,
+    FunctionRef<void(const WireMessage&, std::size_t)> on_message);
 
 }  // namespace cgc::wire

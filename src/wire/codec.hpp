@@ -28,6 +28,36 @@
 
 namespace cgc::wire {
 
+/// Row vectors kept for reuse by in-place decoding: a row map about to be
+/// decoded over hands its rows' storage here first, and every decoded row
+/// takes one back, so decoding into a warm map allocates no row storage.
+/// One pool per map: row i of the next message reuses the storage of row
+/// i of the last one, which the same field of similar messages fills to
+/// similar sizes.
+using RowPool = std::vector<DependencyVector>;
+
+/// Empties `rows`, keeping its capacity and moving each row's storage
+/// into `pool` so that take_row() hands them back in the map's order.
+inline void recycle_rows(FlatMap<ProcessId, DependencyVector>& rows,
+                         RowPool& pool) {
+  for (auto it = rows.end(); it != rows.begin();) {
+    --it;
+    pool.push_back(std::move(it->second));
+  }
+  rows.clear();
+}
+
+/// An empty row vector, with storage from `pool` when it has some.
+inline DependencyVector take_row(RowPool& pool) {
+  if (pool.empty()) {
+    return {};
+  }
+  DependencyVector row = std::move(pool.back());
+  pool.pop_back();
+  row.clear();
+  return row;
+}
+
 class Encoder {
  public:
   explicit Encoder(std::vector<std::uint8_t>& out) : out_(out) {}
@@ -270,8 +300,9 @@ class Decoder {
   SiteId site_id() { return SiteId{varint()}; }
   ObjectId object_id() { return ObjectId{varint()}; }
 
-  DependencyVector dependency_vector() {
-    DependencyVector dv;
+  /// Decodes into `dv`, reusing its capacity; `dv` is empty on failure.
+  void dependency_vector(DependencyVector& dv) {
+    dv.clear();
     const std::uint64_t n = varint();
     dv.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
@@ -290,18 +321,21 @@ class Decoder {
         }
         break;
       }
-      dv.set(ProcessId{prev}, ts);
+      dv.set(ProcessId{prev}, ts);  // increasing ids: O(1) append
     }
-    // Two returns, not `ok() ? dv : T{}`: the conditional would
-    // deep-copy the decoded value on every message.
     if (!ok()) {
-      return {};
+      dv.clear();
     }
+  }
+  DependencyVector dependency_vector() {
+    DependencyVector dv;
+    dependency_vector(dv);
     return dv;
   }
 
-  FlatSet<ProcessId> process_set() {
-    FlatSet<ProcessId> s;
+  /// Decodes into `s`, reusing its capacity; `s` is empty on failure.
+  void process_set(FlatSet<ProcessId>& s) {
+    s.clear();
     const std::uint64_t n = varint();
     s.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
@@ -315,8 +349,12 @@ class Decoder {
       s.insert(ProcessId{prev});  // increasing ids: O(1) append
     }
     if (!ok()) {
-      return {};
+      s.clear();
     }
+  }
+  FlatSet<ProcessId> process_set() {
+    FlatSet<ProcessId> s;
+    process_set(s);
     return s;
   }
 
@@ -339,8 +377,10 @@ class Decoder {
     return v;
   }
 
-  FlatMap<ProcessId, DependencyVector> row_map() {
-    FlatMap<ProcessId, DependencyVector> rows;
+  /// Decodes into `rows`, reusing its capacity and, through `pool`, the
+  /// row vectors' storage; `rows` is empty on failure.
+  void row_map(FlatMap<ProcessId, DependencyVector>& rows, RowPool& pool) {
+    recycle_rows(rows, pool);
     const std::uint64_t n = varint();
     rows.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
@@ -351,11 +391,18 @@ class Decoder {
         break;
       }
       prev = (i == 0) ? delta : prev + delta;
-      rows[ProcessId{prev}] = dependency_vector();  // increasing: append
+      DependencyVector row = take_row(pool);
+      dependency_vector(row);
+      rows.emplace(ProcessId{prev}, std::move(row));  // increasing: append
     }
     if (!ok()) {
-      return {};
+      recycle_rows(rows, pool);
     }
+  }
+  FlatMap<ProcessId, DependencyVector> row_map() {
+    FlatMap<ProcessId, DependencyVector> rows;
+    RowPool pool;
+    row_map(rows, pool);
     return rows;
   }
 
@@ -365,10 +412,12 @@ class Decoder {
   /// levels, runs must be maximal (no two consecutive runs share a
   /// value), non-empty, non-zero (zero entries are never stored) and
   /// cover the batch's entry count exactly.
+  /// Like row_map, the maps keep their capacity and the row vectors come
+  /// from `pool`.
   void row_batch(FlatMap<ProcessId, DependencyVector>& rows,
-                 FlatMap<ProcessId, std::uint64_t>& revs) {
-    rows = {};
-    revs = {};
+                 FlatMap<ProcessId, std::uint64_t>& revs, RowPool& pool) {
+    recycle_rows(rows, pool);
+    revs.clear();
     const std::uint64_t n = varint();
     if (ok() && n > size_ - pos_) {  // each subject id costs >= 1 byte
       fail(Error::kTruncated);
@@ -454,7 +503,7 @@ class Decoder {
     revs.reserve(n);
     std::size_t cursor = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-      DependencyVector dv;
+      DependencyVector dv = take_row(pool);
       dv.reserve(counts[i]);
       for (std::uint64_t j = 0; j < counts[i]; ++j) {
         const std::uint64_t raw = packed[cursor];
@@ -463,13 +512,14 @@ class Decoder {
         dv.set(q, (raw & 1) ? Timestamp::destruction(raw >> 1)
                             : Timestamp::creation(raw >> 1));
       }
-      rows[ProcessId{ids[i]}] = std::move(dv);  // increasing: append
-      revs[ProcessId{ids[i]}] = rev_vals[i];
+      rows.emplace(ProcessId{ids[i]}, std::move(dv));  // increasing: append
+      revs.emplace(ProcessId{ids[i]}, rev_vals[i]);
     }
   }
 
-  FlatMap<ProcessId, std::uint64_t> u64_map() {
-    FlatMap<ProcessId, std::uint64_t> m;
+  /// Decodes into `m`, reusing its capacity; `m` is empty on failure.
+  void u64_map(FlatMap<ProcessId, std::uint64_t>& m) {
+    m.clear();
     const std::uint64_t n = varint();
     m.reserve(capacity_hint(n));
     std::uint64_t prev = 0;
@@ -480,11 +530,15 @@ class Decoder {
         break;
       }
       prev = (i == 0) ? delta : prev + delta;
-      m[ProcessId{prev}] = varint();  // increasing: append
+      m.emplace(ProcessId{prev}, varint());  // increasing: append
     }
     if (!ok()) {
-      return {};
+      m.clear();
     }
+  }
+  FlatMap<ProcessId, std::uint64_t> u64_map() {
+    FlatMap<ProcessId, std::uint64_t> m;
+    u64_map(m);
     return m;
   }
 

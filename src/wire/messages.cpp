@@ -59,26 +59,58 @@ void encode_body(Encoder& enc, const GgdControl& c) {
   enc.process_set(m.out_edges);
 }
 
-GgdControl decode_ggd_control(Decoder& dec) {
-  GgdControl c;
+/// Decodes into `c`, reusing its storage (row vectors through the pools).
+void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
+                        RowPool& rows_pool) {
   GgdMessage& m = c.msg;
   m.from = dec.process_id();
   m.to = dec.process_id();
-  m.v = dec.dependency_vector();
-  m.self_row = dec.dependency_vector();
-  m.behalf = dec.dependency_vector();
-  m.behalf_rows = dec.row_map();
-  dec.row_batch(m.rows, m.row_revs);
-  m.row_acks = dec.u64_map();
+  dec.dependency_vector(m.v);
+  dec.dependency_vector(m.self_row);
+  dec.dependency_vector(m.behalf);
+  dec.row_map(m.behalf_rows, behalf_pool);
+  dec.row_batch(m.rows, m.row_revs, rows_pool);
+  dec.u64_map(m.row_acks);
   m.sync_epoch = dec.varint();
   m.ack_epoch = dec.varint();
-  m.dead = dec.process_set();
+  dec.process_set(m.dead);
   const std::uint8_t flags = dec.u8();
   m.inquiry = (flags & kInquiryBit) != 0;
   m.reply = (flags & kReplyBit) != 0;
   m.has_out_edges = (flags & kOutEdgesBit) != 0;
-  m.out_edges = dec.process_set();
-  return c;
+  dec.process_set(m.out_edges);
+}
+
+/// Elements the storage of `c` can hold, rows included.
+std::size_t retained(const GgdControl& c) {
+  const GgdMessage& m = c.msg;
+  std::size_t n = m.v.capacity() + m.self_row.capacity() +
+                  m.behalf.capacity() + m.behalf_rows.capacity() +
+                  m.rows.capacity() + m.row_revs.capacity() +
+                  m.row_acks.capacity() + m.dead.capacity() +
+                  m.out_edges.capacity();
+  for (const auto& [q, row] : m.behalf_rows) {
+    n += row.capacity();
+  }
+  for (const auto& [q, row] : m.rows) {
+    n += row.capacity();
+  }
+  return n;
+}
+
+/// Empties `c`, keeping its storage (row vectors go to the pools).
+void clear_ggd_control(GgdControl& c, RowPool& behalf_pool,
+                       RowPool& rows_pool) {
+  GgdMessage& m = c.msg;
+  m.v.clear();
+  m.self_row.clear();
+  m.behalf.clear();
+  recycle_rows(m.behalf_rows, behalf_pool);
+  recycle_rows(m.rows, rows_pool);
+  m.row_revs.clear();
+  m.row_acks.clear();
+  m.dead.clear();
+  m.out_edges.clear();
 }
 
 void encode_body(Encoder& enc, const EagerEdgeUpdate& e) {
@@ -214,49 +246,76 @@ void encode_message(Encoder& enc, const WireMessage& msg) {
 }
 
 std::optional<WireMessage> decode_message(Decoder& dec) {
-  WireMessage msg;
+  MessageDecoder reader;
+  if (!reader.decode(dec)) {
+    return std::nullopt;
+  }
+  return std::move(reader).message();
+}
+
+bool MessageDecoder::decode(Decoder& dec) {
   const std::uint8_t kind = dec.u8();
   const std::uint8_t tag = dec.u8();
   if (!dec.ok() || kind >= static_cast<std::uint8_t>(MessageKind::kCount) ||
       tag >= std::variant_size_v<Body>) {
-    return std::nullopt;
+    return false;
   }
-  msg.kind = static_cast<MessageKind>(kind);
+  msg_.kind = static_cast<MessageKind>(kind);
   switch (tag) {
     case 0:
-      msg.body = decode_ref_transfer(dec);
+      set_body(decode_ref_transfer(dec));
       break;
     case 1:
-      msg.body = decode_object_ref_transfer(dec);
+      set_body(decode_object_ref_transfer(dec));
       break;
     case 2:
-      msg.body = decode_ggd_control(dec);
+      decode_ggd_control(dec, ggd_body(), behalf_pool_, rows_pool_);
       break;
     case 3:
-      msg.body = decode_eager_edge_update(dec);
+      set_body(decode_eager_edge_update(dec));
       break;
     case 4:
-      msg.body = decode_schelvis_probe(dec);
+      set_body(decode_schelvis_probe(dec));
       break;
     case 5:
-      msg.body = decode_wrc_weight_return(dec);
+      set_body(decode_wrc_weight_return(dec));
       break;
     case 6:
-      msg.body = ControlPing{};
+      set_body(ControlPing{});
       break;
     case 7:
-      msg.body = decode_migrate_state(dec);
+      set_body(decode_migrate_state(dec));
       break;
     case 8:
-      msg.body = decode_migrate_ack(dec);
+      set_body(decode_migrate_ack(dec));
       break;
     default:
-      return std::nullopt;
+      return false;
   }
-  if (!dec.ok()) {
-    return std::nullopt;
+  return dec.ok();
+}
+
+GgdControl& MessageDecoder::ggd_body() {
+  if (auto* c = std::get_if<GgdControl>(&msg_.body)) {
+    return *c;
   }
-  return msg;
+  return msg_.body.emplace<GgdControl>(std::move(parked_));
+}
+
+void MessageDecoder::clear() {
+  auto* c = std::get_if<GgdControl>(&msg_.body);
+  clear_ggd_control(c != nullptr ? *c : parked_, behalf_pool_, rows_pool_);
+}
+
+std::size_t MessageDecoder::capacity() const {
+  std::size_t n = behalf_pool_.capacity() + rows_pool_.capacity();
+  for (const RowPool* pool : {&behalf_pool_, &rows_pool_}) {
+    for (const DependencyVector& row : *pool) {
+      n += row.capacity();
+    }
+  }
+  const auto* c = std::get_if<GgdControl>(&msg_.body);
+  return n + retained(c != nullptr ? *c : parked_);
 }
 
 std::size_t encoded_size(const WireMessage& msg) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -139,6 +140,49 @@ void encode_message(Encoder& enc, const WireMessage& msg);
 /// Decodes one framed message; nullopt on truncation or malformed input
 /// (the decoder's fail flag is set either way).
 [[nodiscard]] std::optional<WireMessage> decode_message(Decoder& dec);
+
+/// Decodes framed messages one after another into the same WireMessage,
+/// reusing its storage: a GGD control body keeps the capacity of its
+/// vectors, maps and sets, nested relayed rows included, so a warm
+/// decoder allocates nothing to decode a control message and frees
+/// nothing when the next one replaces it. Other bodies are small and are
+/// assigned fresh; the control body's storage waits aside meanwhile.
+///
+/// clear() and capacity() make it a ScratchUse container: capacity()
+/// counts the elements all of that storage can hold.
+class MessageDecoder {
+ public:
+  /// Decodes one framed message into message(). False on truncation or
+  /// malformed input, like decode_message; message() is then unspecified
+  /// until the next successful decode.
+  [[nodiscard]] bool decode(Decoder& dec);
+
+  [[nodiscard]] const WireMessage& message() const& { return msg_; }
+  [[nodiscard]] WireMessage message() && { return std::move(msg_); }
+
+  /// Empties the message, keeping every capacity.
+  void clear();
+  [[nodiscard]] std::size_t capacity() const;
+
+ private:
+  /// The GgdControl alternative of msg_, made active with `parked_`'s
+  /// storage if another body is active.
+  GgdControl& ggd_body();
+
+  /// Assigns any other body, parking the control body's storage first.
+  template <typename B>
+  void set_body(B body) {
+    if (auto* c = std::get_if<GgdControl>(&msg_.body)) {
+      parked_ = std::move(*c);
+    }
+    msg_.body = std::move(body);
+  }
+
+  WireMessage msg_;
+  GgdControl parked_;
+  RowPool behalf_pool_;  // for msg.behalf_rows
+  RowPool rows_pool_;    // for msg.rows
+};
 
 /// Exact framed size of `msg` in bytes.
 [[nodiscard]] std::size_t encoded_size(const WireMessage& msg);

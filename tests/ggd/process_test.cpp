@@ -391,6 +391,48 @@ GgdProcess random_closure_state(std::uint64_t seed) {
   return p;
 }
 
+/// The closure's shape on cyclic-garbage workloads: 12-16 certified
+/// histories of at least 12 entries each, all over one shared pool of 18
+/// ids, so nearly every scanned entry meets an entry V already holds and
+/// V grows by merging row after row. Dead pool ids stay named inside live
+/// histories, and the self row seeds destruction markers that the
+/// histories tie with or supersede.
+GgdProcess random_dense_closure_state(std::uint64_t seed) {
+  constexpr std::uint64_t kPool = 18;
+  Rng rng(seed);
+  GgdProcess p(P(1), /*is_root=*/true);
+  const std::uint64_t histories = rng.between(12, 16);
+  for (std::uint64_t i = 0; i < histories; ++i) {
+    GgdMessage reply;
+    reply.from = P(rng.between(2, kPool + 1));
+    reply.to = P(1);
+    reply.reply = true;
+    while (reply.v.size() < 12) {
+      reply.v.set(P(rng.between(1, kPool + 1)), random_ts(rng));
+    }
+    (void)p.receive(reply, roots({}));
+  }
+  GgdMessage death;
+  death.from = P(kPool + 2);
+  death.to = P(1);
+  death.reply = true;
+  for (std::uint64_t q = 2; q <= kPool + 1; ++q) {
+    if (rng.chance(0.15)) {
+      death.dead.insert(P(q));
+    }
+  }
+  (void)p.receive(death, roots({}));
+  DependencyVector self_row;
+  for (int k = 0; k < 6; ++k) {
+    const std::uint64_t index = rng.between(1, 4);
+    self_row.set(P(rng.between(1, kPool + 1)),
+                 k % 2 == 0 ? Timestamp::destruction(index)
+                            : Timestamp::creation(index));
+  }
+  p.log().self_row() = self_row;
+  return p;
+}
+
 TEST(GgdProcess, ComputeVMatchesReferenceClosureOnRandomStates) {
   ClosureCoverage cov;
   for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
@@ -401,6 +443,21 @@ TEST(GgdProcess, ComputeVMatchesReferenceClosureOnRandomStates) {
   EXPECT_GT(cov.marker_ties, 0u);
   EXPECT_GT(cov.dead_in_history, 0u);
   EXPECT_GT(cov.repushes, 0u);
+
+  ClosureCoverage dense;
+  std::size_t rows = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const GgdProcess p = random_dense_closure_state(seed);
+    rows += p.history().size();
+    ASSERT_EQ(p.compute_v(), reference_compute_v(p, dense))
+        << "dense seed " << seed;
+  }
+  EXPECT_GE(rows, 500u * 8) << "histories of dead subjects are purged, "
+                               "but most must remain";
+  EXPECT_GT(dense.live_ties, 0u);
+  EXPECT_GT(dense.marker_ties, 0u);
+  EXPECT_GT(dense.dead_in_history, 0u);
+  EXPECT_GT(dense.repushes, 0u);
 }
 
 /// A non-root with random in-edges, relayed replica rows, relayed and own

@@ -1,0 +1,219 @@
+// In-place decoding: a MessageDecoder reused across a sequence of messages
+// must yield exactly what a fresh decode of each message yields, whatever
+// the previous messages left in its storage — larger or smaller row maps
+// and row batches, other body shapes, and a rejected message.
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "common/rng.hpp"
+#include "wire/batching.hpp"
+#include "wire/messages.hpp"
+
+namespace cgc {
+namespace {
+
+ProcessId P(std::uint64_t v) { return ProcessId{v}; }
+
+DependencyVector random_row(Rng& rng, std::size_t max_entries) {
+  DependencyVector dv;
+  const std::size_t n = rng.below(max_entries + 1);
+  std::uint64_t pid = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    pid += 1 + rng.below(20);
+    const std::uint64_t index = 1 + rng.below(5);
+    dv.set(P(pid), rng.chance(0.25) ? Timestamp::destruction(index)
+                                    : Timestamp::creation(index));
+  }
+  return dv;
+}
+
+FlatSet<ProcessId> random_set(Rng& rng, std::size_t max_entries) {
+  FlatSet<ProcessId> s;
+  const std::size_t n = rng.below(max_entries + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.insert(P(1 + rng.below(500)));
+  }
+  return s;
+}
+
+/// A control message whose row map, row batch, sets and vectors are all
+/// large when `large` is set and small (often empty) otherwise, so that
+/// consecutive messages grow and shrink every container the decoder
+/// reuses.
+GgdMessage random_control(Rng& rng, bool large) {
+  const std::size_t rows = large ? 8 + rng.below(8) : rng.below(3);
+  const std::size_t entries = large ? 14 : 3;
+  GgdMessage m;
+  m.from = P(1 + rng.below(50));
+  m.to = P(1 + rng.below(50));
+  m.v = random_row(rng, entries);
+  m.self_row = random_row(rng, entries);
+  m.behalf = random_row(rng, entries / 2);
+  std::uint64_t pid = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    pid += 1 + rng.below(30);
+    m.rows.emplace(P(pid), random_row(rng, entries));
+    m.row_revs.emplace(P(pid), 1 + rng.below(1000));
+    if (rng.chance(0.5)) {
+      m.behalf_rows.emplace(P(pid + 1), random_row(rng, entries));
+    }
+    if (rng.chance(0.7)) {
+      m.row_acks.emplace(P(pid), 1 + rng.below(1000));
+    }
+  }
+  m.sync_epoch = rng.below(4);
+  m.ack_epoch = rng.below(4);
+  m.dead = random_set(rng, large ? 12 : 2);
+  m.inquiry = rng.chance(0.3);
+  m.reply = !m.inquiry && rng.chance(0.4);
+  m.has_out_edges = m.reply;
+  if (m.has_out_edges) {
+    m.out_edges = random_set(rng, large ? 10 : 2);
+  }
+  return m;
+}
+
+wire::WireMessage control_message(const GgdMessage& m) {
+  return wire::WireMessage{MessageKind::kGgdInquiry, wire::GgdControl{m}};
+}
+
+std::vector<std::uint8_t> encode(const wire::WireMessage& msg) {
+  std::vector<std::uint8_t> bytes;
+  wire::Encoder enc(bytes);
+  wire::encode_message(enc, msg);
+  return bytes;
+}
+
+/// A control message that decodes up to its very last field — every row,
+/// the whole batch, death knowledge — and is then rejected: its out-edge
+/// set repeats an id (a zero delta, which no encoder produces).
+std::vector<std::uint8_t> malformed_after_rows(Rng& rng) {
+  GgdMessage m = random_control(rng, /*large=*/true);
+  m.has_out_edges = true;
+  m.out_edges = {P(4), P(7)};
+  std::vector<std::uint8_t> bytes = encode(control_message(m));
+  // The out-edge set is last: count 2, id 4, delta 3.
+  EXPECT_EQ(bytes.back(), 3);
+  bytes.back() = 0;
+  return bytes;
+}
+
+TEST(DecodeReuse, ReusedDecoderMatchesFreshDecodeAcrossGrowAndShrink) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    wire::MessageDecoder reader;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 30; ++i) {
+      if (i == 15) {
+        // One malformed message in the middle: rejected, and the next
+        // valid message must come out with no stale rows.
+        const std::vector<std::uint8_t> bad = malformed_after_rows(rng);
+        wire::Decoder dec(bad);
+        EXPECT_FALSE(reader.decode(dec)) << "seed " << seed;
+        EXPECT_EQ(dec.error(), wire::Decoder::Error::kMalformed);
+        ++rejected;
+        continue;
+      }
+      wire::WireMessage sent;
+      if (i % 7 == 3) {
+        // Another body shape in between: the control body's storage
+        // must wait aside and come back clean.
+        sent = wire::WireMessage{
+            MessageKind::kReferencePass,
+            wire::RefTransfer{rng.next(), P(1 + rng.below(9)),
+                              P(1 + rng.below(9))}};
+      } else {
+        sent = control_message(random_control(rng, /*large=*/i % 2 == 0));
+      }
+      const std::vector<std::uint8_t> bytes = encode(sent);
+      wire::Decoder fresh_dec(bytes);
+      const std::optional<wire::WireMessage> fresh =
+          wire::decode_message(fresh_dec);
+      ASSERT_TRUE(fresh.has_value());
+      EXPECT_EQ(*fresh, sent);
+
+      wire::Decoder dec(bytes);
+      ASSERT_TRUE(reader.decode(dec)) << "seed " << seed << " message " << i;
+      EXPECT_TRUE(dec.done());
+      EXPECT_EQ(reader.message(), *fresh)
+          << "seed " << seed << " message " << i;
+    }
+    EXPECT_EQ(rejected, 1u);
+  }
+}
+
+TEST(DecodeReuse, WarmDecoderKeepsItsStorage) {
+  Rng rng(7);
+  const std::vector<std::uint8_t> bytes =
+      encode(control_message(random_control(rng, /*large=*/true)));
+  wire::MessageDecoder reader;
+  // One decode and one clear (what ScratchUse does between packets) warm
+  // the decoder up; from then on the same message needs no more storage
+  // and clearing returns none.
+  wire::Decoder first(bytes);
+  ASSERT_TRUE(reader.decode(first));
+  reader.clear();
+  const std::size_t warm = reader.capacity();
+  EXPECT_GT(warm, 0u);
+  const std::vector<std::uint8_t> ref = encode(wire::WireMessage{
+      MessageKind::kReferencePass, wire::RefTransfer{1, P(2), P(3)}});
+  for (int i = 0; i < 3; ++i) {
+    wire::Decoder again(bytes);
+    ASSERT_TRUE(reader.decode(again));
+    EXPECT_EQ(reader.capacity(), warm);
+    reader.clear();
+    EXPECT_EQ(reader.capacity(), warm);
+    // Another body shape in between keeps the control body's storage.
+    wire::Decoder other(ref);
+    ASSERT_TRUE(reader.decode(other));
+    EXPECT_EQ(reader.capacity(), warm);
+  }
+}
+
+TEST(DecodeReuse, PacketReaderDeliversEveryMessageInOrder) {
+  Rng rng(11);
+  wire::BatchingChannel ch(SiteId{1}, SiteId{2});
+  std::vector<wire::WireMessage> sent;
+  for (int i = 0; i < 12; ++i) {
+    sent.push_back(control_message(random_control(rng, i % 3 == 0)));
+    (void)ch.push(sent.back());
+  }
+  const wire::BatchingChannel::Packet packet = ch.flush();
+  std::vector<wire::WireMessage> got;
+  std::size_t framed = 0;
+  wire::read_packet(
+      packet.bytes,
+      [](const wire::PacketHeader& h) {
+        EXPECT_EQ(h.from, SiteId{1});
+        EXPECT_EQ(h.to, SiteId{2});
+        EXPECT_EQ(h.count, 12u);
+      },
+      [&](const wire::WireMessage& msg, std::size_t bytes) {
+        got.push_back(msg);
+        framed += bytes;
+        EXPECT_EQ(bytes, wire::encoded_size(msg));
+      });
+  EXPECT_EQ(got, sent);
+  EXPECT_LT(framed, packet.bytes.size());  // the header is not a message
+}
+
+TEST(DecodeReuseDeathTest, PacketReaderRejectsReentry) {
+  wire::BatchingChannel ch(SiteId{1}, SiteId{2});
+  Rng rng(3);
+  (void)ch.push(control_message(random_control(rng, /*large=*/false)));
+  const std::vector<std::uint8_t> bytes = ch.flush().bytes;
+  const auto nested = [&bytes] {
+    wire::read_packet(
+        bytes, [](const wire::PacketHeader&) {},
+        [&bytes](const wire::WireMessage&, std::size_t) {
+          wire::read_packet(
+              bytes, [](const wire::PacketHeader&) {},
+              [](const wire::WireMessage&, std::size_t) {});
+        });
+  };
+  EXPECT_DEATH(nested(), "re-entered");
+}
+
+}  // namespace
+}  // namespace cgc
