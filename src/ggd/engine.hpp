@@ -1,42 +1,32 @@
-// GgdEngine: hosts GGD processes on sites and drives the paper's
-// computation over the simulated network.
+// GgdEngine: the simulator host of the GGD site state machine.
 //
-// This layer works directly at global-root-graph granularity (one process
-// per global root, §3.1): the object runtime maps object-level mutator
-// activity down to these operations, and the complexity benches and the
-// worked-example test use it directly.
+// The per-site algorithm (log keeping, control-message delivery, removal
+// bookkeeping, the periodic sweep, metrics and journal) is SiteCore,
+// which the threaded SiteNode drives too. The engine runs one core over
+// every process it hosts, on any number of sites, and is the mailbox of
+// every such site (composite systems register their own demultiplexing
+// mailbox first and forward GGD bodies here). Its side of the host
+// interface: wire sends over the simulated Network between sites of
+// record, flushes coalesced on a backoff timer, simulated time, per-index
+// root and site arrays, and all of migration — snapshots, forwarding
+// stubs, held messages, and the stub and hand-off sweep phases, which run
+// between the core's destruction re-emission and its scan.
 //
-// Mutator-level operations simulate both the real reference-carrying
-// message (a serialized wire::RefTransfer, subject to network faults) and
-// the lazy log-keeping updates at each endpoint. GGD control messages
-// produced by `GgdProcess::receive` travel as serialized wire::GgdControl
-// bodies through the same faulty network; the engine is the mailbox of
-// every site it hosts processes on (composite systems register their own
-// demultiplexing mailbox first and forward GGD bodies here).
-//
-// Process state is interned: every registered ProcessId gets a dense
-// uint32 index on registration, process objects live in a deque indexed
-// by it (stable addresses), and the site/root lookups the reachability
-// walk hammers are one hash probe plus an array read. Anything iterated
-// in a wire-observable order (sweeps, pending destructions) walks a
-// sorted flat index, preserving the exact emission order of the previous
-// `std::map` tables.
+// The engine also re-marks a delivered transfer's subject and a new
+// object's creator hot for the generational sweep, and counts the sites
+// that handled control messages.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
-#include "common/assert.hpp"
 #include "common/dense_map.hpp"
 #include "common/flat_map.hpp"
-#include "common/interner.hpp"
 #include "common/types.hpp"
 #include "ggd/process.hpp"
+#include "ggd/site_core.hpp"
 #include "ggd/sweep.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 #include "net/network.hpp"
@@ -46,39 +36,42 @@
 
 namespace cgc {
 
-class GgdEngine : public wire::Mailbox {
+class GgdEngine : public wire::Mailbox, private SiteHost {
  public:
   GgdEngine(Network& net, LogKeepingMode mode = LogKeepingMode::kRobust)
-      : net_(net), logkeeping_(mode) {}
+      : net_(net), core_(*this, root_flags_, mode) {}
 
   /// Registers a global root `id` living on `site`. Roots (`is_root`) are
   /// entry points of the mutator and are never collected.
   GgdProcess& add_process(ProcessId id, SiteId site, bool is_root);
 
   [[nodiscard]] bool has_process(ProcessId id) const {
-    return ids_.knows(id);
+    return core_.hosts(id);
   }
-  [[nodiscard]] GgdProcess& process(ProcessId id);
-  [[nodiscard]] const GgdProcess& process(ProcessId id) const;
-  [[nodiscard]] SiteId site_of(ProcessId id) const;
+  [[nodiscard]] GgdProcess& process(ProcessId id) { return core_.process(id); }
+  [[nodiscard]] const GgdProcess& process(ProcessId id) const {
+    return core_.process(id);
+  }
+  [[nodiscard]] SiteId site_of(ProcessId id) const override {
+    return site_by_idx_[core_.index_of(id)];
+  }
 
   /// All registered process ids in increasing order (deterministic sweep
   /// order), and the count.
   [[nodiscard]] const FlatSet<ProcessId>& process_ids() const {
-    return proc_order_;
+    return core_.process_ids();
   }
-  [[nodiscard]] std::size_t process_count() const { return procs_.size(); }
+  [[nodiscard]] std::size_t process_count() const {
+    return core_.processes().size();
+  }
 
   /// Sets the row-relay policy for every registered process (and every
   /// process added later). kDelta is the default; kWholeMap reproduces
   /// the pre-delta wire behaviour for differential conformance.
-  void set_relay_policy(RelayPolicy policy) {
-    relay_policy_ = policy;
-    for (GgdProcess& p : procs_) {
-      p.set_relay_policy(policy);
-    }
+  void set_relay_policy(RelayPolicy policy) { core_.set_relay_policy(policy); }
+  [[nodiscard]] RelayPolicy relay_policy() const {
+    return core_.relay_policy();
   }
-  [[nodiscard]] RelayPolicy relay_policy() const { return relay_policy_; }
 
   // -- Mutator-level operations (each also performs lazy log-keeping) ----
 
@@ -116,9 +109,8 @@ class GgdEngine : public wire::Mailbox {
   /// migration snapshots and undelivered destructions are re-emitted
   /// (loss costs latency, not comprehensiveness).
   ///
-  /// Compatibility shim over the incremental scheduler: loops
-  /// `sweep_slice` with an unbounded budget, which executes exactly one
-  /// whole round in the historical order (wire-golden byte identity).
+  /// Loops `sweep_slice` with an unbounded budget: one whole round in the
+  /// historical order (wire-golden byte identity).
   void periodic_sweep();
 
   /// Performs at most `budget` units of sweep work (one unit per table
@@ -133,13 +125,17 @@ class GgdEngine : public wire::Mailbox {
 
   /// Number of the sweep round in progress (or, between rounds, the last
   /// completed one). Rounds are numbered from 1.
-  [[nodiscard]] std::uint64_t sweep_round() const { return sweep_round_; }
+  [[nodiscard]] std::uint64_t sweep_round() const {
+    return core_.sweep_round();
+  }
 
   /// Where `p` stands in the sweep queue under the budget this engine
   /// last swept with — generation, rounds until its generation comes up,
   /// and an estimate of slices until the scan reaches it. `cgc-explain`
   /// turns this into the `awaiting_sweep` backlog report.
-  [[nodiscard]] sweep::Backlog sweep_backlog(ProcessId p) const;
+  [[nodiscard]] sweep::Backlog sweep_backlog(ProcessId p) const {
+    return core_.sweep_backlog(p);
+  }
 
   // -- Migration (cross-site hand-off) ------------------------------------
 
@@ -196,11 +192,11 @@ class GgdEngine : public wire::Mailbox {
   /// instrument pointers once here; hot paths then test one pointer.
   void attach_obs(obs::Registry* registry, obs::Journal* journal);
 
-  [[nodiscard]] obs::Journal* journal() { return journal_; }
+  [[nodiscard]] obs::Journal* journal() { return core_.journal(); }
 
   /// Every process removed by GGD so far, in removal order.
   [[nodiscard]] const std::vector<ProcessId>& removed() const {
-    return removed_;
+    return core_.removed();
   }
 
   /// Number of distinct sites that handled at least one GGD control
@@ -216,7 +212,7 @@ class GgdEngine : public wire::Mailbox {
 
   /// The engine-owned pool backing every hosted process's tables
   /// (footprint introspection for benches and metrics).
-  [[nodiscard]] const Pool& pool() const { return pool_; }
+  [[nodiscard]] const Pool& pool() const { return core_.pool(); }
 
   /// Byte attribution of all hosted process state, split live vs
   /// tombstone (removed processes are kept for posthumous answers; this
@@ -229,7 +225,7 @@ class GgdEngine : public wire::Mailbox {
   };
   [[nodiscard]] EngineFootprint storage_footprint() const {
     EngineFootprint out;
-    for (const GgdProcess& p : procs_) {
+    for (const GgdProcess& p : core_.processes()) {
       if (p.removed()) {
         out.tombstone += p.storage_footprint();
         ++out.tombstone_count;
@@ -244,13 +240,13 @@ class GgdEngine : public wire::Mailbox {
   /// Destruction messages still owed a first delivery (the sweep re-emits
   /// these; a non-zero count means the next sweep has recovery work).
   [[nodiscard]] std::size_t pending_destruction_count() const {
-    return pending_destructions_.size();
+    return core_.pending_destruction_count();
   }
 
   /// Hook invoked when a process removes itself (the runtime uses this to
   /// demote the global root so local GC can reclaim the object).
   void set_on_removed(std::function<void(ProcessId)> hook) {
-    on_removed_ = std::move(hook);
+    core_.set_on_removed(std::move(hook));
   }
 
   /// Hook invoked when a reference actually arrives at its recipient —
@@ -258,12 +254,12 @@ class GgdEngine : public wire::Mailbox {
   /// existence. Test oracles key their ground truth on this (a dropped
   /// reference-passing message must not count as an edge).
   void set_on_ref_delivered(std::function<void(ProcessId, ProcessId)> hook) {
-    on_ref_delivered_ = std::move(hook);
+    core_.set_on_ref_delivered(std::move(hook));
   }
 
   [[nodiscard]] Network& network() { return net_; }
   [[nodiscard]] const LazyLogKeeping& logkeeping() const {
-    return logkeeping_;
+    return core_.logkeeping();
   }
 
   /// Wire endpoint: reference transfers and GGD control traffic addressed
@@ -271,14 +267,25 @@ class GgdEngine : public wire::Mailbox {
   void deliver(SiteId from, SiteId to, const wire::WireMessage& msg) override;
 
  private:
-  void deliver_ggd(GgdMessage msg);
-  void dispatch_all(std::vector<GgdMessage> msgs);
-  void schedule_flush(ProcessId p);
+  // -- SiteHost: the simulator's side of the core ---------------------------
+  void route(ProcessId from, ProcessId to,
+             const wire::WireMessage& msg) override {
+    net_.send(site_of(from), site_of(to), msg);
+  }
+  /// Coalescing flush timer with exponential backoff (see the .cpp).
+  void schedule_flush(ProcessId p) override;
+  [[nodiscard]] SimTime now() const override {
+    return net_.simulator().now();
+  }
+  [[nodiscard]] bool frozen(ProcessId p) const override {
+    return migrating(p);
+  }
+  /// Stub reclamation and hand-off re-emission.
+  bool sweep_host_phases(sweep::Budget& budget) override;
+
   /// Registers this engine as `site`'s mailbox unless a composite system
   /// (e.g. the distributed runtime) already installed its own.
   void attach_site(SiteId site);
-  void send_ref_transfer(SiteId from, SiteId to, ProcessId recipient,
-                         ProcessId subject);
   void on_ref_transfer(const wire::RefTransfer& transfer);
   void on_ggd_message(const GgdMessage& msg);
   /// Migration routing: true when the message was held (awaiting the
@@ -294,59 +301,25 @@ class GgdEngine : public wire::Mailbox {
   void on_migrate_state(const wire::MigrateState& ms);
   void on_migrate_ack(SiteId at, const wire::MigrateAck& ack);
 
-  /// Dense index of a registered process; checks registration.
-  [[nodiscard]] std::uint32_t index_of(ProcessId id) const {
-    const std::uint32_t idx = ids_.index_of(id);
-    CGC_CHECK_MSG(idx != IdInterner<ProcessId>::kNone, "unknown process id");
-    return idx;
-  }
-  [[nodiscard]] bool root_flag(ProcessId id) const {
-    return root_by_idx_[index_of(id)] != 0;
-  }
-  /// Re-marks `id` hot for the generational sweep scheduler: any mutator
-  /// operation or delivered message means its next decision may change,
-  /// so the next round must scan it regardless of generation.
-  void mark_touched(ProcessId id) {
-    const std::uint32_t idx = ids_.index_of(id);
-    if (idx != IdInterner<ProcessId>::kNone) {
-      generations_.touch(idx);
+  /// The walk's root predicate: one interner probe plus an array read.
+  struct RootFlags {
+    const GgdEngine* engine;
+    bool operator()(ProcessId p) const {
+      return engine->root_by_idx_[engine->core_.index_of(p)] != 0;
     }
-  }
+  };
 
   Network& net_;
-  LazyLogKeeping logkeeping_;
-  /// Bulk-owned memory for every hosted process's log and replica tables.
-  /// Declared before `procs_` on purpose: members destroy in reverse
-  /// order, so the processes release their rows before the pool dies.
-  Pool pool_;
-  /// Interned process table: `ids_` assigns the dense index, the deque
-  /// (stable addresses) holds the process objects, and the two parallel
-  /// vectors answer the walk's site/root queries in O(1).
-  IdInterner<ProcessId> ids_;
-  std::deque<GgdProcess> procs_;
+  /// Site-of-record and root flag per core dense index: the walk's
+  /// site/root queries in O(1).
   std::vector<SiteId> site_by_idx_;
   std::vector<std::uint8_t> root_by_idx_;
-  /// Registered ids in increasing order — the wire-observable iteration
-  /// order of the periodic sweep.
-  FlatSet<ProcessId> proc_order_;
-  std::vector<ProcessId> removed_;
+  RootFlags root_flags_{this};
+  SiteCore core_;
   DenseMap<SiteId, std::uint64_t> participating_sites_;
   DenseSet<ProcessId> flush_scheduled_;
   DenseMap<ProcessId, SimTime> flush_delay_;
-  /// Mutator edge-destruction messages not yet known to have arrived:
-  /// kept until a destruction from the same dropper is delivered to the
-  /// target, and re-emitted by the periodic sweep. This models the
-  /// paper's recovery story — the local collector re-summarises and
-  /// re-emits destruction events — so transient loss costs only latency,
-  /// not comprehensiveness. Destruction messages are idempotent, so a
-  /// re-emission racing the original is harmless duplication. Sorted:
-  /// re-emission order is wire-observable.
-  FlatMap<std::pair<ProcessId, ProcessId>, GgdMessage> pending_destructions_;
-  /// Reference transfers are applied exactly once: a duplicated
-  /// reference-passing message must not hand the recipient a reference its
-  /// mutator already dropped.
   std::uint64_t transfer_counter_ = 0;
-  DenseSet<std::uint64_t> applied_transfers_;
 
   // -- Migration state ----------------------------------------------------
   /// A hand-off in flight: the mover is frozen, its site-of-record still
@@ -388,70 +361,17 @@ class GgdEngine : public wire::Mailbox {
   MigrationStats migration_stats_;
   std::function<void(ProcessId, SiteId, SiteId)> on_migrated_;
 
-  std::function<void(ProcessId)> on_removed_;
-  std::function<void(ProcessId, ProcessId)> on_ref_delivered_;
-
-  // -- Sweep scheduler state ----------------------------------------------
-  /// Resumable position of the sweep round in progress. Cursors are the
-  /// last-visited *keys* (resumed via upper_bound), so the tables may
-  /// erase entries and reallocate between slices without invalidating the
-  /// round. kIdle means no round is open — the next slice starts one.
-  struct SweepCursor {
-    enum class Phase : std::uint8_t {
-      kIdle,
-      kDestructions,
-      kStubs,
-      kHandoffs,
-      kScan,
-    };
-    Phase phase = Phase::kIdle;
-    std::pair<ProcessId, ProcessId> destruction_key{};
-    bool have_destruction_key = false;
+  /// Resume position of the host sweep phases within the core's round;
+  /// rewound whenever the core starts a round. Keys, not iterators.
+  struct HostSweepCursor {
+    bool handoffs = false;  // the stub phase is done
     std::pair<SiteId, ProcessId> stub_key{};
     bool have_stub_key = false;
     std::uint64_t handoff_key = 0;
     bool have_handoff_key = false;
-    ProcessId scan_key{};
-    bool have_scan_key = false;
-    std::uint64_t scanned = 0;        // processes decided this round
-    std::uint64_t slices = 0;         // slices this round has taken
-    std::uint64_t round_wall_us = 0;  // summed slice walls (obs only)
   };
-  SweepCursor sweep_cursor_;
-  sweep::GenerationTable generations_;
-  std::uint64_t sweep_round_ = 0;
-  /// Budget of the most recent slice: what backlog estimates assume the
-  /// next rounds will run with.
-  std::uint64_t last_sweep_budget_ = sweep::kUnbounded;
-
-  // -- Observability instruments (all null/zero when not attached) --------
-  /// Cached registry instruments; looked up once in attach_obs so the
-  /// sweep/walk hot paths never do a by-name lookup.
-  struct DetectorMetrics {
-    obs::TickHistogram* sweep_pause_us = nullptr;
-    obs::TickHistogram* sweep_scanned = nullptr;
-    obs::TickHistogram* sweep_slices = nullptr;
-    obs::TickHistogram* walk_consulted = nullptr;
-    obs::TickHistogram* relay_rows = nullptr;
-    obs::Counter* walks = nullptr;
-    obs::Counter* walks_blocked = nullptr;
-    obs::Counter* walks_unreachable = nullptr;
-    obs::Counter* destructions_reemitted = nullptr;
-    obs::Counter* stubs_reclaimed = nullptr;
-    obs::Counter* inquiries = nullptr;
-    /// ggd.inquiries split by GgdProcess::InquiryReason; the four sum to
-    /// `inquiries` because decide() is the only inquiry source.
-    std::array<obs::Counter*, GgdProcess::kInquiryReasons>
-        inquiries_by_reason{};
-  };
-  DetectorMetrics metrics_;
-  obs::Journal* journal_ = nullptr;
-  bool obs_attached_ = false;
-  RelayPolicy relay_policy_ = RelayPolicy::kDelta;
-
-  /// Records the observation of the decision walk `p` just ran (metrics +
-  /// journal verdict record). No-op when observability is not attached.
-  void observe_walk(GgdProcess& p, SimTime now);
+  HostSweepCursor host_cursor_;
+  obs::Counter* stubs_reclaimed_ = nullptr;
 };
 
 }  // namespace cgc

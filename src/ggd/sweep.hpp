@@ -1,6 +1,6 @@
-// Budget-bounded sweep scheduling: the pieces shared by every sweep
-// implementation (GgdEngine's full periodic sweep and the threaded
-// SiteNode's per-site sweep).
+// Budget-bounded sweep scheduling: the pieces SiteCore's sweep state
+// machine runs on, under either host (the simulator's GgdEngine adds its
+// migration phases through a host hook; the threaded SiteNode adds none).
 //
 // The paper assumes periodic maintenance sweeps; a literal reading runs
 // every re-emission, stub check and stale-gate scan to completion in one
@@ -35,7 +35,7 @@ namespace cgc::sweep {
 inline constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
 /// Sweep rounds between capacity-trim passes over the live population
-/// (GgdProcess::trim_storage), in both runtimes. Wire-passive at any
+/// (GgdProcess::trim_storage). Wire-passive at any
 /// value; the throttle only balances memcpy cost against capacity-slack
 /// accumulation.
 inline constexpr std::uint64_t kTrimEveryRounds = 4;
