@@ -141,8 +141,7 @@ std::optional<std::uint64_t> current_rss_kb() {
 /// churn keeps creating short-lived structures (including cycles) and
 /// severing them, so the engine collects continuously while the
 /// population stays near the target.
-ScaleResult run_scale(const ScaleConfig& cfg,
-                      RelayPolicy policy = RelayPolicy::kDelta) {
+ScaleResult run_scale(const ScaleConfig& cfg) {
   Pool sim_pool;  // backs the event heap; declared first to outlive it
   Simulator sim(&sim_pool);
   Network net(sim, NetworkConfig{.min_latency = 1,
@@ -152,7 +151,6 @@ ScaleResult run_scale(const ScaleConfig& cfg,
                                  .seed = 12345});
   obs::Registry reg;  // outlives the engine, which caches pointers
   GgdEngine eng(net);
-  eng.set_relay_policy(policy);
   eng.attach_obs(&reg, nullptr);
   Rng rng(cfg.processes ^ (cfg.sites << 20));
 
@@ -556,10 +554,6 @@ void emit(const std::string& path, const std::vector<ScaleResult>& results,
 int main(int argc, char** argv) {
   using namespace cgc;
   bool quick = false;
-  // A/B switch for the delta row-relay: `--wholemap` re-runs the ladder
-  // with the legacy full-map relaying so the control-byte win (and any
-  // future regression of it) can be measured head-to-head on demand.
-  RelayPolicy policy = RelayPolicy::kDelta;
   std::uint64_t threads = 4;
   // `--config NAME` runs a single rung (and skips the threaded slice):
   // the memory-diet workflow measures one config's RSS without the
@@ -568,8 +562,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--wholemap") == 0) {
-      policy = RelayPolicy::kWholeMap;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr,
                                                          10));
@@ -600,17 +592,13 @@ int main(int argc, char** argv) {
     configs.push_back({"huge", 512, 1024, 100'000, 20'000});
   }
 
-  std::cout << "scale tier: dense-core engine under sustained churn";
-  if (policy == RelayPolicy::kWholeMap) {
-    std::cout << " (LEGACY whole-map relay)";
-  }
-  std::cout << '\n';
+  std::cout << "scale tier: dense-core engine under sustained churn\n";
   std::vector<ScaleResult> results;
   for (const ScaleConfig& cfg : configs) {
     if (!only_config.empty() && cfg.name != only_config) {
       continue;
     }
-    ScaleResult r = run_scale(cfg, policy);
+    ScaleResult r = run_scale(cfg);
     std::cout << cfg.name << ": sites=" << cfg.sites
               << " procs=" << cfg.processes << " churn=" << cfg.churn_ops
               << " | events=" << r.events << " wall_ms="

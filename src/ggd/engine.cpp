@@ -6,12 +6,11 @@
 namespace cgc {
 
 GgdProcess& GgdEngine::add_process(ProcessId id, SiteId site, bool is_root) {
-  const std::uint32_t idx = core_.add(id, is_root);
-  CGC_CHECK(idx == site_by_idx_.size());
+  GgdProcess& proc = core_.add(id, is_root);
   site_by_idx_.push_back(site);
   root_by_idx_.push_back(is_root ? 1 : 0);
   attach_site(site);
-  return process(id);
+  return proc;
 }
 
 void GgdEngine::attach_obs(obs::Registry* registry, obs::Journal* journal) {

@@ -1,5 +1,11 @@
 // GgdEngine: the simulator host of the GGD site state machine.
 //
+// It works at global-root-graph granularity (one process per global root,
+// §3.1): the object runtime maps object-level mutator activity down to
+// these operations, and the complexity benches and the worked-example
+// test use it directly. Reference transfers and control messages travel
+// as serialized wire messages through the same faulty network.
+//
 // The per-site algorithm (log keeping, control-message delivery, removal
 // bookkeeping, the periodic sweep, metrics and journal) is SiteCore,
 // which the threaded SiteNode drives too. The engine runs one core over
@@ -36,7 +42,7 @@
 
 namespace cgc {
 
-class GgdEngine : public wire::Mailbox, private SiteHost {
+class GgdEngine final : public wire::Mailbox, private SiteHost {
  public:
   GgdEngine(Network& net, LogKeepingMode mode = LogKeepingMode::kRobust)
       : net_(net), core_(*this, root_flags_, mode) {}

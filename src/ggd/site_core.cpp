@@ -5,7 +5,7 @@
 
 namespace cgc {
 
-std::uint32_t SiteCore::add(ProcessId id, bool is_root) {
+GgdProcess& SiteCore::add(ProcessId id, bool is_root) {
   CGC_CHECK_MSG(!ids_.knows(id), "duplicate process id");
   const std::uint32_t idx = ids_.intern(id);
   CGC_CHECK(idx == procs_.size());
@@ -14,7 +14,7 @@ std::uint32_t SiteCore::add(ProcessId id, bool is_root) {
   proc_order_.insert(id);
   procs_.back().set_observed(obs_attached_);
   procs_.back().set_relay_policy(relay_policy_);
-  return idx;
+  return procs_.back();
 }
 
 void SiteCore::set_relay_policy(RelayPolicy policy) {
@@ -84,8 +84,7 @@ void SiteCore::observe_walk(GgdProcess& p, SimTime now) {
 }
 
 void SiteCore::link_own(ProcessId i, ProcessId j, std::uint64_t transfer_id) {
-  logkeeping_.on_send_own_ref(process(i), j);
-  mark_touched(i);
+  logkeeping_.on_send_own_ref(touch(i), j);
   host_.route(i, j,
               wire::WireMessage{MessageKind::kReferencePass,
                                 wire::RefTransfer{transfer_id, j, i}});
@@ -93,16 +92,14 @@ void SiteCore::link_own(ProcessId i, ProcessId j, std::uint64_t transfer_id) {
 
 void SiteCore::link_third(ProcessId i, ProcessId k, ProcessId j,
                           std::uint64_t transfer_id) {
-  logkeeping_.on_send_third_party_ref(process(i), k, j);
-  mark_touched(i);
+  logkeeping_.on_send_third_party_ref(touch(i), k, j);
   host_.route(i, j,
               wire::WireMessage{MessageKind::kReferencePass,
                                 wire::RefTransfer{transfer_id, j, k}});
 }
 
 void SiteCore::drop(ProcessId j, ProcessId k) {
-  GgdMessage msg = logkeeping_.on_drop_ref(process(j), k);
-  mark_touched(j);
+  GgdMessage msg = logkeeping_.on_drop_ref(touch(j), k);
   mark_touched(k);
   pending_destructions_[{j, k}] = msg;
   if (journal_ != nullptr) {
@@ -124,8 +121,7 @@ bool SiteCore::apply_transfer(const wire::RefTransfer& transfer) {
 }
 
 void SiteCore::acquire(ProcessId j, ProcessId k) {
-  logkeeping_.on_receive_ref(process(j), k);
-  mark_touched(j);
+  logkeeping_.on_receive_ref(touch(j), k);
   if (on_ref_delivered_) {
     on_ref_delivered_(j, k);
   }
@@ -188,8 +184,7 @@ void SiteCore::deliver(const GgdMessage& msg) {
                        obs::EventKind::kDestructionDeliver, msg.from, msg.to);
     }
   }
-  GgdProcess& target = process(msg.to);
-  mark_touched(msg.to);
+  GgdProcess& target = touch(msg.to);
   if (msg.inquiry) {
     // Inquiries are answered without running receive() at the target, so
     // their piggybacked frontier acks must be applied here or the

@@ -77,8 +77,8 @@ class SiteCore {
 
   // -- Hosted process table ----------------------------------------------
 
-  /// Registers `id` (it must be new) and returns its dense index.
-  std::uint32_t add(ProcessId id, bool is_root);
+  /// Registers `id` (it must be new) under the next dense index.
+  GgdProcess& add(ProcessId id, bool is_root);
   [[nodiscard]] bool hosts(ProcessId id) const { return ids_.knows(id); }
   /// Dense index of a hosted process; checks registration.
   [[nodiscard]] std::uint32_t index_of(ProcessId id) const {
@@ -191,6 +191,12 @@ class SiteCore {
   [[nodiscard]] obs::Journal* journal() const { return journal_; }
 
  private:
+  /// The hosted process `id`, re-marked hot (one index lookup).
+  GgdProcess& touch(ProcessId id) {
+    const std::uint32_t idx = index_of(id);
+    generations_.touch(idx);
+    return procs_[idx];
+  }
   void dispatch_all(std::vector<GgdMessage> msgs);
   void note_removed(GgdProcess& p);
   /// Records the decision walk `p` just ran (metrics and verdict record).

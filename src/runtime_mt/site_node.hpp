@@ -48,7 +48,7 @@
 
 namespace cgc::runtime_mt {
 
-class SiteNode : private SiteHost {
+class SiteNode final : private SiteHost {
  public:
   /// `stats` may be null; when set it receives the delivery-side wire
   /// accounting (the send side is the packet assembler's job). Per-site

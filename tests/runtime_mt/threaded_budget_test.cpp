@@ -1,4 +1,7 @@
-// Budget-sliced sweeps through the threaded runtime (ctest label: fuzz).
+// Budget-sliced sweeps through the threaded runtime. The test has no
+// ctest label, so it runs in the default set and in CI's TSan job
+// (`ctest -LE fuzz`): it is the only test that runs budgeted SiteNode
+// sweeps on real threads under TSan.
 //
 // A finite sweep budget makes a worker's kSweep envelope expand into a
 // chain of continuation envelopes — one slice each — that interleave with
