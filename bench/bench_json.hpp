@@ -3,6 +3,7 @@
 // output must stay parseable by standard tooling.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -27,7 +28,7 @@ class Json {
   explicit Json(std::ostream& os) : os_(os) {}
 
   void open(char c) {
-    pad();
+    element();
     os_ << c << '\n';
     ++depth_;
     first_ = true;
@@ -35,36 +36,55 @@ class Json {
   void close(char c) {
     --depth_;
     os_ << '\n';
-    pad(true);
+    pad();
     os_ << c;
     first_ = false;
   }
   void key(const std::string& k) {
-    comma();
-    pad();
+    element();
     os_ << '"' << k << "\": ";
-    inline_value_ = true;
+    after_key_ = true;
   }
   void value(std::uint64_t v) {
+    element();
     os_ << v;
-    inline_value_ = false;
+  }
+  /// Non-finite doubles have no JSON spelling; they are written as null.
+  void value(double v) {
+    element();
+    if (std::isfinite(v)) {
+      os_ << v;
+    } else {
+      os_ << "null";
+    }
+  }
+  void value(bool v) {
+    element();
+    os_ << (v ? "true" : "false");
   }
   void value(const std::string& v) {
+    element();
     os_ << '"' << v << '"';
-    inline_value_ = false;
   }
+  // Without this overload a string literal would convert to bool.
+  void value(const char* v) { value(std::string(v)); }
 
  private:
-  void comma() {
+  // Starts a value, an object member or an array element. A value right
+  // after its key stays on the key's line; anything else is separated
+  // from its predecessor and gets its own indented line.
+  void element() {
+    if (after_key_) {
+      after_key_ = false;
+      return;
+    }
     if (!first_) {
       os_ << ",\n";
     }
     first_ = false;
+    pad();
   }
-  void pad(bool force = false) {
-    if (inline_value_ && !force) {
-      return;
-    }
+  void pad() {
     for (int i = 0; i < depth_; ++i) {
       os_ << "  ";
     }
@@ -73,7 +93,7 @@ class Json {
   std::ostream& os_;
   int depth_ = 0;
   bool first_ = true;
-  bool inline_value_ = false;
+  bool after_key_ = false;
 };
 
 /// Emits the provenance object every bench JSON carries ("meta": git

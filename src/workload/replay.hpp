@@ -43,6 +43,17 @@ inline void replay_on_engine(GgdEngine& e, const std::vector<MutatorOp>& ops,
   sim.run();
 }
 
+/// Replays a trace onto a baseline collector (any engine with
+/// `apply(const MutatorOp&)`), quiescing delivery after every op.
+template <typename Engine>
+void replay_on_baseline(Engine& e, Simulator& sim,
+                        const std::vector<MutatorOp>& ops) {
+  for (const MutatorOp& op : ops) {
+    e.apply(op);
+    sim.run();
+  }
+}
+
 /// Strict scenario replay for known-good traces: every op must execute
 /// (the trace is mutator-legal and delivery is quiesced between ops).
 /// `Scenario::apply` is the lenient sibling that skips instead.

@@ -20,21 +20,13 @@ NetworkConfig unit_net(std::uint64_t seed) {
                        .seed = seed};
 }
 
-template <typename Engine>
-void replay_all(Engine& e, Simulator& sim, const std::vector<MutatorOp>& ops) {
-  for (const MutatorOp& op : ops) {
-    e.apply(op);
-    sim.run();
-  }
-}
-
 TEST(Schelvis, CollectsDisconnectedDoublyLinkedList) {
   Simulator sim;
   Network net(sim, unit_net(1));
   SchelvisEngine eng(net);
   std::vector<ProcessId> elems;
   const TraceBuilder t = traces::doubly_linked_list(8, &elems);
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_EQ(eng.removed_count(), 8u);
   for (ProcessId e : elems) {
     EXPECT_TRUE(eng.removed(e));
@@ -47,7 +39,7 @@ TEST(Schelvis, CollectsRingWithSubcycles) {
   SchelvisEngine eng(net);
   std::vector<ProcessId> elems;
   const TraceBuilder t = traces::ring_with_subcycles(10, &elems);
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_EQ(eng.removed_count(), 10u);
 }
 
@@ -60,7 +52,7 @@ TEST(Schelvis, KeepsLiveStructure) {
   const ProcessId a = t.create(root);
   const ProcessId b = t.create(a);
   t.link_own(a, b);  // cycle a <-> b, still rooted
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_FALSE(eng.removed(a));
   EXPECT_FALSE(eng.removed(b));
 }
@@ -73,10 +65,7 @@ TEST(Schelvis, QuadraticMessageGrowthOnLists) {
     Network net(sim, unit_net(7));
     SchelvisEngine eng(net);
     const TraceBuilder t = traces::doubly_linked_list(k);
-    for (const MutatorOp& op : t.ops()) {
-      eng.apply(op);
-      sim.run();
-    }
+    replay_on_baseline(eng, sim, t.ops());
     return net.stats().of(MessageKind::kSchelvisPacket).sent;
   };
   const auto m1 = run_k(10);
@@ -90,7 +79,7 @@ TEST(Tracing, CollectsEverythingUnreachableInOneCycle) {
   Network net(sim, unit_net(4));
   TracingCollector eng(net);
   const TraceBuilder t = traces::ring_with_subcycles(6);
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_EQ(eng.removed_count(), 0u) << "nothing reclaimed before the cycle";
   EXPECT_EQ(eng.run_cycle(), 6u);
   sim.run();
@@ -101,7 +90,7 @@ TEST(Tracing, AllSitesParticipate) {
   Network net(sim, unit_net(5));
   TracingCollector eng(net);
   const TraceBuilder t = traces::live_and_garbage(12, 4);
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   eng.run_cycle();
   sim.run();
   // 1 root + 12 live + 4 garbage objects, each on its own site.
@@ -114,10 +103,7 @@ TEST(Tracing, MessagesScaleWithLiveObjects) {
     Network net(sim, unit_net(6));
     TracingCollector eng(net);
     const TraceBuilder t = traces::live_and_garbage(live, 4);
-    for (const MutatorOp& op : t.ops()) {
-      eng.apply(op);
-      sim.run();
-    }
+    replay_on_baseline(eng, sim, t.ops());
     net.stats().reset();
     eng.run_cycle();
     sim.run();
@@ -138,7 +124,7 @@ TEST(Wrc, CollectsAcyclicGarbageCheaply) {
   const ProcessId b = t.create(a);
   t.drop(a, b);
   t.drop(root, a);
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_TRUE(eng.removed(a));
   EXPECT_TRUE(eng.removed(b));
   // Exactly one weight-return control message per dropped/cascaded ref.
@@ -154,7 +140,7 @@ TEST(Wrc, ThirdPartyForwardingNeedsNoControlMessage) {
   const ProcessId a = t.create(root);
   const ProcessId b = t.create(root);
   t.link_third(root, a, b);  // root forwards its ref of a to b
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_EQ(net.stats().of(MessageKind::kWrcControl).sent, 0u);
 
   // And the forwarded reference genuinely protects `a`.
@@ -173,7 +159,7 @@ TEST(Wrc, LeaksDistributedCycles) {
   WrcEngine eng(net);
   std::vector<ProcessId> elems;
   const TraceBuilder t = traces::ring_with_subcycles(6, &elems);
-  replay_all(eng, sim, t.ops());
+  replay_on_baseline(eng, sim, t.ops());
   EXPECT_EQ(eng.removed_count(), 0u) << "WRC must leak the cycle";
 }
 
@@ -190,7 +176,7 @@ TEST(CrossCheck, OurAlgorithmMatchesTracingOnSameTrace) {
   Simulator sim;
   Network net(sim, unit_net(11));
   TracingCollector tracing(net);
-  replay_all(tracing, sim, t.ops());
+  replay_on_baseline(tracing, sim, t.ops());
   tracing.run_cycle();
   sim.run();
 

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "common/types.hpp"
 
 namespace cgc {
@@ -98,19 +96,6 @@ TEST(Rng, ForkProducesIndependentStream) {
     same += a.next() == fork.next() ? 1 : 0;
   }
   EXPECT_LT(same, 5);
-}
-
-TEST(Table, AlignsColumnsAndFormatsFloats) {
-  Table t({"k", "messages", "ratio"});
-  t.row(8, 123, 1.5);
-  t.row(512, 7, 0.25);
-  std::ostringstream out;
-  t.print(out);
-  const std::string s = out.str();
-  EXPECT_NE(s.find("  k | messages | ratio"), std::string::npos);
-  EXPECT_NE(s.find("1.50"), std::string::npos);
-  EXPECT_NE(s.find("0.25"), std::string::npos);
-  EXPECT_NE(s.find("512"), std::string::npos);
 }
 
 }  // namespace
