@@ -4,8 +4,8 @@
 // with fixed seeds, and checks the claim as bounds over the measured
 // series. Writes BENCH_claims.json (per claim: its series, every bound
 // checked against them, and a `holds` verdict), BENCH_transport.json and
-// BENCH_logkeeping.json into the working directory. Exits 1 when a gated
-// bound fails; an ungated bound records a known gap without failing.
+// BENCH_logkeeping.json into the working directory. Exits 1 when a bound
+// fails.
 // Absolute message counts are simulator-specific; the shapes are the
 // reproduced result.
 #include <algorithm>
@@ -138,12 +138,9 @@ double fitted_exponent(const Series& s, const std::string& y) {
 
 /// Streams BENCH_claims.json. Each claim is one object: its paper
 /// section and statement, its measured series, then every bound checked
-/// against them and the claim's verdict. A failed gated bound fails the
-/// run; a failed ungated bound is a known gap.
+/// against them and the claim's verdict. A failed bound fails the run.
 class Claims {
  public:
-  enum class Gate { kGated, kUngated };
-
   explicit Claims(Json& json) : json_(json) {}
 
   void begin(const std::string& id, const std::string& section,
@@ -162,18 +159,15 @@ class Claims {
     return series_.emplace_back(std::move(name), std::move(columns));
   }
 
-  void check(const std::string& bound, bool holds,
-             Gate gate = Gate::kGated) {
-    const bool gated = gate == Gate::kGated;
-    checks_.row(bound, gated, holds);
-    gated_failure_ |= gated && !holds;
-    std::cout << id_ << ' '
-              << (holds ? "holds" : gated ? "FAILS" : "known gap") << ": "
-              << bound << '\n';
+  void check(const std::string& bound, bool holds) {
+    checks_.row(bound, holds);
+    failed_ |= !holds;
+    std::cout << id_ << ' ' << (holds ? "holds" : "FAILS") << ": " << bound
+              << '\n';
   }
 
   /// Writes the claim's series, its checks and its verdict: the claim
-  /// holds when every one of its bounds does, gated or not.
+  /// holds when every one of its bounds does.
   void end() {
     for (const Series& s : series_) {
       write(s);
@@ -187,7 +181,7 @@ class Claims {
     checks_.rows.clear();
   }
 
-  [[nodiscard]] bool gated_failure() const { return gated_failure_; }
+  [[nodiscard]] bool failed() const { return failed_; }
 
  private:
   void write(const Series& s) {
@@ -207,8 +201,8 @@ class Claims {
   Json& json_;
   std::string id_;
   std::deque<Series> series_;
-  Series checks_{"checks", {"bound", "gated", "holds"}};
-  bool gated_failure_ = false;
+  Series checks_{"checks", {"bound", "holds"}};
+  bool failed_ = false;
 };
 
 void t1_doubly_linked_list(Claims& c) {
@@ -253,8 +247,8 @@ void t1_doubly_linked_list(Claims& c) {
   c.check("schelvis fitted exponent >= 1.8", sch_exp >= 1.8);
   c.check("ours fitted exponent < schelvis fitted exponent",
           ours_exp < sch_exp);
-  c.check("ours_msgs < schelvis_msgs for every k >= 16", ours_below_from_16,
-          Claims::Gate::kUngated);
+  c.check("ours fitted exponent <= 1.5", ours_exp <= 1.5);
+  c.check("ours_msgs < schelvis_msgs for every k >= 16", ours_below_from_16);
   c.end();
 }
 
@@ -503,10 +497,13 @@ void t7_latency(Claims& c) {
   }
   c.check("every k is collected", rows.column<std::uint64_t>("collected") ==
                                       rows.column<std::uint64_t>("k"));
+  // "Near-constant" is read as bounded by a constant factor across
+  // k = 4..64: the per-object cost may drift with the ring's sub-cycle
+  // structure, but never grow with k. A cost linear in k would be 16x
+  // here.
   const auto [lo, hi] =
       std::ranges::minmax(rows.column<double>("msgs_per_object"));
-  c.check("msgs_per_object max/min <= 2", hi <= 2 * lo,
-          Claims::Gate::kUngated);
+  c.check("msgs_per_object max/min <= 2", hi <= 2 * lo);
   c.end();
 }
 
@@ -687,5 +684,5 @@ int main() {
   t7_latency(claims);
   f7_logkeeping(claims);
   close_bench(json, os);
-  return claims.gated_failure() ? 1 : 0;
+  return claims.failed() ? 1 : 0;
 }

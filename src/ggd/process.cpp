@@ -423,6 +423,12 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     }
   }
 
+  if (!is_root_ && msg.condemned.contains(id_)) {
+    // A cascade whose condemned set names us carries a confirmed
+    // unreachable verdict that covers us: no walk, no confirmation round.
+    return remove_self(msg.condemned);
+  }
+
   // Garbage decision: edge-precise reachability over the replicated
   // in-edge rows. The aggregate vector time V cannot be used on its own —
   // a destruction marker for one edge of q would mask a live entry for a
@@ -545,8 +551,11 @@ std::vector<GgdMessage> GgdProcess::decide(RootPredicate is_root,
     if (unconfirmed.empty()) {
       // Garbage being a stable property (§5), the decision is final.
       // Finalise by cascading edge-destruction messages to all successors.
+      // Every consulted subject reaches us along the in-edges the walk
+      // followed, and its row is confirmed, so the verdict condemns each
+      // of them too: the cascade carries the set.
       pending_verify_ = false;
-      std::vector<GgdMessage> fin = remove_self();
+      std::vector<GgdMessage> fin = remove_self(consulted);
       out.insert(out.end(), std::make_move_iterator(fin.begin()),
                  std::make_move_iterator(fin.end()));
     } else {
@@ -923,7 +932,8 @@ DependencyVector GgdProcess::compute_v() const {
   return v;
 }
 
-GgdMessage GgdProcess::make_destruction_message(ProcessId to) {
+GgdMessage GgdProcess::make_destruction_message(
+    ProcessId to, const FlatSet<ProcessId>& condemned) {
   // §3.4: the edge-destruction control message from i to k carries the row
   // DV_i[k] maintained on behalf of k — thereby atomically delivering every
   // deferred third-party edge-creation entry — with slot i replaced by a
@@ -937,6 +947,9 @@ GgdMessage GgdProcess::make_destruction_message(ProcessId to) {
   msg.v.set(id_, Timestamp::destruction(log_.own_timestamp().index()));
   msg.self_row = log_.self_row();
   msg.dead = dead_;
+  if (condemned.contains(to)) {
+    msg.condemned = condemned;
+  }
   attach_sync(msg, /*include_rows=*/true);
   return msg;
 }
@@ -1207,7 +1220,8 @@ void GgdProcess::trim_storage() {
   trim(in_edge_confirmed_);
 }
 
-std::vector<GgdMessage> GgdProcess::remove_self() {
+std::vector<GgdMessage> GgdProcess::remove_self(
+    const FlatSet<ProcessId>& condemned) {
   CGC_CHECK(!removed_);
   CGC_CHECK_MSG(!is_root_, "an actual root can never be removed by GGD");
   // Announce our own death in the finalisation messages so receivers (and
@@ -1216,7 +1230,7 @@ std::vector<GgdMessage> GgdProcess::remove_self() {
   std::vector<GgdMessage> out;
   out.reserve(acquaintances_.size());
   for (ProcessId k : acquaintances_) {
-    out.push_back(make_destruction_message(k));
+    out.push_back(make_destruction_message(k, condemned));
   }
   removed_ = true;
   return out;

@@ -116,6 +116,14 @@ struct GgdMessage {
   /// lost destruction message).
   bool has_out_edges = false;
   FlatSet<ProcessId> out_edges;
+  /// Condemned set of a confirmed unreachable verdict, carried on the
+  /// destruction messages of its removal cascade (empty elsewhere). The
+  /// finalising walker's consulted rows were each confirmed fresh and
+  /// hold no live path from a root, so the set is closed under in-edges
+  /// and holds no root: every member is garbage, which is stable (§5). A
+  /// receiver named in it removes itself without a confirmation round of
+  /// its own and forwards the same set.
+  FlatSet<ProcessId> condemned;
 
   [[nodiscard]] bool is_destruction() const {
     return v.get(from).destroyed();
@@ -225,11 +233,15 @@ class GgdProcess {
   /// itself (or when the mutator side destroys one specific edge — see
   /// lazy_logkeeping). Exposed for the destructor cascade and for tests.
   /// Non-const: attaching rows advances the destination's sent frontier.
-  [[nodiscard]] GgdMessage make_destruction_message(ProcessId to);
+  /// `condemned` rides along when it names `to` (see GgdMessage).
+  [[nodiscard]] GgdMessage make_destruction_message(
+      ProcessId to, const FlatSet<ProcessId>& condemned = {});
 
   /// Marks the process removed and returns the finalisation cascade
-  /// messages (one edge-destruction message per acquaintance).
-  [[nodiscard]] std::vector<GgdMessage> remove_self();
+  /// messages (one edge-destruction message per acquaintance), each
+  /// carrying `condemned` if it is addressed to a member of that set.
+  [[nodiscard]] std::vector<GgdMessage> remove_self(
+      const FlatSet<ProcessId>& condemned = {});
 
   /// Builds the answer to an inquiry: this process's current vector-time
   /// approximation, vouchers and death knowledge, flagged as a reply so

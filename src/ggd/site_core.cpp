@@ -37,6 +37,8 @@ void SiteCore::attach_obs(obs::Registry* registry, obs::Journal* journal) {
     metrics_.walks_unreachable = &registry->counter("ggd.walks_unreachable");
     metrics_.destructions_reemitted =
         &registry->counter("ggd.destructions_reemitted");
+    metrics_.removals_condemned =
+        &registry->counter("ggd.removals_condemned");
     metrics_.inquiries = &registry->counter("ggd.inquiries");
     metrics_.inquiries_by_reason = {
         &registry->counter("ggd.inquiries.reverify"),
@@ -216,6 +218,9 @@ void SiteCore::deliver(const GgdMessage& msg) {
   observe_walk(target, now);
   if (target.removed()) {
     note_removed(target);
+    if (msg.condemned.contains(msg.to)) {
+      note_condemned(msg.to, msg.from);
+    }
   }
   dispatch_all(std::move(out));
   host_.schedule_flush(msg.to);
@@ -233,6 +238,32 @@ void SiteCore::note_removed(GgdProcess& p) {
   if (on_removed_) {
     on_removed_(p.id());
   }
+}
+
+void SiteCore::note_condemned(ProcessId p, ProcessId from) {
+  if (metrics_.removals_condemned != nullptr) {
+    metrics_.removals_condemned->inc();
+  }
+  if (journal_ == nullptr) {
+    return;
+  }
+  // The set travels unchanged down the cascade, so the walker is `from`
+  // itself unless `from` was condemned in turn: its own newest record
+  // then names the walker. A sender whose records the ring has already
+  // overwritten is named instead.
+  ProcessId walker = from;
+  journal_->scan_backwards([&](const obs::Record& r) {
+    if (r.a != from) {
+      return true;
+    }
+    if (r.kind == obs::EventKind::kCondemned) {
+      walker = r.b;
+      return false;
+    }
+    return r.kind != obs::EventKind::kReclaim;
+  });
+  journal_->record(host_.now(), host_.site_of(p), obs::EventKind::kCondemned,
+                   p, walker);
 }
 
 bool SiteCore::sweep_slice(std::uint64_t budget_units) {

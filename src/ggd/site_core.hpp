@@ -199,6 +199,10 @@ class SiteCore {
   }
   void dispatch_all(std::vector<GgdMessage> msgs);
   void note_removed(GgdProcess& p);
+  /// Records that `p` was removed by the condemned set `from`'s
+  /// destruction delivered: counted, and journaled with the walker whose
+  /// verdict the set carries.
+  void note_condemned(ProcessId p, ProcessId from);
   /// Records the decision walk `p` just ran (metrics and verdict record).
   void observe_walk(GgdProcess& p, SimTime now);
 
@@ -257,6 +261,7 @@ class SiteCore {
     obs::Counter* walks_blocked = nullptr;
     obs::Counter* walks_unreachable = nullptr;
     obs::Counter* destructions_reemitted = nullptr;
+    obs::Counter* removals_condemned = nullptr;
     obs::Counter* inquiries = nullptr;
     /// ggd.inquiries split by GgdProcess::InquiryReason; the four sum to
     /// `inquiries` because decide() is the only inquiry source.

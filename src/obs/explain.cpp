@@ -97,6 +97,7 @@ Explanation explain_not_collected(const Journal& journal,
   // Most recent decisive records about x, newest wins per category.
   bool reclaimed = false;
   SimTime reclaimed_at = 0;
+  ProcessId condemned_by;  // the walker, when a condemned set removed x
   bool have_migration = false;
   bool migration_open = false;  // newest freeze/deliver is a freeze
   bool have_walk = false;
@@ -113,6 +114,11 @@ Explanation explain_not_collected(const Journal& journal,
         if (!reclaimed && r.a == x) {
           reclaimed = true;
           reclaimed_at = r.at;
+        }
+        break;
+      case EventKind::kCondemned:
+        if (!reclaimed && r.a == x) {
+          condemned_by = r.b;
         }
         break;
       case EventKind::kMigrateFreeze:
@@ -139,10 +145,14 @@ Explanation explain_not_collected(const Journal& journal,
   });
 
   if (reclaimed) {
-    return make(Cause::kAlreadyCollected,
-                name + " was collected at tick " +
-                    std::to_string(reclaimed_at),
-                journal, x, at);
+    std::string answer =
+        name + " was collected at tick " + std::to_string(reclaimed_at);
+    if (condemned_by.valid()) {
+      answer += ", without a walk of its own: walker " + condemned_by.str() +
+                "'s confirmed unreachable verdict consulted its row and "
+                "condemned it";
+    }
+    return make(Cause::kAlreadyCollected, std::move(answer), journal, x, at);
   }
   if (engine.process(x).is_root()) {
     return make(Cause::kIsRoot, name + " is a root; roots are never collected",

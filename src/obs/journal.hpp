@@ -34,6 +34,8 @@ enum class EventKind : std::uint8_t {
   kMigrateDeliver,      // a = migrant, site = dst, detail = src site
   kMigrateBounce,       // a = intended target at a stale/absent site
   kReclaim,             // a = process removed for good
+  kCondemned,           // a = process removed by a condemned set, b = the
+                        // walker whose confirmed verdict condemned it
 };
 
 [[nodiscard]] inline const char* to_string(EventKind k) {
@@ -60,6 +62,8 @@ enum class EventKind : std::uint8_t {
       return "migrate_bounce";
     case EventKind::kReclaim:
       return "reclaim";
+    case EventKind::kCondemned:
+      return "condemned";
   }
   return "?";
 }
@@ -232,6 +236,9 @@ class Journal {
       break;
     case EventKind::kReclaim:
       s += " proc=" + r.a.str();
+      break;
+    case EventKind::kCondemned:
+      s += " proc=" + r.a.str() + " walker=" + r.b.str();
       break;
   }
   return s;

@@ -64,6 +64,10 @@ void write_args(std::ostream& os, const Record& r) {
     case EventKind::kReclaim:
       os << "\"proc\":\"" << r.a.str() << "\"";
       break;
+    case EventKind::kCondemned:
+      os << "\"proc\":\"" << r.a.str() << "\",\"walker\":\"" << r.b.str()
+         << "\"";
+      break;
   }
   os << "}}";
 }

@@ -55,35 +55,52 @@ std::vector<MutatorOp> minimize_trace(const std::vector<MutatorOp>& ops,
   return cur;
 }
 
+FailurePredicate same_failure(const ScenarioSpec& spec,
+                              FailureClass target) {
+  return [spec, target = std::move(target)](
+             const std::vector<MutatorOp>& candidate) {
+    return run_conformance(spec, candidate).has_failure(target);
+  };
+}
+
 namespace {
 
-std::string op_code(const MutatorOp& op) {
+/// One op as an initializer (`code`) and what it does in words
+/// (`comment`, empty when the code says it all).
+struct OpText {
+  std::string code;
+  std::string comment;
+};
+
+OpText op_text(const MutatorOp& op) {
   switch (op.kind) {
     case MutatorOp::Kind::kAddRoot:
-      return "{MutatorOp::Kind::kAddRoot, P(" + op.a.str() + "), {}, {}}";
+      return {"{MutatorOp::Kind::kAddRoot, P(" + op.a.str() + "), {}, {}}",
+              ""};
     case MutatorOp::Kind::kCreate:
-      return "{MutatorOp::Kind::kCreate, P(" + op.a.str() + "), P(" +
-             op.b.str() + "), {}}  // " + op.b.str() + " creates " +
-             op.a.str();
+      return {"{MutatorOp::Kind::kCreate, P(" + op.a.str() + "), P(" +
+                  op.b.str() + "), {}}",
+              op.b.str() + " creates " + op.a.str()};
     case MutatorOp::Kind::kLinkOwn:
-      return "{MutatorOp::Kind::kLinkOwn, P(" + op.a.str() + "), P(" +
-             op.b.str() + "), {}}  // edge " + op.b.str() + " -> " +
-             op.a.str();
+      return {"{MutatorOp::Kind::kLinkOwn, P(" + op.a.str() + "), P(" +
+                  op.b.str() + "), {}}",
+              "edge " + op.b.str() + " -> " + op.a.str()};
     case MutatorOp::Kind::kLinkThird:
-      return "{MutatorOp::Kind::kLinkThird, P(" + op.forwarder().str() +
-             "), P(" + op.recipient().str() + "), P(" + op.subject().str() +
-             ")}  // " + op.forwarder().str() + " forwards " +
-             op.subject().str() + " to " + op.recipient().str();
+      return {"{MutatorOp::Kind::kLinkThird, P(" + op.forwarder().str() +
+                  "), P(" + op.recipient().str() + "), P(" +
+                  op.subject().str() + ")}",
+              op.forwarder().str() + " forwards " + op.subject().str() +
+                  " to " + op.recipient().str()};
     case MutatorOp::Kind::kDrop:
-      return "{MutatorOp::Kind::kDrop, P(" + op.a.str() + "), P(" +
-             op.b.str() + "), {}}  // " + op.a.str() + " drops " +
-             op.b.str();
+      return {"{MutatorOp::Kind::kDrop, P(" + op.a.str() + "), P(" +
+                  op.b.str() + "), {}}",
+              op.a.str() + " drops " + op.b.str()};
     case MutatorOp::Kind::kMigrate:
-      return "{MutatorOp::Kind::kMigrate, P(" + op.a.str() +
-             "), {}, {}, SiteId{" + op.site.str() + "}}  // " + op.a.str() +
-             " hands off to site " + op.site.str();
+      return {"{MutatorOp::Kind::kMigrate, P(" + op.a.str() +
+                  "), {}, {}, SiteId{" + op.site.str() + "}}",
+              op.a.str() + " hands off to site " + op.site.str()};
   }
-  return "{}";
+  return {"{}", ""};
 }
 
 }  // namespace
@@ -91,7 +108,14 @@ std::string op_code(const MutatorOp& op) {
 std::string format_trace(const std::vector<MutatorOp>& ops) {
   std::ostringstream os;
   for (const MutatorOp& op : ops) {
-    os << "      " << op_code(op) << ",\n";
+    // The separating comma goes before the line comment, or the comment
+    // would swallow it.
+    const OpText text = op_text(op);
+    os << "      " << text.code << ',';
+    if (!text.comment.empty()) {
+      os << "  // " << text.comment;
+    }
+    os << '\n';
   }
   return os.str();
 }

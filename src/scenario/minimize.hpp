@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
 namespace cgc {
@@ -29,6 +30,13 @@ struct MinimizeOptions {
   /// scenario, so this is the time budget knob).
   std::size_t max_evaluations = 400;
 };
+
+/// The predicate that keeps one failure: a candidate fails when its
+/// conformance run under `spec` reports a failure of class `target`. A
+/// predicate that accepted any failure would let a safety bug shrink into
+/// an unrelated completeness gap of another engine.
+[[nodiscard]] FailurePredicate same_failure(const ScenarioSpec& spec,
+                                            FailureClass target);
 
 /// Shrinks `ops` while `fails` keeps holding. The input is normalised
 /// first; the result is 1-minimal within the evaluation budget.

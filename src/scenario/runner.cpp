@@ -210,6 +210,47 @@ bool ConformanceReport::ok() const {
   return true;
 }
 
+namespace {
+
+/// Every failure of the report with its class, in summary() order.
+template <typename Fn>
+void for_each_failure(const ConformanceReport& r, Fn&& fn) {
+  const auto classify = [](const std::string& engine, const std::string& f) {
+    return FailureClass{engine, f.substr(0, f.find(':'))};
+  };
+  for (const EngineRun& run : r.engines) {
+    for (const std::string& f : run.failures) {
+      fn(classify(run.name, f));
+    }
+  }
+  for (const std::string& f : r.differential_failures) {
+    fn(classify("differential", f));
+  }
+}
+
+}  // namespace
+
+std::optional<FailureClass> ConformanceReport::primary_failure() const {
+  std::optional<FailureClass> first;
+  std::optional<FailureClass> safety;
+  for_each_failure(*this, [&](const FailureClass& c) {
+    if (!first) {
+      first = c;
+    }
+    if (!safety && c.verdict == "SAFETY") {
+      safety = c;
+    }
+  });
+  return safety ? safety : first;
+}
+
+bool ConformanceReport::has_failure(const FailureClass& c) const {
+  bool found = false;
+  for_each_failure(*this,
+                   [&](const FailureClass& f) { found = found || f == c; });
+  return found;
+}
+
 std::string ConformanceReport::summary() const {
   std::ostringstream os;
   os << "scenario " << spec.describe() << " (" << trace_ops << " ops, "

@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -77,6 +78,16 @@ struct EngineRun {
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
 
+/// What kind of failure a run reported, and where: the engine (or
+/// "differential") and the verdict kind, the text before a failure
+/// line's first ':' ("SAFETY", "COMPLETENESS", ...).
+struct FailureClass {
+  std::string engine;
+  std::string verdict;
+
+  [[nodiscard]] bool operator==(const FailureClass&) const = default;
+};
+
 struct ConformanceReport {
   ScenarioSpec spec;
   std::size_t trace_ops = 0;
@@ -90,6 +101,11 @@ struct ConformanceReport {
   /// Every failure across all engines, one per line, prefixed with the
   /// engine name — the message a fuzz seed prints before minimizing.
   [[nodiscard]] std::string summary() const;
+  /// The failure a minimizer must preserve: the first SAFETY failure if
+  /// there is one, else the first failure. Empty when ok().
+  [[nodiscard]] std::optional<FailureClass> primary_failure() const;
+  /// True when some failure belongs to `c`.
+  [[nodiscard]] bool has_failure(const FailureClass& c) const;
 };
 
 /// True when some op re-creates an edge (holder, target) that an earlier

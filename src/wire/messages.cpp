@@ -6,6 +6,9 @@ namespace {
 constexpr std::uint8_t kInquiryBit = 1;
 constexpr std::uint8_t kReplyBit = 2;
 constexpr std::uint8_t kOutEdgesBit = 4;
+/// Set only when the message carries a condemned set, which is then
+/// encoded after `out_edges`; every other message keeps its bytes.
+constexpr std::uint8_t kCondemnedBit = 8;
 
 void encode_body(Encoder& enc, const RefTransfer& t) {
   enc.varint(t.transfer_id);
@@ -55,8 +58,12 @@ void encode_body(Encoder& enc, const GgdControl& c) {
   flags |= m.inquiry ? kInquiryBit : 0;
   flags |= m.reply ? kReplyBit : 0;
   flags |= m.has_out_edges ? kOutEdgesBit : 0;
+  flags |= m.condemned.empty() ? 0 : kCondemnedBit;
   enc.u8(flags);
   enc.process_set(m.out_edges);
+  if (!m.condemned.empty()) {
+    enc.process_set(m.condemned);
+  }
 }
 
 /// Decodes into `c`, reusing its storage (row vectors through the pools).
@@ -79,6 +86,11 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
   m.reply = (flags & kReplyBit) != 0;
   m.has_out_edges = (flags & kOutEdgesBit) != 0;
   dec.process_set(m.out_edges);
+  if ((flags & kCondemnedBit) != 0) {
+    dec.process_set(m.condemned);
+  } else {
+    m.condemned.clear();  // warm storage may hold the previous message's
+  }
 }
 
 /// Elements the storage of `c` can hold, rows included.
@@ -88,7 +100,7 @@ std::size_t retained(const GgdControl& c) {
                   m.behalf.capacity() + m.behalf_rows.capacity() +
                   m.rows.capacity() + m.row_revs.capacity() +
                   m.row_acks.capacity() + m.dead.capacity() +
-                  m.out_edges.capacity();
+                  m.out_edges.capacity() + m.condemned.capacity();
   for (const auto& [q, row] : m.behalf_rows) {
     n += row.capacity();
   }
@@ -111,6 +123,7 @@ void clear_ggd_control(GgdControl& c, RowPool& behalf_pool,
   m.row_acks.clear();
   m.dead.clear();
   m.out_edges.clear();
+  m.condemned.clear();
 }
 
 void encode_body(Encoder& enc, const EagerEdgeUpdate& e) {

@@ -2,6 +2,7 @@
 // closure, finalisation and idempotence — independent of any network.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -175,6 +176,127 @@ TEST(GgdProcess, RemoveSelfSendsDestructionToEveryAcquaintance) {
     EXPECT_TRUE(m.is_destruction());
     EXPECT_TRUE(m.dead.contains(P(2))) << "death certificate rides along";
   }
+}
+
+/// Member 3 of a garbage list 2 <-> 3 <-> 4 that also holds live 9:
+/// live in-edges from 2 and 4, whose rows 3 has never seen.
+GgdProcess list_member() {
+  GgdProcess p(P(3), false);
+  LazyLogKeeping lk;
+  p.log().self_row().increment(P(2));
+  p.log().self_row().increment(P(4));
+  lk.on_receive_ref(p, P(2));
+  lk.on_receive_ref(p, P(4));
+  lk.on_receive_ref(p, P(9));
+  return p;
+}
+
+/// Walker 2's finalisation cascade towards `to`, carrying `condemned`.
+GgdMessage cascade_from_2(ProcessId to, FlatSet<ProcessId> condemned) {
+  GgdMessage msg;
+  msg.from = P(2);
+  msg.to = to;
+  msg.v.set(P(2), Timestamp::destruction(1));
+  msg.dead.insert(P(2));
+  msg.condemned = std::move(condemned);
+  return msg;
+}
+
+std::size_t inquiries_in(const std::vector<GgdMessage>& out) {
+  std::size_t n = 0;
+  for (const GgdMessage& m : out) {
+    n += m.inquiry ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(GgdProcess, CondemnedDestructionRemovesAMemberWithoutInquiries) {
+  const FlatSet<ProcessId> condemned = {P(3), P(4)};
+  GgdProcess p = list_member();
+  const auto out = p.receive(cascade_from_2(P(3), condemned), roots({1}));
+  EXPECT_TRUE(p.removed()) << "no walk, no confirmation round";
+  EXPECT_EQ(inquiries_in(out), 0u);
+  ASSERT_EQ(out.size(), 3u);
+  for (const GgdMessage& m : out) {
+    EXPECT_TRUE(m.is_destruction());
+    // Only a member of the set can use it: 4 gets it, 2 and 9 do not.
+    EXPECT_EQ(m.condemned,
+              m.to == P(4) ? condemned : FlatSet<ProcessId>{})
+        << "to " << m.to.str();
+  }
+
+  // Without the set, 4's unknown row blocks the same member's walk.
+  GgdProcess twin = list_member();
+  (void)twin.receive(cascade_from_2(P(3), {}), roots({1}));
+  EXPECT_FALSE(twin.removed());
+}
+
+TEST(GgdProcess, RootOrCollectedProcessNamedInACondemnedSetIsUntouched) {
+  GgdProcess root(P(1), true);
+  root.log().self_row().increment(P(2));
+  const auto root_out =
+      root.receive(cascade_from_2(P(1), {P(1), P(4)}), roots({1}));
+  EXPECT_FALSE(root.removed());
+  EXPECT_TRUE(root_out.empty());
+
+  GgdProcess gone = list_member();
+  (void)gone.remove_self();
+  EXPECT_TRUE(
+      gone.receive(cascade_from_2(P(3), {P(3), P(4)}), roots({1})).empty());
+}
+
+TEST(GgdProcess, ReceiverOutsideTheCondemnedSetDecidesAsBefore) {
+  // Two receivers: one that blocks on an unknown row, and one whose only
+  // in-edge the destruction kills, so its own walk removes it.
+  const auto lone_holder = [] {
+    GgdProcess p(P(3), false);
+    LazyLogKeeping lk;
+    p.log().self_row().increment(P(2));
+    lk.on_receive_ref(p, P(4));
+    return p;
+  };
+  for (const auto& make : {std::function<GgdProcess()>(list_member),
+                           std::function<GgdProcess()>(lone_holder)}) {
+    GgdProcess named_others = make();
+    GgdProcess plain = make();
+    const auto a =
+        named_others.receive(cascade_from_2(P(3), {P(4), P(7)}), roots({1}));
+    const auto b = plain.receive(cascade_from_2(P(3), {}), roots({1}));
+    EXPECT_EQ(a, b);
+    ASSERT_EQ(named_others.removed(), plain.removed());
+    if (!plain.removed()) {
+      EXPECT_EQ(named_others.export_state(), plain.export_state());
+    }
+  }
+}
+
+TEST(GgdProcess, FinalisingWalkerShipsItsConsultedSet) {
+  // Garbage cycle 2 <-> 3: walker 3 consults 2's row, confirms it with a
+  // reply that postdates the suspicion, and condemns 2 in its cascade.
+  GgdProcess p(P(3), false);
+  LazyLogKeeping lk;
+  p.log().self_row().increment(P(2));
+  lk.on_receive_ref(p, P(2));
+  const auto reply_from_2 = [] {
+    GgdMessage r;
+    r.from = P(2);
+    r.to = P(3);
+    r.v.set(P(2), Timestamp::creation(1));
+    r.v.set(P(3), Timestamp::creation(1));
+    r.self_row = r.v;
+    r.reply = true;
+    r.has_out_edges = true;
+    r.out_edges = {P(3)};
+    return r;
+  };
+  const auto first = p.receive(reply_from_2(), roots({1}), /*now=*/5);
+  EXPECT_FALSE(p.removed()) << "the verdict begins pending at this reply";
+  EXPECT_EQ(inquiries_in(first), 1u);
+  const auto fin = p.receive(reply_from_2(), roots({1}), /*now=*/6);
+  ASSERT_TRUE(p.removed());
+  ASSERT_EQ(fin.size(), 1u);
+  EXPECT_TRUE(fin[0].is_destruction());
+  EXPECT_EQ(fin[0].condemned, FlatSet<ProcessId>{P(2)});
 }
 
 TEST(GgdProcess, DeadHoldersFinalBundleCompletesTheRemoval) {

@@ -8,6 +8,8 @@
 // through unconfirmed-destruction → already-collected as the fault heals.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "obs/explain.hpp"
 #include "scenario/spec.hpp"
 #include "workload/scenario.hpp"
@@ -57,6 +59,44 @@ TEST(Explain, ReclaimRecordWins) {
   EXPECT_NE(e.answer.find("tick 30"), std::string::npos) << e.answer;
   ASSERT_FALSE(e.evidence.empty());
   EXPECT_NE(e.evidence.front().find("reclaim"), std::string::npos);
+}
+
+TEST(Explain, CondemnedRemovalNamesTheWalker) {
+  Rig r;
+  r.journal.record(30, SiteId{1}, EventKind::kReclaim, P(2));
+  r.journal.record(30, SiteId{1}, EventKind::kCondemned, P(2), P(7));
+  const Explanation e = r.explain(P(2), 40);
+  EXPECT_EQ(e.cause, Cause::kAlreadyCollected);
+  EXPECT_NE(e.answer.find("walker 7"), std::string::npos) << e.answer;
+}
+
+// A condemned set travels the cascade unchanged, so every removal it
+// causes is journaled with the walker whose own verdict started it: a
+// process removed by its own walk, never by another condemned set.
+TEST(ExplainRegression, CondemnedRemovalsNameTheirWalker) {
+  const auto replay = obs::replay_seed(7);
+  Scenario& s = *replay->scenario;
+  std::set<ProcessId> condemned;
+  std::set<ProcessId> walkers;
+  replay->journal.for_each([&](const obs::Record& r) {
+    if (r.kind == EventKind::kCondemned) {
+      condemned.insert(r.a);
+      walkers.insert(r.b);
+    }
+  });
+  ASSERT_FALSE(condemned.empty());
+  EXPECT_EQ(replay->registry.counter("ggd.removals_condemned").value(),
+            condemned.size());
+  for (ProcessId w : walkers) {
+    EXPECT_FALSE(condemned.contains(w)) << w.str();
+    EXPECT_TRUE(s.removed().contains(w)) << w.str();
+  }
+  const ProcessId p = *condemned.begin();
+  const Explanation e = obs::explain_not_collected(
+      replay->journal, s.engine(), p, s.sim().now(), &s.oracle());
+  EXPECT_EQ(e.cause, Cause::kAlreadyCollected);
+  EXPECT_NE(e.answer.find("without a walk of its own"), std::string::npos)
+      << e.answer;
 }
 
 TEST(Explain, RecordsAfterTheQueryTickAreInvisible) {

@@ -4,6 +4,8 @@
 // guarantees are each pinned here.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "oracle/reachability_oracle.hpp"
 #include "scenario/minimize.hpp"
 #include "scenario/runner.hpp"
@@ -209,6 +211,46 @@ TEST(Minimizer, FormatsAPasteableRegressionTest) {
   EXPECT_NE(code.find("run_conformance"), std::string::npos);
   EXPECT_NE(code.find("kLinkThird, P(1), P(3), P(2)"), std::string::npos);
   EXPECT_NE(code.find("report.ok()"), std::string::npos);
+}
+
+TEST(Minimizer, KeepsTheSafetyFailureOfItsOwnEngine) {
+  // A report whose first failure is another engine's completeness gap:
+  // the minimizer must keep the safety failure, not whichever comes
+  // first, and another engine's safety failure is not the same bug.
+  ConformanceReport report;
+  report.engines.resize(2);
+  report.engines[0].name = "wrc";
+  report.engines[0].failures = {"COMPLETENESS: countable garbage { 9 }"};
+  report.engines[1].name = "ggd_robust";
+  report.engines[1].failures = {"COMPLETENESS: residual garbage { 4 }",
+                                "SAFETY: proc 7 removed while reachable"};
+  const FailureClass safety{"ggd_robust", "SAFETY"};
+  EXPECT_EQ(report.primary_failure(), safety);
+  EXPECT_TRUE(report.has_failure(safety));
+  EXPECT_FALSE(report.has_failure({"wrc", "SAFETY"}));
+  EXPECT_EQ(ConformanceReport{}.primary_failure(), std::nullopt);
+}
+
+TEST(Minimizer, FormattedOpsKeepTheirCommasOutsideComments) {
+  const std::vector<MutatorOp> ops = {
+      {MutatorOp::Kind::kAddRoot, P(1), {}, {}},
+      {MutatorOp::Kind::kCreate, P(2), P(1), {}},
+      {MutatorOp::Kind::kLinkOwn, P(2), P(1), {}},
+      {MutatorOp::Kind::kLinkThird, P(1), P(3), P(2)},
+      {MutatorOp::Kind::kDrop, P(1), P(2), {}},
+      {MutatorOp::Kind::kMigrate, P(2), {}, {}, SiteId{3}},
+  };
+  std::istringstream lines(format_trace(ops));
+  std::size_t n = 0;
+  for (std::string line; std::getline(lines, line); ++n) {
+    // Whatever a line comments, its code must end in the separating
+    // comma, or the pasted initializer list does not compile.
+    const std::string code = line.substr(0, line.find("//"));
+    const std::size_t last = code.find_last_not_of(' ');
+    ASSERT_NE(last, std::string::npos) << line;
+    EXPECT_EQ(code[last], ',') << line;
+  }
+  EXPECT_EQ(n, ops.size());
 }
 
 }  // namespace

@@ -37,11 +37,9 @@ void sweep(std::uint64_t first_seed, std::uint64_t last_seed) {
       continue;
     }
     // Shrink before reporting: the minimized trace IS the bug report.
-    auto fails = [&](const std::vector<MutatorOp>& candidate) {
-      return !run_conformance(spec, candidate).ok();
-    };
     const std::vector<MutatorOp> minimal =
-        minimize_trace(ops, fails, {.max_evaluations = 300});
+        minimize_trace(ops, same_failure(spec, *report.primary_failure()),
+                       {.max_evaluations = 300});
     const std::string regression = format_regression_test(spec, minimal);
     std::error_code ec;
     std::filesystem::create_directories("fuzz_artifacts", ec);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "wire/messages.hpp"
 
@@ -62,6 +64,9 @@ GgdMessage random_ggd_message(Rng& rng) {
   m.has_out_edges = rng.chance(0.3);
   if (m.has_out_edges) {
     m.out_edges = random_set(rng);
+  }
+  if (rng.chance(0.3)) {
+    m.condemned = random_set(rng);
   }
   return m;
 }
@@ -249,6 +254,46 @@ TEST(WireCodec, MessageRoundTripsAllShapes) {
     EXPECT_EQ(*decoded, msg);
     EXPECT_TRUE(dec.done());
   }
+}
+
+TEST(WireCodec, CondemnedSetRoundTripsAndCostsNothingWhenAbsent) {
+  Rng rng(4242);
+  GgdMessage without = random_ggd_message(rng);
+  without.condemned.clear();
+  GgdMessage with = without;
+  with.condemned = {P(3), P(9), P(700)};
+  const auto encode = [](const GgdMessage& m) {
+    std::vector<std::uint8_t> buf;
+    wire::Encoder enc(buf);
+    wire::encode_message(
+        enc, wire::WireMessage{MessageKind::kGgdDestruction,
+                               wire::GgdControl{m}});
+    return buf;
+  };
+  const std::vector<std::uint8_t> plain = encode(without);
+  const std::vector<std::uint8_t> marked = encode(with);
+  for (const auto* bytes : {&plain, &marked}) {
+    wire::Decoder dec(*bytes);
+    const auto decoded = wire::decode_message(dec);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_TRUE(dec.done());
+    EXPECT_EQ(std::get<wire::GgdControl>(decoded->body).msg,
+              bytes == &plain ? without : with);
+  }
+  // The set is appended behind its flag bit: every byte before it is the
+  // set-less encoding but for that one bit of the flags byte.
+  std::vector<std::uint8_t> set_bytes;
+  wire::Encoder set_enc(set_bytes);
+  set_enc.process_set(with.condemned);
+  ASSERT_EQ(marked.size(), plain.size() + set_bytes.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    differing += marked[i] != plain[i] ? 1 : 0;
+  }
+  EXPECT_EQ(differing, 1u);
+  EXPECT_TRUE(std::equal(set_bytes.begin(), set_bytes.end(),
+                         marked.end() - static_cast<std::ptrdiff_t>(
+                                            set_bytes.size())));
 }
 
 TEST(WireCodec, TruncatedBuffersAreRejectedAtEveryLength) {

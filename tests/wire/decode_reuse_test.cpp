@@ -40,7 +40,9 @@ FlatSet<ProcessId> random_set(Rng& rng, std::size_t max_entries) {
 /// A control message whose row map, row batch, sets and vectors are all
 /// large when `large` is set and small (often empty) otherwise, so that
 /// consecutive messages grow and shrink every container the decoder
-/// reuses.
+/// reuses. Half the other messages carry a condemned set, so a message
+/// without one (no flag bit, nothing encoded) often lands in storage that
+/// still holds a set and must come out empty.
 GgdMessage random_control(Rng& rng, bool large) {
   const std::size_t rows = large ? 8 + rng.below(8) : rng.below(3);
   const std::size_t entries = large ? 14 : 3;
@@ -71,6 +73,9 @@ GgdMessage random_control(Rng& rng, bool large) {
   if (m.has_out_edges) {
     m.out_edges = random_set(rng, large ? 10 : 2);
   }
+  if (!m.inquiry && !m.reply && rng.chance(0.5)) {
+    m.condemned = random_set(rng, large ? 16 : 3);
+  }
   return m;
 }
 
@@ -92,6 +97,7 @@ std::vector<std::uint8_t> malformed_after_rows(Rng& rng) {
   GgdMessage m = random_control(rng, /*large=*/true);
   m.has_out_edges = true;
   m.out_edges = {P(4), P(7)};
+  m.condemned.clear();
   std::vector<std::uint8_t> bytes = encode(control_message(m));
   // The out-edge set is last: count 2, id 4, delta 3.
   EXPECT_EQ(bytes.back(), 3);
