@@ -162,11 +162,11 @@ struct Golden {
 constexpr Golden kGoldens[] = {
     {1, 0xff2494c3c15165b2ULL, 0x8e2dfbfc5fcda68bULL},
     {2, 0xcf8837e364e7141dULL, 0xd4d82753c619077fULL},
-    {3, 0x68f7393c8a9798f9ULL, 0x2d2ecad96e19d764ULL},
-    {4, 0x4d7f6e58575f57dbULL, 0x68a1d2a14fea32e6ULL},
-    {5, 0x93c6946f9b4c39d5ULL, 0x9dd8d08f4b086a13ULL},
-    {7, 0x2a40dba2cf0b9314ULL, 0xf0ef5602a0eb01c9ULL},
-    {8, 0x4a4c8f58a84dcbc7ULL, 0xaa90b3d65fc8d8f0ULL},
+    {3, 0xc69efd443c8df9c0ULL, 0x00901ed8dc88ded9ULL},
+    {4, 0xc1998e9608b704d2ULL, 0xded8a3e45e08c45dULL},
+    {5, 0xeb8cc4690a8122e1ULL, 0xd5bddbec4da0245eULL},
+    {7, 0x7056c01bbeb932d8ULL, 0xf572e268c645b83fULL},
+    {8, 0xaedbbb757bc988b7ULL, 0xb22f7dec67d081ccULL},
     {12, 0xb24706f08ac5ea82ULL, 0xa238f3a5776248d7ULL},
 };
 

