@@ -16,7 +16,9 @@ namespace {
 ProcessId P(std::uint64_t v) { return ProcessId{v}; }
 
 /// A process whose log knows a ring of `n` predecessors (worst case for
-/// the closure: every history row contributes transitive entries).
+/// the closure: every history row contributes transitive entries). It
+/// ends on a log-keeping event, so its V is stale and compute_v() runs
+/// the closure.
 GgdProcess make_loaded_process(std::size_t n) {
   GgdProcess p(P(1), false);
   LazyLogKeeping lk;
@@ -37,6 +39,7 @@ GgdProcess make_loaded_process(std::size_t n) {
     m.self_row = row;
     (void)p.receive(m, [](ProcessId) { return false; });
   }
+  p.log().new_local_event();
   return p;
 }
 
@@ -94,6 +97,23 @@ void BM_ComputeVDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeVDense)->Arg(16)->Arg(64);
+
+/// An inquiry answered by a quiescent process: nothing changed its V
+/// since its last receive(), so the reply reuses that V instead of
+/// running the closure. The first reply ships the replica rows; the
+/// timed ones ship none, as on a settled peer.
+void BM_ReplyCurrent(benchmark::State& state) {
+  GgdProcess p = make_loaded_process(static_cast<std::size_t>(state.range(0)));
+  GgdMessage ping;
+  ping.from = P(2);
+  ping.to = P(1);
+  ping.reply = true;
+  (void)p.receive(ping, [](ProcessId) { return true; });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.make_reply(P(2)));
+  }
+}
+BENCHMARK(BM_ReplyCurrent)->Arg(16)->Arg(256);
 
 void BM_WalkToRoot(benchmark::State& state) {
   GgdProcess p = make_loaded_process(static_cast<std::size_t>(state.range(0)));

@@ -104,7 +104,8 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
   /// synchronously (zero messages, the paper's co-located rule 1); for a
   /// remote k one asynchronous, idempotent edge-announce message carries
   /// j's account to k (the object runtime layer's substitute for the
-  /// sender-side attribution it cannot compute — DESIGN.md §3).
+  /// sender-side attribution it cannot compute; see the granularity
+  /// mapping in runtime/runtime.hpp).
   void local_acquire(ProcessId j, ProcessId k);
 
   /// One round of the periodic GGD sweep a deployed system runs alongside

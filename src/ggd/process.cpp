@@ -279,6 +279,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       known_rows_.erase(q);
       row_rev_.erase(q);
       known_behalf_.erase(q);
+      v_current_ = false;
     }
   }
   // The sender's edge-precise in-edge row. An *empty* row is still an
@@ -317,7 +318,9 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // fresh account as of now — record the arrival time so an unreachable
     // verdict that began pending earlier may rest on it.
     confirm_time_[m] = now;
-    history_.row(m).merge(msg.v);
+    if (history_.row(m).merge(msg.v)) {
+      v_current_ = false;
+    }
     if (msg.has_out_edges && msg.out_edges.contains(id_)) {
       // The responder vouches that it currently holds us: its in-edge
       // claim is delivery-confirmed up to the slot's present index.
@@ -337,7 +340,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
         // edge, which re-resurrects and re-verifies.
         const std::uint64_t version =
             std::max(cur.index(), msg.self_row.get(m).index());
-        log_.self_row().set(m, Timestamp::destruction(version));
+        set_self_entry(m, Timestamp::destruction(version));
         resurrected_.erase(m);
         // Every fact index seen so far for this slot is hereby refuted:
         // only a strictly newer grant may resurrect it again.
@@ -357,8 +360,8 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // slot of `msg.v` legitimately describes an incoming edge of this
     // process. The marker masks every creation entry for `m` with index
     // <= its own.
-    log_.new_local_event();
-    log_.self_row().merge_entry(m, vm);
+    set_self_entry(id_, Timestamp::creation(log_.own_timestamp().index() + 1));
+    set_self_entry(m, Timestamp::merge(known_m, vm));
     resurrected_.erase(m);
     merge_edge_facts(msg.v, /*skip=*/m);
   } else if (vm.destroyed()) {
@@ -368,7 +371,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // edge facts that must still land — dropping them can lose the ONLY
     // record of a lazily-deferred in-edge when its forwarder has since
     // been collected (found by scenario fuzzing).
-    log_.self_row().merge_entry(m, vm);
+    set_self_entry(m, Timestamp::merge(known_m, vm));
     merge_edge_facts(msg.v, /*skip=*/m);
   } else {
     // Vector-propagation message: slot `m` is the edge fact (the sender
@@ -376,12 +379,14 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // here); the vector as a whole is m's own account of its causal
     // history and goes into the history map, NOT into the self row —
     // conflating the two lets transitive entries masquerade as incoming
-    // edges (DESIGN.md §2).
-    if (vm.supersedes(log_.self_row().get(m))) {
+    // edges.
+    if (vm.supersedes(known_m)) {
       resurrected_.erase(m);
     }
-    log_.self_row().merge_entry(m, vm);
-    history_.row(m).merge(msg.v);
+    set_self_entry(m, Timestamp::merge(known_m, vm));
+    if (history_.row(m).merge(msg.v)) {
+      v_current_ = false;
+    }
   }
 
   if (dead_.contains(m)) {
@@ -392,7 +397,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // walk on the same dead subject for ever.
     const Timestamp cur = log_.self_row().get(m);
     if (!cur.is_delta()) {
-      log_.self_row().set(m, Timestamp::destruction(cur.index()));
+      set_self_entry(m, Timestamp::destruction(cur.index()));
       resurrected_.erase(m);
     }
   }
@@ -408,10 +413,15 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     }
   }
 
-  {
+  if (!v_current_) {
+    // Only when a merge above changed the closure's inputs: otherwise V
+    // would come out equal to last_v_ and there is nothing to circulate.
     Scratch& s = scratch();
     const ScratchUse use(s.v_ids, s.v_ts);
     close_v(id_, std::as_const(log_).self_row(), history_, dead_, s);
+    if (observed_) {
+      ++v_closures_;
+    }
     if (!equals_v(last_v_, s)) {
       // The approximation improved: it must circulate along the out-bound
       // edges of the global root graph (Fig. 6 / §3.3 step 3). The engine
@@ -421,6 +431,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       assign_v(last_v_, s);
       forward_pending_ = true;
     }
+    v_current_ = true;
   }
 
   if (!is_root_ && msg.condemned.contains(id_)) {
@@ -432,8 +443,8 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
   // Garbage decision: edge-precise reachability over the replicated
   // in-edge rows. The aggregate vector time V cannot be used on its own —
   // a destruction marker for one edge of q would mask a live entry for a
-  // different edge of q (DESIGN.md §2) — but it remains the quantity the
-  // paper's figures show and what triggers propagation above.
+  // different edge of q (see GgdMessage::self_row) — but it remains the
+  // quantity the paper's figures show and what triggers propagation above.
   //
   // Inquiries ride only on replies: during an active cascade the missing
   // information is already on its way in relayed rows, but a reply means
@@ -800,27 +811,35 @@ void GgdProcess::merge_edge_facts(const DependencyVector& facts,
         // fresh reply: re-resurrecting it would loop the verify cycle.
         continue;
       }
-      // Conservative resurrection (DESIGN.md §2): the on-behalf entry
-      // announces an edge q -> i, but third parties assign indexes from
-      // stale views, so a *re-created* edge can arrive numerically below
-      // an older destruction marker for a previous edge from the same
-      // process. Masking it would lose a live path (the rescue race).
-      // Keep it alive just above the marker: if the edge is in fact gone,
-      // q's own next destruction (true counter, strictly newer) or q's
-      // death certificate re-masks it — genuine garbage is collected,
-      // merely later.
-      log_.self_row().set(q, Timestamp::creation(cur.index() + 1));
+      // Conservative resurrection: the on-behalf entry announces an edge
+      // q -> i, but third parties assign indexes from stale views, so a
+      // *re-created* edge can arrive numerically below an older
+      // destruction marker for a previous edge from the same process.
+      // Masking it would lose a live path (the rescue race). Keep it
+      // alive just above the marker: if the edge is in fact gone, q's own
+      // next destruction (true counter, strictly newer) or q's death
+      // certificate re-masks it — genuine garbage is collected, merely
+      // later.
+      set_self_entry(q, Timestamp::creation(cur.index() + 1));
       resurrected_.insert(q);
       auto& seen = resurrect_fact_index_[q];
       seen = std::max(seen, ts.index());
     } else {
-      const Timestamp before = log_.self_row().get(q);
-      log_.self_row().merge_entry(q, ts);
-      if (log_.self_row().get(q).supersedes(before)) {
+      const Timestamp merged = Timestamp::merge(cur, ts);
+      set_self_entry(q, merged);
+      if (merged.supersedes(cur)) {
         // Genuinely newer information supersedes a resurrection.
         resurrected_.erase(q);
       }
     }
+  }
+}
+
+void GgdProcess::set_self_entry(ProcessId q, Timestamp ts) {
+  RowTable::RowRef self = log_.self_row();
+  if (!(self.get(q) == ts)) {
+    self.set(q, ts);
+    v_current_ = false;
   }
 }
 
@@ -924,9 +943,15 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
 }
 
 DependencyVector GgdProcess::compute_v() const {
+  if (v_current_) {
+    return last_v_;
+  }
   Scratch& s = scratch();
   const ScratchUse use(s.v_ids, s.v_ts);
   close_v(id_, log_.self_row(), history_, dead_, s);
+  if (observed_) {
+    ++v_closures_;
+  }
   DependencyVector v;
   assign_v(v, s);
   return v;
@@ -958,9 +983,10 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   GgdMessage msg;
   msg.from = id_;
   msg.to = to;
-  // Always freshly computed: a cached approximation may predate the very
-  // acquisition this announce reports, and an announce whose vector lacks
-  // a live slot for its own sender tells the target nothing.
+  // Never an older V than the current state's: the acquisition this
+  // announce reports was written through log(), which marks last_v_
+  // stale, and an announce whose vector lacks a live slot for its own
+  // sender tells the target nothing.
   msg.v = compute_v();
   msg.self_row = log_.self_row();
   msg.behalf = log_.row(to);
@@ -1053,6 +1079,9 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   refuted_fact_ceiling_ = snap.refuted_fact_ceiling;
   in_edge_confirmed_ = snap.in_edge_confirmed;
   last_v_ = snap.last_v;
+  // The snapshot's V need not be the closure of its state: a log write
+  // after the mover's last receive is in the rows but not in last_v.
+  v_current_ = false;
   forward_pending_ = snap.forward_pending;
   // Decision-gating state resumes unchanged: the forwarding stub chases
   // in-flight replies here, so outstanding inquiries stay answerable, and
@@ -1106,6 +1135,7 @@ void GgdProcess::retire_tombstone() {
   // clears the flag itself when the owed flush fires.
   acquaintances_.release();
   last_v_ = DependencyVector{};
+  v_current_ = false;
   // Wire-live remainder (make_destruction_message, attach_sync,
   // apply_row_acks): frozen content, tight-packed in place.
   log_.shrink_to_fit();

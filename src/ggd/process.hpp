@@ -43,8 +43,8 @@ namespace cgc {
 /// in-edges. This is the load-bearing refinement over the paper's 8-page
 /// presentation: an aggregated vector time cannot distinguish two edges
 /// held by the same process, so a destruction marker for one of them would
-/// mask the other (DESIGN.md §2 records the failure cases that pinned this
-/// design).
+/// mask the other (the MultiEdgeMaskingIsPerEdge process test pins that
+/// failure case).
 struct GgdMessage {
   ProcessId from;
   ProcessId to;
@@ -100,12 +100,12 @@ struct GgdMessage {
   /// lingering live entries of long-collected processes out of circulated
   /// histories.
   FlatSet<ProcessId> dead;
-  /// Demand-driven completion (DESIGN.md §2): a process whose garbage
-  /// decision is blocked on an entry it cannot vouch sends an inquiry to
-  /// the entry's subject; the subject replies with its certified history
-  /// (`reply`), or its hosting site replies posthumously with a death
-  /// certificate. Inquiries are sent at most once per subject, so the
-  /// extra traffic stays proportional to the amount of garbage.
+  /// Demand-driven completion: a process whose garbage decision is
+  /// blocked on an entry it cannot vouch sends an inquiry to the entry's
+  /// subject; the subject replies with its certified history (`reply`),
+  /// or its hosting site replies posthumously with a death certificate.
+  /// Inquiries are sent at most once per subject, so the extra traffic
+  /// stays proportional to the amount of garbage.
   bool inquiry = false;
   /// Marks a message that answers an inquiry: it certifies the sender's
   /// history but must NOT be read as evidence of an edge sender -> to.
@@ -202,7 +202,12 @@ class GgdProcess {
   [[nodiscard]] bool is_root() const { return is_root_; }
   [[nodiscard]] bool removed() const { return removed_; }
 
-  [[nodiscard]] DvLog& log() { return log_; }
+  /// Mutable log access is how the mutator side (lazy log-keeping) writes
+  /// the self row, so it also marks the cached V stale.
+  [[nodiscard]] DvLog& log() {
+    v_current_ = false;
+    return log_;
+  }
   [[nodiscard]] const DvLog& log() const { return log_; }
 
   [[nodiscard]] const FlatSet<ProcessId>& acquaintances() const {
@@ -211,9 +216,10 @@ class GgdProcess {
   void add_acquaintance(ProcessId q) { acquaintances_.insert(q); }
   void remove_acquaintance(ProcessId q) { acquaintances_.erase(q); }
 
-  /// The paper's `Receive(i, v, m)` (Fig. 6, reconstruction documented in
-  /// DESIGN.md §2). Returns the control messages to send; whether this
-  /// process decided it is garbage is observable via `removed()`.
+  /// The paper's `Receive(i, v, m)` (Fig. 6, as reconstructed here: each
+  /// message branch's rule is stated at its branch in process.cpp).
+  /// Returns the control messages to send; whether this process decided
+  /// it is garbage is observable via `removed()`.
   ///
   /// Idempotent: processing a duplicate of any previously processed message
   /// produces no state change and no output (tested, not assumed).
@@ -226,7 +232,10 @@ class GgdProcess {
   /// Seeded with the self row (destruction markers included — they act as
   /// floors that prevent stale third-party rows from resurrecting masked
   /// entries), then closed transitively over the log's rows. Each certified
-  /// history is expanded at most once per call.
+  /// history is expanded at most once per call. While none of the
+  /// closure's inputs (self row, certified histories, death knowledge)
+  /// has changed since receive() last closed them, that closure is the
+  /// answer and is returned without running it again.
   [[nodiscard]] DependencyVector compute_v() const;
 
   /// Builds the finalisation messages this process sends when it removes
@@ -261,6 +270,7 @@ class GgdProcess {
   }
   void decertify_row(ProcessId q) {
     history_.erase(q);
+    v_current_ = false;
     known_rows_.erase(q);
     // Keep the revision map aligned with known_rows_ (hard invariant): a
     // later re-adoption stamps a fresh revision from the monotone counter,
@@ -318,6 +328,13 @@ class GgdProcess {
     WalkObservation out = walk_obs_;
     walk_obs_.valid = false;
     return out;
+  }
+
+  /// Returns and resets the number of ComputeV closures run since the
+  /// last call, counted only while observed (a V reused because its
+  /// inputs had not changed is not a closure).
+  [[nodiscard]] std::uint32_t take_v_closures() {
+    return std::exchange(v_closures_, 0);
   }
 
   /// Walks the replicated in-edge rows from this process's live incoming
@@ -511,6 +528,10 @@ class GgdProcess {
   /// older destruction marker would otherwise mask.
   void merge_edge_facts(const DependencyVector& facts, ProcessId skip);
 
+  /// The one writer of self-row entries inside the detector: stores `ts`
+  /// in slot `q` and marks the cached V stale if the entry changed.
+  void set_self_entry(ProcessId q, Timestamp ts);
+
   /// Per-peer delta-sync bookkeeping, watermark form. Row revisions are
   /// globally monotone within this process (`bump_rev`), so "which rows
   /// has this peer been sent" compresses from a per-row map to a single
@@ -617,6 +638,13 @@ class GgdProcess {
   /// delivery, once confirmed at an index, is a stable fact.
   FlatMap<ProcessId, std::uint64_t> in_edge_confirmed_;
   bool forward_pending_ = false;
+  /// True while `last_v_` equals the ComputeV closure of the current self
+  /// row, `history_` and `dead_`: receive() sets it after closing them,
+  /// and every write that changes one of the three clears it. Exact, so
+  /// skipping a closure while it holds cannot change what is sent.
+  bool v_current_ = false;
+  /// Closures run while observed (see take_v_closures). Not serialized.
+  mutable std::uint32_t v_closures_ = 0;
   DependencyVector last_v_;
   FlatSet<ProcessId> acquaintances_;
   bool removed_ = false;

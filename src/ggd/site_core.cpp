@@ -32,6 +32,8 @@ void SiteCore::attach_obs(obs::Registry* registry, obs::Journal* journal) {
     metrics_.sweep_slices = &registry->histogram("ggd.sweep_slices_per_round");
     metrics_.walk_consulted = &registry->histogram("ggd.walk_consulted");
     metrics_.relay_rows = &registry->histogram("ggd.relay_rows");
+    metrics_.deliveries = &registry->counter("ggd.deliveries");
+    metrics_.v_closures = &registry->counter("ggd.v_closures");
     metrics_.walks = &registry->counter("ggd.walks");
     metrics_.walks_blocked = &registry->counter("ggd.walks_blocked");
     metrics_.walks_unreachable = &registry->counter("ggd.walks_unreachable");
@@ -56,10 +58,18 @@ void SiteCore::attach_obs(obs::Registry* registry, obs::Journal* journal) {
   logkeeping_.attach_obs(registry);
 }
 
+void SiteCore::observe_closures(GgdProcess& p) {
+  const std::uint32_t n = p.take_v_closures();
+  if (metrics_.v_closures != nullptr) {
+    metrics_.v_closures->inc(n);
+  }
+}
+
 void SiteCore::observe_walk(GgdProcess& p, SimTime now) {
   if (!obs_attached_) {
     return;
   }
+  observe_closures(p);
   const GgdProcess::WalkObservation obs = p.take_last_walk();
   if (!obs.valid) {
     return;
@@ -187,6 +197,9 @@ void SiteCore::deliver(const GgdMessage& msg) {
     }
   }
   GgdProcess& target = touch(msg.to);
+  if (metrics_.deliveries != nullptr) {
+    metrics_.deliveries->inc();
+  }
   if (msg.inquiry) {
     // Inquiries are answered without running receive() at the target, so
     // their piggybacked frontier acks must be applied here or the
@@ -199,6 +212,9 @@ void SiteCore::deliver(const GgdMessage& msg) {
       // in-edge row that a pending regrant is about to change.
       target.absorb_edge_facts(msg.behalf, msg.from);
       emit(target.make_reply(msg.from));
+      if (obs_attached_) {
+        observe_closures(target);
+      }
     } else {
       // Posthumous answer: re-issue the corpse's final destruction bundle
       // towards the inquirer — its death certificate rides in the `dead`

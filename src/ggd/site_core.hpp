@@ -203,8 +203,13 @@ class SiteCore {
   /// destruction delivered: counted, and journaled with the walker whose
   /// verdict the set carries.
   void note_condemned(ProcessId p, ProcessId from);
-  /// Records the decision walk `p` just ran (metrics and verdict record).
+  /// Records the decision walk `p` just ran (metrics and verdict record)
+  /// and the closures it ran since it was last observed.
   void observe_walk(GgdProcess& p, SimTime now);
+  /// Adds the closures `p` ran since it was last observed to
+  /// ggd.v_closures. An announce's closure is counted at the process's
+  /// next delivery or scan.
+  void observe_closures(GgdProcess& p);
 
   SiteHost& host_;
   RootPredicate is_root_;
@@ -257,6 +262,11 @@ class SiteCore {
     obs::TickHistogram* sweep_slices = nullptr;
     obs::TickHistogram* walk_consulted = nullptr;
     obs::TickHistogram* relay_rows = nullptr;
+    /// GGD control messages delivered to a hosted process, and the
+    /// ComputeV closures they and the process's own sends actually ran
+    /// (a reused V is not a closure).
+    obs::Counter* deliveries = nullptr;
+    obs::Counter* v_closures = nullptr;
     obs::Counter* walks = nullptr;
     obs::Counter* walks_blocked = nullptr;
     obs::Counter* walks_unreachable = nullptr;

@@ -16,7 +16,7 @@ void LazyLogKeeping::on_send_third_party_ref(GgdProcess& i, ProcessId k,
     // counter orders the forward before any later state of the forwarder,
     // so a row of the forwarder that proves it unreachable is necessarily
     // newer than its last forward — the ordering the decision walk's
-    // soundness argument rests on (DESIGN.md §2).
+    // soundness argument rests on.
     i.log().new_local_event();
   }
 }

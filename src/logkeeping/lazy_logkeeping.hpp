@@ -9,7 +9,7 @@
 // edge dies. This removes both the control-message overhead and the
 // create/destroy race of eager schemes (§2.3).
 //
-// Two variants are provided (DESIGN.md §2 documents why):
+// Two variants are provided:
 //   * kPaperExact — the literal update rules of §3.4. Reproduces the
 //     worked example (Figs. 5, 8) index-for-index.
 //   * kRobust (default) — additionally bumps the acquirer's own event

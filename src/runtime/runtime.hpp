@@ -3,7 +3,7 @@
 // proxies, export tables, per-site local GC (localgc/), and GGD (ggd/)
 // underneath.
 //
-// Granularity mapping (DESIGN.md §3): every *local root* object and every
+// Granularity mapping: every *local root* object and every
 // *exported* object (global root) is a GGD process; the edges of the
 // global root graph are the summarised relations "global root g locally
 // reaches proxy p", recomputed by each local collection (Bishop-style

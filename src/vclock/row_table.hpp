@@ -217,8 +217,9 @@ class RowTable {
     }
 
     /// Component-wise merge; one backward two-pointer sweep, in place.
-    void merge(const DependencyVector& other) {
-      t_->merge_row(slot_, other.entries());
+    /// Returns whether any entry changed.
+    bool merge(const DependencyVector& other) {
+      return t_->merge_row(slot_, other.entries());
     }
 
     Timestamp increment(ProcessId p) {
@@ -580,9 +581,10 @@ class RowTable {
 
   /// In-place backward two-pointer merge of `m` into the row. Merged
   /// entries are never 0 (inputs never store 0), so no erasure happens.
-  void merge_row(std::uint32_t slot, const FlatMap<ProcessId, Timestamp>& m) {
+  /// Returns whether the row gained an entry or changed one.
+  bool merge_row(std::uint32_t slot, const FlatMap<ProcessId, Timestamp>& m) {
     if (m.empty()) {
-      return;
+      return false;
     }
     // Count the keys of `m` missing from the row to size the result.
     std::uint32_t extra = 0;
@@ -611,6 +613,7 @@ class RowTable {
     auto b = m.end();
     std::int64_t w = static_cast<std::int64_t>(s.off) + s.len + extra - 1;
     const auto lo = static_cast<std::int64_t>(s.off);
+    bool changed = false;
     while (b != m.begin()) {
       auto prev = b;
       --prev;
@@ -619,8 +622,10 @@ class RowTable {
         ts_[w] = ts_[r];
         --r;
       } else if (r >= lo && ids_[r] == prev->first) {
+        const std::uint64_t merged = pack_merge(ts_[r], pack(prev->second));
+        changed = changed || merged != ts_[r];
         ids_[w] = ids_[r];
-        ts_[w] = pack_merge(ts_[r], pack(prev->second));
+        ts_[w] = merged;
         --r;
         b = prev;
       } else {
@@ -633,6 +638,7 @@ class RowTable {
     // Entries below `w` are already in place (r == w at this point).
     s.len += extra;
     total_entries_ += extra;
+    return changed || extra > 0;
   }
 
   /// Sorted index: row key → slot. Slots are stable across interning and

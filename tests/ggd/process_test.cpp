@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "ggd/process.hpp"
+#include "reference_closure.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 
 namespace cgc {
@@ -115,7 +116,8 @@ TEST(GgdProcess, WalkFollowsKnownRowsToRoot) {
 }
 
 TEST(GgdProcess, MultiEdgeMaskingIsPerEdge) {
-  // The failure case that forced the edge-precise walk (DESIGN.md §2):
+  // The failure case that forced the edge-precise walk (see
+  // GgdMessage::self_row):
   // root 1 holds TWO edges, drops only one. The destruction marker for
   // edge 1 -> 3 must not hide the other edge of process 1 living in a
   // replica row.
@@ -398,69 +400,6 @@ TEST(GgdProcess, AnnounceCarriesFreshVector) {
 }
 
 // ---- compute_v() and decide() against references ------------------------
-
-/// What the reference closure saw across a batch of states: proof that the
-/// random states below exercise every case the one-pass closure reasons
-/// about, not just the easy ones.
-struct ClosureCoverage {
-  std::size_t live_ties = 0;       // history index == a live entry of v
-  std::size_t marker_ties = 0;     // history index == a seeded marker
-  std::size_t dead_in_history = 0; // live history entry of a dead process
-  std::size_t repushes = 0;        // subjects pushed again after expansion
-};
-
-/// The closure as it stood before the one-pass rewrite, kept verbatim as
-/// the oracle: it re-pushes a subject on every equal-index tie with a live
-/// entry and tests death before comparing.
-DependencyVector reference_compute_v(const GgdProcess& proc,
-                                     ClosureCoverage& cov) {
-  const ProcessId self = proc.id();
-  DependencyVector v;
-  for (const auto& [q, ts] : proc.log().self_row().entries()) {
-    if (q == self || !proc.dead().contains(q)) {
-      v.set(q, ts);
-    }
-  }
-  std::vector<ProcessId> stack;
-  FlatSet<ProcessId> expanded{self};
-  for (const auto& [q, ts] : v.entries()) {
-    if (q != self && !ts.is_delta()) {
-      stack.push_back(q);
-    }
-  }
-  while (!stack.empty()) {
-    const ProcessId p = stack.back();
-    stack.pop_back();
-    if (!expanded.insert(p).second) {
-      continue;
-    }
-    const RowTable::RowView hist = proc.history().row(p);
-    if (!hist.exists()) {
-      continue;
-    }
-    for (const auto& [q, alpha] : hist) {
-      if (q != p && q != self && !alpha.is_delta() &&
-          proc.dead().contains(q)) {
-        ++cov.dead_in_history;
-      }
-      if (q == p || q == self || alpha.is_delta() || proc.dead().contains(q)) {
-        continue;
-      }
-      const Timestamp cur = v.get(q);
-      if (alpha.index() > cur.index()) {
-        v.set(q, alpha);
-        stack.push_back(q);
-      } else if (alpha.index() == cur.index() && !cur.destroyed()) {
-        ++cov.live_ties;
-        cov.repushes += expanded.contains(q) ? 1 : 0;
-        stack.push_back(q);
-      } else if (alpha.index() == cur.index()) {
-        ++cov.marker_ties;
-      }
-    }
-  }
-  return v;
-}
 
 /// Indexes from a narrow range, so equal-index ties are common; one entry
 /// in four is a destruction marker.

@@ -179,7 +179,7 @@ TEST_P(RandomGraphTest, RandomPartialDrops) {
   // Safety is unconditional. Comprehensiveness after *partial* severance
   // is subject to the paper's unbounded-detection-latency caveat (§5):
   // garbage whose circulated causal history is entangled with still-live
-  // processes through since-severed edges can linger (DESIGN.md §2).
+  // processes through since-severed edges can linger.
   EXPECT_TRUE(s.safety_holds());
 
   // Fully disconnecting the graph must then flush everything: destruction

@@ -37,7 +37,8 @@ TEST(LazyLogKeeping, Rule2ThirdPartyIsDeferredOnBehalf) {
 
 TEST(LazyLogKeeping, Rule2RobustModeBumpsForwarderCounter) {
   // In robust mode forwarding is a log-keeping event of the forwarder —
-  // the ordering guarantee the decision walk relies on (DESIGN.md §2).
+  // the ordering guarantee the decision walk relies on: a row of the
+  // forwarder that proves it unreachable is newer than its last forward.
   LazyLogKeeping lk(LogKeepingMode::kRobust);
   GgdProcess i(P(2), false);
   lk.on_send_third_party_ref(i, P(3), P(4));
