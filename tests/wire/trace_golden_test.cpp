@@ -11,14 +11,21 @@
 // If a FUTURE change intentionally alters the wire protocol or event
 // ordering, re-record the constants and say so in the commit: this test
 // is the tripwire that makes such changes explicit.
+//
+// Each workload also pins a content digest: every packet's times,
+// endpoints and fate, and every decoded message field by field. A change
+// to the framing alone re-records the byte hashes but must leave the
+// digests and the packet counts as they are.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <variant>
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "wire/batching.hpp"
 #include "workload/builders.hpp"
 #include "workload/scenario.hpp"
 
@@ -54,11 +61,102 @@ std::uint64_t trace_hash(const wire::WireTrace& t) {
   return h;
 }
 
+std::uint64_t hash_dv(std::uint64_t h, const DependencyVector& dv) {
+  h = fnv(h, dv.size());
+  for (const auto& [p, ts] : dv.entries()) {
+    h = fnv(h, p.value());
+    h = fnv(h, ts.index());
+    h = fnv(h, ts.destroyed() ? 1 : 0);
+  }
+  return h;
+}
+
+std::uint64_t hash_set(std::uint64_t h, const FlatSet<ProcessId>& s) {
+  h = fnv(h, s.size());
+  for (ProcessId p : s) {
+    h = fnv(h, p.value());
+  }
+  return h;
+}
+
+template <typename Map, typename HashValue>
+std::uint64_t hash_map(std::uint64_t h, const Map& m, HashValue value) {
+  h = fnv(h, m.size());
+  for (const auto& [p, v] : m) {
+    h = fnv(h, p.value());
+    h = value(h, v);
+  }
+  return h;
+}
+
+/// Every field a receiver reads from one decoded control message. A reply
+/// contributes only whether it names the receiver among its out-edges,
+/// the one bit its receiver reads.
+std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
+  const auto row = [](std::uint64_t acc, const DependencyVector& dv) {
+    return hash_dv(acc, dv);
+  };
+  const auto u64 = [](std::uint64_t acc, std::uint64_t v) {
+    return fnv(acc, v);
+  };
+  h = fnv(h, m.from.value());
+  h = fnv(h, m.to.value());
+  h = hash_dv(h, m.v);
+  h = hash_dv(h, m.self_row);
+  h = hash_dv(h, m.behalf);
+  h = hash_map(h, m.behalf_rows, row);
+  h = hash_map(h, m.rows, row);
+  h = hash_map(h, m.row_revs, u64);
+  h = hash_map(h, m.row_acks, u64);
+  h = fnv(h, m.sync_epoch);
+  h = fnv(h, m.ack_epoch);
+  h = hash_set(h, m.dead);
+  h = fnv(h, m.inquiry ? 1 : 0);
+  h = fnv(h, m.reply ? 1 : 0);
+  h = fnv(h, m.has_out_edges ? 1 : 0);
+  h = fnv(h, m.has_out_edges && m.out_edges.contains(m.to) ? 1 : 0);
+  return hash_set(h, m.condemned);
+}
+
+/// FNV-1a over every packet's send time, endpoints, drop fate and
+/// per-copy delivery times, and over every decoded message field by
+/// field. Unlike trace_hash it does not see how the fields are framed, so
+/// a change to the encoding alone leaves it as it is.
+std::uint64_t content_digest(const wire::WireTrace& t) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& p : t.packets()) {
+    h = fnv(h, p.sent_at);
+    h = fnv(h, p.from.value());
+    h = fnv(h, p.to.value());
+    h = fnv(h, p.dropped ? 1 : 0);
+    for (SimTime d : p.delivered_at) {
+      h = fnv(h, d);
+    }
+    wire::read_packet(
+        p.bytes, [&h](const wire::PacketHeader& hdr) { h = fnv(h, hdr.count); },
+        [&h](const wire::WireMessage& msg, std::size_t) {
+          h = fnv(h, static_cast<std::uint64_t>(msg.kind));
+          h = fnv(h, msg.body.index());
+          if (const auto* c = std::get_if<wire::GgdControl>(&msg.body)) {
+            h = hash_control(h, c->msg);
+          } else if (const auto* r = std::get_if<wire::RefTransfer>(&msg.body)) {
+            h = fnv(h, r->transfer_id);
+            h = fnv(h, r->recipient.value());
+            h = fnv(h, r->subject.value());
+          } else {
+            ADD_FAILURE() << "no digest for body " << msg.body.index();
+          }
+        });
+  }
+  return h;
+}
+
 struct Golden {
   std::uint64_t seed;
   double fault;
   std::size_t packets;
   std::uint64_t hash;
+  std::uint64_t digest;
 };
 
 void run_and_check(const Golden& golden, bool observed = false) {
@@ -93,16 +191,22 @@ void run_and_check(const Golden& golden, bool observed = false) {
   for (const auto& p : trace.packets()) {
     total_bytes += p.bytes.size();
   }
-  std::printf("golden seed=%llu packets=%zu hash=0x%016llx bytes=%llu\n",
-              static_cast<unsigned long long>(golden.seed), trace.size(),
-              static_cast<unsigned long long>(trace_hash(trace)),
-              static_cast<unsigned long long>(total_bytes));
+  std::printf(
+      "golden seed=%llu packets=%zu hash=0x%016llx digest=0x%016llx "
+      "bytes=%llu\n",
+      static_cast<unsigned long long>(golden.seed), trace.size(),
+      static_cast<unsigned long long>(trace_hash(trace)),
+      static_cast<unsigned long long>(content_digest(trace)),
+      static_cast<unsigned long long>(total_bytes));
   EXPECT_EQ(trace.size(), golden.packets)
       << "packet COUNT changed vs the pre-refactor recording (seed "
       << golden.seed << ")";
   EXPECT_EQ(trace_hash(trace), golden.hash)
       << "packet BYTES/ORDER changed vs the pre-refactor recording (seed "
       << golden.seed << ")";
+  EXPECT_EQ(content_digest(trace), golden.digest)
+      << "decoded message CONTENT, packet fates or times changed (seed "
+      << golden.seed << "): a framing change alone never moves this digest";
   if (observed) {
     // A passivity check against an instrument that recorded nothing would
     // be vacuous.
@@ -121,24 +225,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL});
+  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL,
+                 0x5839f7733944a3b6ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL});
+  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL,
+                 0x73ae474d5732a832ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL});
+  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL,
+                 0xea313574689d7fb7ULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL},
+  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL,
+                 0x5839f7733944a3b6ULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL,
+                 0x73ae474d5732a832ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL,
+                 0xea313574689d7fb7ULL},
                 /*observed=*/true);
 }
 
