@@ -321,7 +321,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     if (history_.row(m).merge(msg.v)) {
       v_current_ = false;
     }
-    if (msg.has_out_edges && msg.out_edges.contains(id_)) {
+    if (msg.has_out_edges && msg.holds_receiver) {
       // The responder vouches that it currently holds us: its in-edge
       // claim is delivery-confirmed up to the slot's present index.
       const Timestamp cur = log_.self_row().get(m);
@@ -329,7 +329,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
         in_edge_confirmed_[m] = std::max(in_edge_confirmed_[m], cur.index());
       }
     }
-    if (msg.has_out_edges && !msg.out_edges.contains(id_)) {
+    if (msg.has_out_edges && !msg.holds_receiver) {
       const Timestamp cur = log_.self_row().get(m);
       if (!cur.is_delta()) {
         // Fresh refutation: the responder does not hold an edge to us, so
@@ -1012,7 +1012,7 @@ GgdMessage GgdProcess::make_reply(ProcessId to) {
   msg.dead = dead_;
   msg.reply = true;
   msg.has_out_edges = true;
-  msg.out_edges = acquaintances_;
+  msg.holds_receiver = acquaintances_.contains(to);
   attach_sync(msg, /*include_rows=*/true);
   return msg;
 }

@@ -110,12 +110,13 @@ struct GgdMessage {
   /// Marks a message that answers an inquiry: it certifies the sender's
   /// history but must NOT be read as evidence of an edge sender -> to.
   bool reply = false;
-  /// Replies carry the responder's out-edge set (its acquaintances), so an
-  /// inquirer can verify a resurrected edge claim: a fresh "I do not hold
-  /// you" refutes the claimed edge responder -> inquirer (and also heals a
-  /// lost destruction message).
+  /// Replies carry the responder's out-edge verdict on the receiver
+  /// (`has_out_edges` set, `holds_receiver` whether its acquaintances
+  /// include `to`), so an inquirer can verify a resurrected edge claim: a
+  /// fresh "I do not hold you" refutes the claimed edge responder ->
+  /// inquirer (and also heals a lost destruction message).
   bool has_out_edges = false;
-  FlatSet<ProcessId> out_edges;
+  bool holds_receiver = false;
   /// Condemned set of a confirmed unreachable verdict, carried on the
   /// destruction messages of its removal cascade (empty elsewhere). The
   /// finalising walker's consulted rows were each confirmed fresh and

@@ -192,30 +192,48 @@ class Encoder {
       }
     }
     // Column 5: every entry's packed timestamp, batch-wide, as maximal
-    // (value, run-length) pairs.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
-    for (const auto& entry : rows) {
-      for (const auto& e : entry.second.entries()) {
-        CGC_CHECK(e.second.index() < (std::uint64_t{1} << 63));
-        const std::uint64_t packed =
-            (e.second.index() << 1) | (e.second.destroyed() ? 1 : 0);
-        if (!runs.empty() && runs.back().first == packed) {
-          ++runs.back().second;
-        } else {
-          runs.emplace_back(packed, 1);
-        }
-      }
-    }
-    varint(runs.size());
-    for (const auto& run : runs) {
-      varint(run.first);
-      varint(run.second);
-    }
+    // (value, run-length) pairs: one pass counts the runs, a second
+    // writes them.
+    std::uint64_t n_runs = 0;
+    for_each_run(rows, [&n_runs](std::uint64_t, std::uint64_t) { ++n_runs; });
+    varint(n_runs);
+    for_each_run(rows, [this](std::uint64_t value, std::uint64_t len) {
+      varint(value);
+      varint(len);
+    });
   }
 
   [[nodiscard]] std::size_t size() const { return out_.size(); }
 
  private:
+  /// Calls `emit(value, length)` for each maximal run of equal packed
+  /// timestamps across all entries of `rows`, in order.
+  template <typename Emit>
+  static void for_each_run(const FlatMap<ProcessId, DependencyVector>& rows,
+                           Emit&& emit) {
+    std::uint64_t value = 0;
+    std::uint64_t len = 0;
+    for (const auto& entry : rows) {
+      for (const auto& e : entry.second.entries()) {
+        CGC_CHECK(e.second.index() < (std::uint64_t{1} << 63));
+        const std::uint64_t packed =
+            (e.second.index() << 1) | (e.second.destroyed() ? 1 : 0);
+        if (len != 0 && packed == value) {
+          ++len;
+          continue;
+        }
+        if (len != 0) {
+          emit(value, len);
+        }
+        value = packed;
+        len = 1;
+      }
+    }
+    if (len != 0) {
+      emit(value, len);
+    }
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
@@ -271,6 +289,10 @@ class Decoder {
     // tenth byte, so this prefix is not a valid 64-bit varint.
     return fail(Error::kMalformed);
   }
+
+  /// Marks the input malformed: for checks above the primitives here,
+  /// such as a message-level flag no encoder sets.
+  void reject() { fail(Error::kMalformed); }
 
   /// Advances past `n` raw bytes (length-prefixed payloads).
   void skip(std::size_t n) {

@@ -8,11 +8,20 @@
 // kinds (`GgdControl` carries vector, destruction and inquiry traffic,
 // distinguished by its contents exactly as §3 of the paper does).
 //
-// Framing per message: kind byte, body-tag byte, body fields. The body
-// tag is the variant index, pinned by the order of `Body`'s alternatives
-// — append new shapes at the end, never reorder.
+// Framing per message: one byte holding the kind in its high nibble and
+// the body tag in its low nibble, then the body fields. The body tag is
+// the variant index, pinned by the order of `Body`'s alternatives —
+// append new shapes at the end, never reorder.
+//
+// A GGD control body starts with a varint presence mask: the message's
+// four flags, and one bit per field that is sent only when non-empty (an
+// epoch: non-zero). Then come `from`, `to` and the present fields in a
+// fixed order; an absent field costs no byte (see messages.cpp for the
+// bits and the order).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -186,5 +195,30 @@ class MessageDecoder {
 
 /// Exact framed size of `msg` in bytes.
 [[nodiscard]] std::size_t encoded_size(const WireMessage& msg);
+
+/// The parts of a framed GGD control message, in wire order. `kHeader` is
+/// the kind/tag byte, the presence mask, `from` and `to`; `kEpochs` is
+/// `sync_epoch` and `ack_epoch`; `kRows` includes `row_revs`.
+enum class GgdField : std::uint8_t {
+  kHeader,
+  kV,
+  kSelfRow,
+  kBehalf,
+  kBehalfRows,
+  kRows,
+  kRowAcks,
+  kEpochs,
+  kDead,
+  kCondemned,
+};
+inline constexpr std::size_t kGgdFieldCount = 10;
+using GgdFieldBytes = std::array<std::size_t, kGgdFieldCount>;
+
+[[nodiscard]] const char* ggd_field_name(GgdField f);
+
+/// Bytes each part of `m` takes when framed as a message, indexed by
+/// GgdField: the per-field byte ledger. An absent field takes 0, and the
+/// parts sum to encoded_size() of the framed message.
+[[nodiscard]] GgdFieldBytes ggd_field_bytes(const GgdMessage& m);
 
 }  // namespace cgc::wire

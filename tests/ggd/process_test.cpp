@@ -288,7 +288,7 @@ TEST(GgdProcess, FinalisingWalkerShipsItsConsultedSet) {
     r.self_row = r.v;
     r.reply = true;
     r.has_out_edges = true;
-    r.out_edges = {P(3)};
+    r.holds_receiver = true;  // P(2) holds an edge to P(3)
     return r;
   };
   const auto first = p.receive(reply_from_2(), roots({1}), /*now=*/5);

@@ -130,9 +130,9 @@ TEST(Network, ControlAccountingSeparatesMutatorTraffic) {
   net.send(S(1), S(2), ping(MessageKind::kGgdDestruction));
   EXPECT_EQ(net.stats().control_sent(), 2u);
   EXPECT_EQ(net.stats().total_sent(), 4u);
-  // Byte accounting is exact: each ping frames as kind + body tag.
-  EXPECT_EQ(net.stats().control_bytes_sent(), 4u);
-  EXPECT_EQ(net.stats().total_bytes_sent(), 8u);
+  // Byte accounting is exact: each ping frames as one kind/tag byte.
+  EXPECT_EQ(net.stats().control_bytes_sent(), 2u);
+  EXPECT_EQ(net.stats().total_bytes_sent(), 4u);
 }
 
 TEST(Network, BatchingCoalescesSameTickMessagesIntoOnePacket) {

@@ -6,6 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <optional>
+#include <variant>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "wire/messages.hpp"
@@ -62,9 +67,7 @@ GgdMessage random_ggd_message(Rng& rng) {
   m.inquiry = rng.chance(0.2);
   m.reply = rng.chance(0.2);
   m.has_out_edges = rng.chance(0.3);
-  if (m.has_out_edges) {
-    m.out_edges = random_set(rng);
-  }
+  m.holds_receiver = m.has_out_edges && rng.chance(0.5);
   if (rng.chance(0.3)) {
     m.condemned = random_set(rng);
   }
@@ -256,50 +259,287 @@ TEST(WireCodec, MessageRoundTripsAllShapes) {
   }
 }
 
-TEST(WireCodec, CondemnedSetRoundTripsAndCostsNothingWhenAbsent) {
-  Rng rng(4242);
-  GgdMessage without = random_ggd_message(rng);
-  without.condemned.clear();
-  GgdMessage with = without;
-  with.condemned = {P(3), P(9), P(700)};
-  const auto encode = [](const GgdMessage& m) {
-    std::vector<std::uint8_t> buf;
-    wire::Encoder enc(buf);
-    wire::encode_message(
-        enc, wire::WireMessage{MessageKind::kGgdDestruction,
-                               wire::GgdControl{m}});
-    return buf;
+DependencyVector nonempty_dv(Rng& rng) {
+  DependencyVector dv;
+  while (dv.empty()) {
+    dv = random_dv(rng, 6);
+  }
+  return dv;
+}
+
+FlatSet<ProcessId> nonempty_set(Rng& rng) {
+  FlatSet<ProcessId> s;
+  while (s.empty()) {
+    s = random_set(rng, 6);
+  }
+  return s;
+}
+
+/// One flag or optional field of a control message: how to set and clear
+/// it, and for a field, its ledger part and its encoding on its own.
+struct Presence {
+  const char* name;
+  void (*set)(GgdMessage&, Rng&);
+  void (*clear)(GgdMessage&);
+  std::optional<wire::GgdField> field;
+  void (*alone)(wire::Encoder&, const GgdMessage&);
+};
+
+/// Every flag and optional field: each presence-mask combination is a
+/// subset of these.
+const std::vector<Presence>& presences() {
+  using F = wire::GgdField;
+  using M = GgdMessage;
+  using E = wire::Encoder;
+  static const std::vector<Presence> all = {
+      {"inquiry", [](M& m, Rng&) { m.inquiry = true; },
+       [](M& m) { m.inquiry = false; }, {}, nullptr},
+      {"reply", [](M& m, Rng&) { m.reply = true; },
+       [](M& m) { m.reply = false; }, {}, nullptr},
+      {"has_out_edges", [](M& m, Rng&) { m.has_out_edges = true; },
+       [](M& m) { m.has_out_edges = false; }, {}, nullptr},
+      {"holds_receiver", [](M& m, Rng&) { m.holds_receiver = true; },
+       [](M& m) { m.holds_receiver = false; }, {}, nullptr},
+      {"v", [](M& m, Rng& r) { m.v = nonempty_dv(r); },
+       [](M& m) { m.v.clear(); }, F::kV,
+       [](E& e, const M& m) { e.dependency_vector(m.v); }},
+      {"self_row", [](M& m, Rng& r) { m.self_row = nonempty_dv(r); },
+       [](M& m) { m.self_row.clear(); }, F::kSelfRow,
+       [](E& e, const M& m) { e.dependency_vector(m.self_row); }},
+      {"behalf", [](M& m, Rng& r) { m.behalf = nonempty_dv(r); },
+       [](M& m) { m.behalf.clear(); }, F::kBehalf,
+       [](E& e, const M& m) { e.dependency_vector(m.behalf); }},
+      {"behalf_rows",
+       [](M& m, Rng& r) {
+         m.behalf_rows.emplace(P(1 + r.below(40)), nonempty_dv(r));
+       },
+       [](M& m) { m.behalf_rows.clear(); }, F::kBehalfRows,
+       [](E& e, const M& m) { e.row_map(m.behalf_rows); }},
+      {"rows",
+       [](M& m, Rng& r) {
+         const ProcessId q = P(1 + r.below(40));
+         m.rows.emplace(q, nonempty_dv(r));
+         m.row_revs.emplace(q, 1 + r.below(500));
+       },
+       [](M& m) {
+         m.rows.clear();
+         m.row_revs.clear();
+       },
+       F::kRows, [](E& e, const M& m) { e.row_batch(m.rows, m.row_revs); }},
+      {"row_acks",
+       [](M& m, Rng& r) { m.row_acks.emplace(P(1 + r.below(40)), r.below(9)); },
+       [](M& m) { m.row_acks.clear(); }, F::kRowAcks,
+       [](E& e, const M& m) { e.u64_map(m.row_acks); }},
+      {"sync_epoch", [](M& m, Rng& r) { m.sync_epoch = 1 + r.below(300); },
+       [](M& m) { m.sync_epoch = 0; }, F::kEpochs,
+       [](E& e, const M& m) { e.varint(m.sync_epoch); }},
+      {"ack_epoch", [](M& m, Rng& r) { m.ack_epoch = 1 + r.below(300); },
+       [](M& m) { m.ack_epoch = 0; }, F::kEpochs,
+       [](E& e, const M& m) { e.varint(m.ack_epoch); }},
+      {"dead", [](M& m, Rng& r) { m.dead = nonempty_set(r); },
+       [](M& m) { m.dead.clear(); }, F::kDead,
+       [](E& e, const M& m) { e.process_set(m.dead); }},
+      {"condemned", [](M& m, Rng& r) { m.condemned = nonempty_set(r); },
+       [](M& m) { m.condemned.clear(); }, F::kCondemned,
+       [](E& e, const M& m) { e.process_set(m.condemned); }},
   };
-  const std::vector<std::uint8_t> plain = encode(without);
-  const std::vector<std::uint8_t> marked = encode(with);
-  for (const auto* bytes : {&plain, &marked}) {
-    wire::Decoder dec(*bytes);
+  return all;
+}
+
+/// A control message with exactly the presences named by the bits of
+/// `combo` (bit i: presences()[i]).
+GgdMessage message_with(std::uint64_t combo, Rng& rng) {
+  GgdMessage m;
+  m.from = P(1 + rng.below(300));
+  m.to = P(1 + rng.below(300));
+  for (std::size_t i = 0; i < presences().size(); ++i) {
+    if ((combo >> i) & 1) {
+      presences()[i].set(m, rng);
+    }
+  }
+  return m;
+}
+
+std::vector<std::uint8_t> encode_control(const GgdMessage& m) {
+  std::vector<std::uint8_t> buf;
+  wire::Encoder enc(buf);
+  wire::encode_message(
+      enc, wire::WireMessage{MessageKind::kGgdVector, wire::GgdControl{m}});
+  return buf;
+}
+
+std::size_t sum(const wire::GgdFieldBytes& parts) {
+  std::size_t n = 0;
+  for (std::size_t part : parts) {
+    n += part;
+  }
+  return n;
+}
+
+TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
+  Rng rng(2020);
+  const std::uint64_t combos = std::uint64_t{1} << presences().size();
+  for (std::uint64_t combo = 0; combo < combos; ++combo) {
+    const GgdMessage m = message_with(combo, rng);
+    const std::vector<std::uint8_t> buf = encode_control(m);
+    wire::Decoder dec(buf);
     const auto decoded = wire::decode_message(dec);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(dec.done());
-    EXPECT_EQ(std::get<wire::GgdControl>(decoded->body).msg,
-              bytes == &plain ? without : with);
+    ASSERT_TRUE(decoded.has_value()) << "combination " << combo;
+    ASSERT_TRUE(dec.done()) << "combination " << combo;
+    ASSERT_EQ(std::get<wire::GgdControl>(decoded->body).msg, m)
+        << "combination " << combo;
+    // The ledger accounts for every byte, and gives a part bytes only
+    // when one of its fields is present.
+    const wire::GgdFieldBytes parts = wire::ggd_field_bytes(m);
+    ASSERT_EQ(sum(parts),
+              wire::encoded_size(wire::WireMessage{MessageKind::kGgdVector,
+                                                   wire::GgdControl{m}}))
+        << "combination " << combo;
+    std::array<bool, wire::kGgdFieldCount> present{};
+    for (std::size_t i = 0; i < presences().size(); ++i) {
+      if (presences()[i].field && ((combo >> i) & 1) != 0) {
+        present[static_cast<std::size_t>(*presences()[i].field)] = true;
+      }
+    }
+    for (std::size_t f = 1; f < wire::kGgdFieldCount; ++f) {
+      ASSERT_EQ(parts[f] > 0, present[f])
+          << wire::ggd_field_name(static_cast<wire::GgdField>(f))
+          << " in combination " << combo;
+    }
   }
-  // The set is appended behind its flag bit: every byte before it is the
-  // set-less encoding but for that one bit of the flags byte.
-  std::vector<std::uint8_t> set_bytes;
-  wire::Encoder set_enc(set_bytes);
-  set_enc.process_set(with.condemned);
-  ASSERT_EQ(marked.size(), plain.size() + set_bytes.size());
-  std::size_t differing = 0;
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    differing += marked[i] != plain[i] ? 1 : 0;
+}
+
+TEST(WireCodec, FieldLedgerSumsToEncodedSize) {
+  Rng rng(606);
+  for (int i = 0; i < 500; ++i) {
+    const GgdMessage m = random_ggd_message(rng);
+    const wire::GgdFieldBytes parts = wire::ggd_field_bytes(m);
+    EXPECT_EQ(sum(parts),
+              wire::encoded_size(wire::WireMessage{MessageKind::kGgdDestruction,
+                                                   wire::GgdControl{m}}));
+    // The header is at least the kind/tag byte, a mask byte, from and to.
+    EXPECT_GE(parts[static_cast<std::size_t>(wire::GgdField::kHeader)], 4u);
   }
-  EXPECT_EQ(differing, 1u);
-  EXPECT_TRUE(std::equal(set_bytes.begin(), set_bytes.end(),
-                         marked.end() - static_cast<std::ptrdiff_t>(
-                                            set_bytes.size())));
+}
+
+TEST(WireCodec, AbsentFieldsCostNoBytes) {
+  Rng rng(4242);
+  const std::uint64_t all = (std::uint64_t{1} << presences().size()) - 1;
+  for (int round = 0; round < 50; ++round) {
+    const GgdMessage full = message_with(all, rng);
+    const std::size_t full_size = encode_control(full).size();
+    for (const Presence& p : presences()) {
+      GgdMessage without = full;
+      p.clear(without);
+      std::vector<std::uint8_t> alone;
+      wire::Encoder enc(alone);
+      if (p.alone != nullptr) {
+        p.alone(enc, full);
+      }
+      // Dropping a field saves exactly its own encoding, and a flag saves
+      // nothing; either may also save the mask's second byte when its bit
+      // was the only one there.
+      const std::size_t saved = full_size - encode_control(without).size();
+      EXPECT_GE(saved, alone.size()) << p.name;
+      EXPECT_LE(saved, alone.size() + 1) << p.name;
+    }
+  }
+}
+
+/// The presence mask of an encoded control message: the varint after its
+/// kind/tag byte.
+std::uint64_t mask_of(const std::vector<std::uint8_t>& encoded) {
+  wire::Decoder dec(encoded.data() + 1, encoded.size() - 1);
+  return dec.varint();
+}
+
+/// A control message framed by hand: kind/tag byte, `mask`, from, to.
+std::vector<std::uint8_t> hand_framed(std::uint64_t mask) {
+  std::vector<std::uint8_t> buf;
+  wire::Encoder enc(buf);
+  enc.u8(static_cast<std::uint8_t>(
+      static_cast<unsigned>(MessageKind::kGgdInquiry) << 4 | 2));
+  enc.varint(mask);
+  enc.process_id(P(5));
+  enc.process_id(P(9));
+  return buf;
+}
+
+TEST(WireCodec, UnknownMaskBitsAreRejected) {
+  // A message with every flag and field set names every bit the decoder
+  // knows; any other bit is malformed, alone or beside known ones.
+  Rng rng(8);
+  const std::uint64_t known = mask_of(encode_control(
+      message_with((std::uint64_t{1} << presences().size()) - 1, rng)));
+  ASSERT_EQ(std::popcount(known), static_cast<int>(presences().size()));
+  for (int bit = 0; bit < 64; ++bit) {
+    const std::uint64_t b = std::uint64_t{1} << bit;
+    if ((known & b) != 0) {
+      continue;
+    }
+    for (const std::uint64_t mask : {b, b | 1}) {
+      const std::vector<std::uint8_t> buf = hand_framed(mask);
+      wire::Decoder dec(buf);
+      EXPECT_FALSE(wire::decode_message(dec).has_value()) << "bit " << bit;
+      EXPECT_EQ(dec.error(), wire::Decoder::Error::kMalformed) << "bit " << bit;
+    }
+  }
+}
+
+TEST(WireCodec, PresentButEmptyFieldsAreRejected) {
+  // A message with one field, whose encoding is swapped for the field's
+  // empty encoding (an epoch: zero) under the same mask. No encoder marks
+  // an empty field present, so the decoder must not accept one.
+  Rng rng(9);
+  for (std::size_t i = 0; i < presences().size(); ++i) {
+    const Presence& p = presences()[i];
+    if (!p.field) {
+      continue;
+    }
+    const GgdMessage m = message_with(std::uint64_t{1} << i, rng);
+    std::vector<std::uint8_t> buf = encode_control(m);
+    buf.resize(wire::ggd_field_bytes(m)[0]);  // kind/tag, mask, from, to
+    GgdMessage empty = m;
+    p.clear(empty);
+    wire::Encoder enc(buf);
+    p.alone(enc, empty);
+    wire::Decoder dec(buf);
+    EXPECT_FALSE(wire::decode_message(dec).has_value()) << p.name;
+    EXPECT_EQ(dec.error(), wire::Decoder::Error::kMalformed) << p.name;
+  }
+}
+
+TEST(WireCodec, OutOfRangeKindAndTagNibblesAreRejected) {
+  const unsigned kinds = static_cast<unsigned>(MessageKind::kCount);
+  const unsigned tags = std::variant_size_v<wire::Body>;
+  for (unsigned byte = 0; byte < 256; ++byte) {
+    // A ping body is empty, so an in-range byte decodes on its own.
+    const std::vector<std::uint8_t> buf{static_cast<std::uint8_t>(byte)};
+    wire::Decoder dec(buf);
+    const auto decoded = wire::decode_message(dec);
+    const bool in_range = (byte >> 4) < kinds && (byte & 0xf) < tags;
+    if (!in_range) {
+      EXPECT_FALSE(decoded.has_value()) << "byte " << byte;
+      EXPECT_EQ(dec.error(), wire::Decoder::Error::kMalformed)
+          << "byte " << byte;
+    } else if ((byte & 0xf) == wire::Body{wire::ControlPing{}}.index()) {
+      ASSERT_TRUE(decoded.has_value()) << "byte " << byte;
+      EXPECT_EQ(static_cast<unsigned>(decoded->kind), byte >> 4);
+      EXPECT_TRUE(std::holds_alternative<wire::ControlPing>(decoded->body));
+    }
+  }
 }
 
 TEST(WireCodec, TruncatedBuffersAreRejectedAtEveryLength) {
   Rng rng(31337);
-  for (std::size_t i = 0; i < 70; ++i) {
-    const wire::WireMessage msg = random_message(rng, i);
+  for (std::size_t i = 0; i < 80; ++i) {
+    // Every shape, then control messages with every flag and field set.
+    const wire::WireMessage msg =
+        i < 70 ? random_message(rng, i)
+               : wire::WireMessage{
+                     MessageKind::kGgdInquiry,
+                     wire::GgdControl{message_with(
+                         (std::uint64_t{1} << presences().size()) - 1, rng)}};
     std::vector<std::uint8_t> buf;
     wire::Encoder enc(buf);
     wire::encode_message(enc, msg);

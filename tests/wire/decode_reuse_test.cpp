@@ -4,6 +4,8 @@
 // and row batches, other body shapes, and a rejected message.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -70,9 +72,7 @@ GgdMessage random_control(Rng& rng, bool large) {
   m.inquiry = rng.chance(0.3);
   m.reply = !m.inquiry && rng.chance(0.4);
   m.has_out_edges = m.reply;
-  if (m.has_out_edges) {
-    m.out_edges = random_set(rng, large ? 10 : 2);
-  }
+  m.holds_receiver = m.has_out_edges && rng.chance(0.5);
   if (!m.inquiry && !m.reply && rng.chance(0.5)) {
     m.condemned = random_set(rng, large ? 16 : 3);
   }
@@ -91,15 +91,13 @@ std::vector<std::uint8_t> encode(const wire::WireMessage& msg) {
 }
 
 /// A control message that decodes up to its very last field — every row,
-/// the whole batch, death knowledge — and is then rejected: its out-edge
+/// the whole batch, death knowledge — and is then rejected: its condemned
 /// set repeats an id (a zero delta, which no encoder produces).
 std::vector<std::uint8_t> malformed_after_rows(Rng& rng) {
   GgdMessage m = random_control(rng, /*large=*/true);
-  m.has_out_edges = true;
-  m.out_edges = {P(4), P(7)};
-  m.condemned.clear();
+  m.condemned = {P(4), P(7)};
   std::vector<std::uint8_t> bytes = encode(control_message(m));
-  // The out-edge set is last: count 2, id 4, delta 3.
+  // The condemned set is last: count 2, id 4, delta 3.
   EXPECT_EQ(bytes.back(), 3);
   bytes.back() = 0;
   return bytes;
@@ -146,6 +144,58 @@ TEST(DecodeReuse, ReusedDecoderMatchesFreshDecodeAcrossGrowAndShrink) {
           << "seed " << seed << " message " << i;
     }
     EXPECT_EQ(rejected, 1u);
+  }
+}
+
+TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
+  // A message with every flag and field, then the same message without
+  // one of them: the absent field costs no byte on the wire, so only the
+  // decoder can empty what the first message left in its storage.
+  using Clear = void (*)(GgdMessage&);
+  const std::vector<std::pair<const char*, Clear>> fields = {
+      {"inquiry", [](GgdMessage& m) { m.inquiry = false; }},
+      {"reply", [](GgdMessage& m) { m.reply = false; }},
+      {"has_out_edges", [](GgdMessage& m) { m.has_out_edges = false; }},
+      {"holds_receiver", [](GgdMessage& m) { m.holds_receiver = false; }},
+      {"v", [](GgdMessage& m) { m.v.clear(); }},
+      {"self_row", [](GgdMessage& m) { m.self_row.clear(); }},
+      {"behalf", [](GgdMessage& m) { m.behalf.clear(); }},
+      {"behalf_rows", [](GgdMessage& m) { m.behalf_rows.clear(); }},
+      {"rows",
+       [](GgdMessage& m) {
+         m.rows.clear();
+         m.row_revs.clear();
+       }},
+      {"row_acks", [](GgdMessage& m) { m.row_acks.clear(); }},
+      {"sync_epoch", [](GgdMessage& m) { m.sync_epoch = 0; }},
+      {"ack_epoch", [](GgdMessage& m) { m.ack_epoch = 0; }},
+      {"dead", [](GgdMessage& m) { m.dead.clear(); }},
+      {"condemned", [](GgdMessage& m) { m.condemned.clear(); }},
+  };
+  Rng rng(17);
+  GgdMessage full;
+  while (full.v.empty() || full.self_row.empty() || full.behalf.empty() ||
+         full.behalf_rows.empty() || full.rows.empty() ||
+         full.row_acks.empty() || full.dead.empty()) {
+    full = random_control(rng, /*large=*/true);
+  }
+  full.inquiry = full.reply = full.has_out_edges = full.holds_receiver = true;
+  full.sync_epoch = 3;
+  full.ack_epoch = 2;
+  full.condemned = {P(4), P(7)};
+  wire::MessageDecoder reader;
+  for (const auto& [name, clear] : fields) {
+    GgdMessage without = full;
+    clear(without);
+    ASSERT_NE(without, full) << name;
+    for (const GgdMessage* m : {&full, &without}) {
+      const std::vector<std::uint8_t> bytes = encode(control_message(*m));
+      wire::Decoder dec(bytes);
+      ASSERT_TRUE(reader.decode(dec)) << name;
+      EXPECT_TRUE(dec.done()) << name;
+      EXPECT_EQ(std::get<wire::GgdControl>(reader.message().body).msg, *m)
+          << name;
+    }
   }
 }
 

@@ -89,9 +89,9 @@ std::uint64_t hash_map(std::uint64_t h, const Map& m, HashValue value) {
   return h;
 }
 
-/// Every field a receiver reads from one decoded control message. A reply
-/// contributes only whether it names the receiver among its out-edges,
-/// the one bit its receiver reads.
+/// Every field a receiver reads from one decoded control message. Of a
+/// reply's out-edges it takes only whether they include the receiver,
+/// the one bit the receiver reads.
 std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
   const auto row = [](std::uint64_t acc, const DependencyVector& dv) {
     return hash_dv(acc, dv);
@@ -114,7 +114,7 @@ std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
   h = fnv(h, m.inquiry ? 1 : 0);
   h = fnv(h, m.reply ? 1 : 0);
   h = fnv(h, m.has_out_edges ? 1 : 0);
-  h = fnv(h, m.has_out_edges && m.out_edges.contains(m.to) ? 1 : 0);
+  h = fnv(h, m.has_out_edges && m.holds_receiver ? 1 : 0);
   return hash_set(h, m.condemned);
 }
 
@@ -139,7 +139,8 @@ std::uint64_t content_digest(const wire::WireTrace& t) {
           h = fnv(h, msg.body.index());
           if (const auto* c = std::get_if<wire::GgdControl>(&msg.body)) {
             h = hash_control(h, c->msg);
-          } else if (const auto* r = std::get_if<wire::RefTransfer>(&msg.body)) {
+          } else if (const auto* r =
+                         std::get_if<wire::RefTransfer>(&msg.body)) {
             h = fnv(h, r->transfer_id);
             h = fnv(h, r->recipient.value());
             h = fnv(h, r->subject.value());
