@@ -211,7 +211,8 @@ enum class GgdField : std::uint8_t {
   kDead,
   kCondemned,
 };
-inline constexpr std::size_t kGgdFieldCount = 10;
+inline constexpr std::size_t kGgdFieldCount =
+    static_cast<std::size_t>(GgdField::kCondemned) + 1;
 using GgdFieldBytes = std::array<std::size_t, kGgdFieldCount>;
 
 [[nodiscard]] const char* ggd_field_name(GgdField f);

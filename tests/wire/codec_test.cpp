@@ -360,6 +360,11 @@ GgdMessage message_with(std::uint64_t combo, Rng& rng) {
   return m;
 }
 
+/// The combination with every flag and field present.
+std::uint64_t every_presence() {
+  return (std::uint64_t{1} << presences().size()) - 1;
+}
+
 std::vector<std::uint8_t> encode_control(const GgdMessage& m) {
   std::vector<std::uint8_t> buf;
   wire::Encoder enc(buf);
@@ -388,8 +393,8 @@ TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
     ASSERT_TRUE(dec.done()) << "combination " << combo;
     ASSERT_EQ(std::get<wire::GgdControl>(decoded->body).msg, m)
         << "combination " << combo;
-    // The ledger accounts for every byte, and gives a part bytes only
-    // when one of its fields is present.
+    // The per-field ledger's parts sum to the framed size, and a part
+    // has bytes only when one of its fields is present.
     const wire::GgdFieldBytes parts = wire::ggd_field_bytes(m);
     ASSERT_EQ(sum(parts),
               wire::encoded_size(wire::WireMessage{MessageKind::kGgdVector,
@@ -409,24 +414,10 @@ TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
   }
 }
 
-TEST(WireCodec, FieldLedgerSumsToEncodedSize) {
-  Rng rng(606);
-  for (int i = 0; i < 500; ++i) {
-    const GgdMessage m = random_ggd_message(rng);
-    const wire::GgdFieldBytes parts = wire::ggd_field_bytes(m);
-    EXPECT_EQ(sum(parts),
-              wire::encoded_size(wire::WireMessage{MessageKind::kGgdDestruction,
-                                                   wire::GgdControl{m}}));
-    // The header is at least the kind/tag byte, a mask byte, from and to.
-    EXPECT_GE(parts[static_cast<std::size_t>(wire::GgdField::kHeader)], 4u);
-  }
-}
-
 TEST(WireCodec, AbsentFieldsCostNoBytes) {
   Rng rng(4242);
-  const std::uint64_t all = (std::uint64_t{1} << presences().size()) - 1;
   for (int round = 0; round < 50; ++round) {
-    const GgdMessage full = message_with(all, rng);
+    const GgdMessage full = message_with(every_presence(), rng);
     const std::size_t full_size = encode_control(full).size();
     for (const Presence& p : presences()) {
       GgdMessage without = full;
@@ -458,7 +449,8 @@ std::vector<std::uint8_t> hand_framed(std::uint64_t mask) {
   std::vector<std::uint8_t> buf;
   wire::Encoder enc(buf);
   enc.u8(static_cast<std::uint8_t>(
-      static_cast<unsigned>(MessageKind::kGgdInquiry) << 4 | 2));
+      static_cast<unsigned>(MessageKind::kGgdInquiry) << 4 |
+      wire::Body{wire::GgdControl{}}.index()));
   enc.varint(mask);
   enc.process_id(P(5));
   enc.process_id(P(9));
@@ -469,8 +461,8 @@ TEST(WireCodec, UnknownMaskBitsAreRejected) {
   // A message with every flag and field set names every bit the decoder
   // knows; any other bit is malformed, alone or beside known ones.
   Rng rng(8);
-  const std::uint64_t known = mask_of(encode_control(
-      message_with((std::uint64_t{1} << presences().size()) - 1, rng)));
+  const std::uint64_t known =
+      mask_of(encode_control(message_with(every_presence(), rng)));
   ASSERT_EQ(std::popcount(known), static_cast<int>(presences().size()));
   for (int bit = 0; bit < 64; ++bit) {
     const std::uint64_t b = std::uint64_t{1} << bit;
@@ -538,8 +530,7 @@ TEST(WireCodec, TruncatedBuffersAreRejectedAtEveryLength) {
         i < 70 ? random_message(rng, i)
                : wire::WireMessage{
                      MessageKind::kGgdInquiry,
-                     wire::GgdControl{message_with(
-                         (std::uint64_t{1} << presences().size()) - 1, rng)}};
+                     wire::GgdControl{message_with(every_presence(), rng)}};
     std::vector<std::uint8_t> buf;
     wire::Encoder enc(buf);
     wire::encode_message(enc, msg);
