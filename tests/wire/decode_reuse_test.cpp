@@ -43,7 +43,7 @@ FlatSet<ProcessId> random_set(Rng& rng, std::size_t max_entries) {
 /// large when `large` is set and small (often empty) otherwise, so that
 /// consecutive messages grow and shrink every container the decoder
 /// reuses. Half the other messages carry a condemned set, so a message
-/// without one (no flag bit, nothing encoded) often lands in storage that
+/// without one (no mask bit, nothing encoded) often lands in storage that
 /// still holds a set and must come out empty.
 GgdMessage random_control(Rng& rng, bool large) {
   const std::size_t rows = large ? 8 + rng.below(8) : rng.below(3);
