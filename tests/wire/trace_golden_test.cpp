@@ -15,7 +15,9 @@
 // Each workload also pins a content digest: every packet's times,
 // endpoints and fate, and every decoded message field by field. A change
 // to the framing alone re-records the byte hashes but must leave the
-// digests and the packet counts as they are.
+// digests and the packet counts as they are. Each also pins how many
+// processes the run removed, so a change that is meant to move only bytes
+// is held to the same collections.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -156,6 +158,7 @@ struct Golden {
   std::uint64_t seed;
   double fault;
   std::size_t packets;
+  std::size_t removed;
   std::uint64_t hash;
   std::uint64_t digest;
 };
@@ -193,15 +196,19 @@ void run_and_check(const Golden& golden, bool observed = false) {
     total_bytes += p.bytes.size();
   }
   std::printf(
-      "golden seed=%llu packets=%zu hash=0x%016llx digest=0x%016llx "
-      "bytes=%llu\n",
+      "golden seed=%llu packets=%zu removed=%zu hash=0x%016llx "
+      "digest=0x%016llx bytes=%llu\n",
       static_cast<unsigned long long>(golden.seed), trace.size(),
+      s.removed().size(),
       static_cast<unsigned long long>(trace_hash(trace)),
       static_cast<unsigned long long>(content_digest(trace)),
       static_cast<unsigned long long>(total_bytes));
   EXPECT_EQ(trace.size(), golden.packets)
       << "packet COUNT changed vs the pre-refactor recording (seed "
       << golden.seed << ")";
+  EXPECT_EQ(s.removed().size(), golden.removed)
+      << "REMOVAL count changed (seed " << golden.seed
+      << "): a change that only moves bytes collects exactly as before";
   EXPECT_EQ(trace_hash(trace), golden.hash)
       << "packet BYTES/ORDER changed vs the pre-refactor recording (seed "
       << golden.seed << ")";
@@ -226,17 +233,17 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 0x7825a7ab74fb360fULL,
+  run_and_check({99, 0.10, 1045, 6, 0x7825a7ab74fb360fULL,
                  0x5839f7733944a3b6ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 0x3a1f796e109dfedbULL,
+  run_and_check({7, 0.0, 826, 6, 0x3a1f796e109dfedbULL,
                  0x73ae474d5732a832ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 0x67a8e89af368ecb1ULL,
+  run_and_check({123456, 0.05, 1001, 6, 0x67a8e89af368ecb1ULL,
                  0xea313574689d7fb7ULL});
 }
 
@@ -244,11 +251,11 @@ TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 0x7825a7ab74fb360fULL,
+  run_and_check({99, 0.10, 1045, 6, 0x7825a7ab74fb360fULL,
                  0x5839f7733944a3b6ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 0x3a1f796e109dfedbULL,
+  run_and_check({7, 0.0, 826, 6, 0x3a1f796e109dfedbULL,
                  0x73ae474d5732a832ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 0x67a8e89af368ecb1ULL,
+  run_and_check({123456, 0.05, 1001, 6, 0x67a8e89af368ecb1ULL,
                  0xea313574689d7fb7ULL},
                 /*observed=*/true);
 }
