@@ -467,8 +467,8 @@ std::vector<GgdMessage> GgdProcess::take_forwards() {
     fwd.from = id_;
     fwd.to = k;
     fwd.v = last_v_;
-    fwd.self_row = log_.self_row();
-    fwd.behalf = log_.row(k);
+    fwd.self_row = std::as_const(log_).self_row();
+    fwd.behalf = std::as_const(log_).row(k);
     fwd.dead = dead_;
     attach_sync(fwd, /*include_rows=*/true);
     out.push_back(std::move(fwd));
@@ -632,7 +632,7 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   // Deferred grants we hold for q ride along: q must adjudicate them (a
   // regrant below an old destruction marker resurrects and lease-verifies
   // at q) before its reply can certify an all-dead in-edge row.
-  inq.behalf = log_.row(q);
+  inq.behalf = std::as_const(log_).row(q);
   attach_sync(inq, /*include_rows=*/false);
   out.push_back(std::move(inq));
   if (observed_) {
@@ -968,9 +968,9 @@ GgdMessage GgdProcess::make_destruction_message(
   GgdMessage msg;
   msg.from = id_;
   msg.to = to;
-  msg.v = log_.row(to);
+  msg.v = std::as_const(log_).row(to);
   msg.v.set(id_, Timestamp::destruction(log_.own_timestamp().index()));
-  msg.self_row = log_.self_row();
+  msg.self_row = std::as_const(log_).self_row();
   msg.dead = dead_;
   if (condemned.contains(to)) {
     msg.condemned = condemned;
@@ -988,8 +988,8 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   // stale, and an announce whose vector lacks a live slot for its own
   // sender tells the target nothing.
   msg.v = compute_v();
-  msg.self_row = log_.self_row();
-  msg.behalf = log_.row(to);
+  msg.self_row = std::as_const(log_).self_row();
+  msg.behalf = std::as_const(log_).row(to);
   msg.dead = dead_;
   attach_sync(msg, /*include_rows=*/true);
   return msg;
@@ -1000,8 +1000,8 @@ GgdMessage GgdProcess::make_reply(ProcessId to) {
   msg.from = id_;
   msg.to = to;
   msg.v = compute_v();
-  msg.self_row = log_.self_row();
-  msg.behalf = log_.row(to);
+  msg.self_row = std::as_const(log_).self_row();
+  msg.behalf = std::as_const(log_).row(to);
   // The full deferred on-behalf knowledge rides along: the inquirer's
   // verdict may hinge on a grant we deferred for a THIRD party (§3.4).
   for (const auto& [q, row] : log_.rows()) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -387,6 +388,67 @@ TEST(GgdProcess, TombstoneRetirementShedsWalkStateKeepsPosthumousWire) {
   auto it = post.rows.find(P(7));
   ASSERT_NE(it, post.rows.end());
   EXPECT_EQ(it->second.get(P(1)), Timestamp::creation(1));
+}
+
+/// The site's inquiry handler (SiteCore::deliver): apply the acks, let
+/// the target adjudicate the carried grants, then reply — or, for a
+/// collected target, re-issue its final bundle posthumously.
+GgdMessage answer_inquiry(GgdProcess& target, ProcessId inquirer) {
+  GgdMessage inq;
+  inq.from = inquirer;
+  inq.to = target.id();
+  inq.inquiry = true;
+  target.apply_row_acks(inq);
+  if (target.removed()) {
+    return target.make_destruction_message(inquirer);
+  }
+  target.absorb_edge_facts(inq.behalf, inq.from);
+  return target.make_reply(inquirer);
+}
+
+TEST(GgdProcess, AnsweringAnInquiryInternsNoLogRow) {
+  GgdProcess p(P(2), false);
+  LazyLogKeeping lk;
+  lk.on_send_own_ref(p, P(1));             // self row: live slot 1
+  lk.on_send_third_party_ref(p, P(5), P(6));  // deferred row for 5
+  const std::size_t rows = std::as_const(p).log().row_count();
+  ASSERT_EQ(rows, 2u);
+
+  // Inquirers 3, 4 and 7 have no row here; answering must not make one.
+  for (std::uint64_t q : {3, 4, 7}) {
+    const GgdMessage reply = answer_inquiry(p, P(q));
+    EXPECT_TRUE(reply.reply);
+    EXPECT_TRUE(reply.behalf_rows.contains(P(5)));
+  }
+  EXPECT_EQ(std::as_const(p).log().row_count(), rows);
+
+  DependencyVector d;
+  d.set(P(1), Timestamp::destruction(1));
+  (void)p.receive(vector_msg(P(1), P(2), d), roots({1}));
+  ASSERT_TRUE(p.removed());
+  p.retire_tombstone();
+  const std::size_t tomb_rows = std::as_const(p).log().row_count();
+  for (std::uint64_t q : {3, 4, 7, 8}) {
+    const GgdMessage post = answer_inquiry(p, P(q));
+    EXPECT_TRUE(post.dead.contains(P(2)));
+  }
+  EXPECT_EQ(std::as_const(p).log().row_count(), tomb_rows)
+      << "posthumous answers must not grow a tombstone's log";
+}
+
+TEST(GgdProcess, SendPathsInternNoLogRow) {
+  GgdProcess p(P(3), false);
+  LazyLogKeeping lk;
+  lk.on_receive_ref(p, P(9));           // acquaintance 9, row 9 at slot 3
+  lk.on_send_own_ref(p, P(7));          // live in-edge from unknown 7
+  const std::size_t rows = std::as_const(p).log().row_count();
+  (void)p.take_forwards();              // to 9
+  (void)p.make_announce(P(4));
+  (void)p.make_destruction_message(P(6));
+  const std::vector<GgdMessage> out = p.decide(roots({1}), true);
+  ASSERT_FALSE(out.empty());            // the blocked walk inquires 7
+  EXPECT_TRUE(out.front().inquiry);
+  EXPECT_EQ(std::as_const(p).log().row_count(), rows);
 }
 
 TEST(GgdProcess, AnnounceCarriesFreshVector) {
