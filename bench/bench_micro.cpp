@@ -23,7 +23,7 @@ GgdProcess make_loaded_process(std::size_t n) {
   GgdProcess p(P(1), false);
   LazyLogKeeping lk;
   for (std::size_t i = 2; i <= n + 1; ++i) {
-    p.log().self_row().increment(P(i));
+    p.increment_log(p.id(), P(i));
     DependencyVector v;
     DependencyVector row;
     for (std::size_t j = 2; j <= n + 1; ++j) {
@@ -39,7 +39,7 @@ GgdProcess make_loaded_process(std::size_t n) {
     m.self_row = row;
     (void)p.receive(m, [](ProcessId) { return false; });
   }
-  p.log().new_local_event();
+  p.new_local_event();
   return p;
 }
 
@@ -98,22 +98,42 @@ void BM_ComputeVDense(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeVDense)->Arg(16)->Arg(64);
 
-/// An inquiry answered by a quiescent process: nothing changed its V
-/// since its last receive(), so the reply reuses that V instead of
-/// running the closure. The first reply ships the replica rows; the
-/// timed ones ship none, as on a settled peer.
+/// An inquiry answered by a quiescent process that holds deferred rows
+/// for 16 third parties: nothing changed its V since its last receive(),
+/// so the reply reuses that V instead of running the closure. The first
+/// reply ships the replica rows; the timed ones ship none. The second
+/// argument is whether the inquirer is a warm peer: 0, its behalf echo
+/// is empty and every reply ships all 16 deferred rows; 1, its echo is
+/// current, as on a settled peer, and the reply ships none of them.
 void BM_ReplyCurrent(benchmark::State& state) {
-  GgdProcess p = make_loaded_process(static_cast<std::size_t>(state.range(0)));
+  const auto n = static_cast<std::size_t>(state.range(0));
+  GgdProcess p = make_loaded_process(n);
+  LazyLogKeeping lk;
+  for (std::size_t k = 0; k < 16; ++k) {
+    lk.on_send_third_party_ref(p, P(n + 10 + k), P(2 + k % 4));
+  }
   GgdMessage ping;
   ping.from = P(2);
   ping.to = P(1);
   ping.reply = true;
   (void)p.receive(ping, [](ProcessId) { return true; });
+  GgdMessage inquiry;
+  inquiry.from = P(2);
+  inquiry.to = P(1);
+  inquiry.inquiry = true;
+  const GgdMessage first = p.make_reply(inquiry);
+  if (state.range(1) != 0) {
+    inquiry.behalf_echo = first.behalf_stamp;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(p.make_reply(P(2)));
+    benchmark::DoNotOptimize(p.make_reply(inquiry));
   }
 }
-BENCHMARK(BM_ReplyCurrent)->Arg(16)->Arg(256);
+BENCHMARK(BM_ReplyCurrent)
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({256, 0})
+    ->Args({256, 1});
 
 void BM_WalkToRoot(benchmark::State& state) {
   GgdProcess p = make_loaded_process(static_cast<std::size_t>(state.range(0)));

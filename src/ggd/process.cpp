@@ -279,6 +279,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       known_rows_.erase(q);
       row_rev_.erase(q);
       known_behalf_.erase(q);
+      behalf_echo_.erase(q);
       v_current_ = false;
     }
   }
@@ -309,6 +310,9 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     if (q != id_ && !dead_.contains(q)) {
       known_behalf_.row(q).merge(row);
     }
+  }
+  if (msg.reply && !dead_.contains(m)) {
+    advance_behalf_echo(msg);
   }
 
   const Timestamp known_m = log_.self_row().get(m);
@@ -634,6 +638,15 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   // at q) before its reply can certify an all-dead in-edge row.
   inq.behalf = std::as_const(log_).row(q);
   attach_sync(inq, /*include_rows=*/false);
+  // The behalf echo shares `ack_epoch` with the flushed acks: both echo
+  // q's stamps. Acks recorded under another epoch of q leave the echo
+  // off, which only asks for every row.
+  auto eit = behalf_echo_.find(q);
+  if (eit != behalf_echo_.end() &&
+      (inq.row_acks.empty() || inq.ack_epoch == eit->second.epoch)) {
+    inq.behalf_echo = eit->second.stamp;
+    inq.ack_epoch = eit->second.epoch;
+  }
   out.push_back(std::move(inq));
   if (observed_) {
     ++walk_obs_.inquiries[static_cast<std::size_t>(why)];
@@ -743,6 +756,43 @@ void GgdProcess::record_row_acks(const GgdMessage& msg) {
   }
 }
 
+void GgdProcess::settle_log_stamps() {
+  if (!log_stamps_stale_) {
+    return;
+  }
+  log_stamps_stale_ = false;
+  log_rev_.clear();
+  for (const auto& [q, row] : log_.rows()) {
+    if (q != id_ && !row.empty()) {
+      stamp_log_row(q);
+    }
+  }
+}
+
+void GgdProcess::advance_behalf_echo(const GgdMessage& reply) {
+  const ProcessId m = reply.from;
+  auto it = behalf_echo_.find(m);
+  if (it != behalf_echo_.end()) {
+    if (reply.sync_epoch < it->second.epoch) {
+      // Built by an earlier incarnation of m: its stamps mean nothing to
+      // the current one (its rows merged all the same).
+      return;
+    }
+    if (reply.sync_epoch == it->second.epoch) {
+      // Duplicated or reordered replies leave the highest echo: every row
+      // at or below it was merged when that reply was.
+      it->second.stamp = std::max(it->second.stamp, reply.behalf_stamp);
+      return;
+    }
+    // m re-stamped its rows under a new epoch. Our echo named the old
+    // one, so this reply shipped every row.
+    behalf_echo_.erase(it);
+  }
+  if (reply.behalf_stamp != 0) {
+    behalf_echo_.emplace(m, BehalfEcho{reply.sync_epoch, reply.behalf_stamp});
+  }
+}
+
 void GgdProcess::apply_row_acks(const GgdMessage& msg) {
   if (msg.row_acks.empty() || msg.ack_epoch != sync_epoch_) {
     // Epoch mismatch: the acks echo stamps from a previous incarnation of
@@ -832,6 +882,41 @@ void GgdProcess::merge_edge_facts(const DependencyVector& facts,
         resurrected_.erase(q);
       }
     }
+  }
+}
+
+Timestamp GgdProcess::increment_log(ProcessId row, ProcessId slot) {
+  const Timestamp next = log_.row(row).increment(slot);
+  if (row == id_) {
+    v_current_ = false;
+  } else {
+    stamp_log_row(row);
+  }
+  return next;
+}
+
+void GgdProcess::merge_log_entry(ProcessId row, ProcessId slot,
+                                 Timestamp ts) {
+  RowTable::RowRef r = log_.row(row);
+  const Timestamp old = r.get(slot);
+  const Timestamp merged = Timestamp::merge(old, ts);
+  if (merged == old) {
+    return;
+  }
+  r.set(slot, merged);
+  if (row == id_) {
+    v_current_ = false;
+  } else {
+    stamp_log_row(row);
+  }
+}
+
+void GgdProcess::erase_log_row(ProcessId row) {
+  log_.erase_row(row);
+  if (row == id_) {
+    v_current_ = false;
+  } else {
+    log_rev_.erase(row);
   }
 }
 
@@ -995,18 +1080,28 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   return msg;
 }
 
-GgdMessage GgdProcess::make_reply(ProcessId to) {
+GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
+  const ProcessId to = inquiry.from;
   GgdMessage msg;
   msg.from = id_;
   msg.to = to;
   msg.v = compute_v();
   msg.self_row = std::as_const(log_).self_row();
   msg.behalf = std::as_const(log_).row(to);
-  // The full deferred on-behalf knowledge rides along: the inquirer's
-  // verdict may hinge on a grant we deferred for a THIRD party (§3.4).
-  for (const auto& [q, row] : log_.rows()) {
-    if (q != id_ && q != to && !row.entries().empty()) {
-      msg.behalf_rows.emplace(q, row);
+  // Deferred on-behalf knowledge rides along: the inquirer's verdict may
+  // hinge on a grant we deferred for a THIRD party (§3.4). It already
+  // merged every row stamped at or below its echo, so only the rows
+  // written since then ship (all of them if the echo is from another
+  // epoch of ours). Rows of processes in `dead` are left out: the
+  // inquirer learns those deaths from this very reply before it merges
+  // its rows, and skips them.
+  settle_log_stamps();
+  const std::uint64_t echo =
+      inquiry.ack_epoch == sync_epoch_ ? inquiry.behalf_echo : 0;
+  for (const auto& [q, stamp] : log_rev_) {
+    if (stamp > echo && q != to && !dead_.contains(q)) {
+      msg.behalf_rows.emplace(q, std::as_const(log_).row(q));
+      msg.behalf_stamp = std::max(msg.behalf_stamp, stamp);
     }
   }
   msg.dead = dead_;
@@ -1106,6 +1201,14 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
     (void)row;
     row_rev_.emplace(q, ++rev_counter_);
   }
+  log_rev_.clear();
+  log_stamps_stale_ = false;
+  for (const auto& [q, row] : log_.rows()) {
+    if (q != id_ && !row.empty()) {
+      stamp_log_row(q);
+    }
+  }
+  behalf_echo_.clear();
   peer_sync_.clear();
   ack_pending_.clear();
   ack_epoch_pending_.clear();
@@ -1127,6 +1230,9 @@ void GgdProcess::retire_tombstone() {
   inquired_version_.release();
   confirm_time_.release();
   in_edge_confirmed_.release();
+  // Reply frontiers: a tombstone neither replies nor merges replies.
+  log_rev_.release();
+  behalf_echo_.release();
   // Forward coalescing: take_forwards() is empty for a tombstone, so the
   // acquaintance list and cached V can go. `forward_pending_` must KEEP
   // its value: a pending flag means a flush event is already owed to the
@@ -1175,7 +1281,7 @@ GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
   // dead_ counts here, not under gating: death knowledge rides in every
   // posthumous message, so it is wire-live state like the frontiers.
   f.relay_bytes = map64(row_rev_) + map64(ack_epoch_pending_) +
-                  map64(dead_) +
+                  map64(dead_) + map64(log_rev_) + map64(behalf_echo_) +
                   peer_sync_.capacity() *
                       sizeof(std::pair<ProcessId, PeerSync>) +
                   map64(ack_pending_);
@@ -1225,6 +1331,8 @@ void GgdProcess::trim_storage() {
     }
   };
   trim(row_rev_);
+  trim(log_rev_);
+  trim(behalf_echo_);
   trim(dead_);
   trim(ack_epoch_pending_);
   for (auto& [peer, ps] : peer_sync_) {

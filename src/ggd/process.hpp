@@ -57,14 +57,25 @@ struct GgdMessage {
   /// between a vector forward and the pending bundle that would have
   /// rescued the receiver.
   DependencyVector behalf;
-  /// The sender's complete deferred on-behalf knowledge: for each third
-  /// party q, the edge-creation entries the sender logged on q's behalf
-  /// (§3.4) but has not yet delivered. Replies carry these so a walker
-  /// whose verdict depends on a TRANSITIVE subject's in-edges can see
-  /// grants that exist only at a forwarder — without them, a process two
-  /// hops from a lazily-deferred rescue edge can prove a live structure
-  /// dead (found by scenario fuzzing).
+  /// The sender's deferred on-behalf rows that the receiver has not yet
+  /// merged: for each third party q, the edge-creation entries the sender
+  /// logged on q's behalf (§3.4) but has not yet delivered to q. Replies
+  /// carry these so a walker whose verdict depends on a TRANSITIVE
+  /// subject's in-edges can see grants that exist only at a forwarder —
+  /// without them, a process two hops from a lazily-deferred rescue edge
+  /// can prove a live structure dead (found by scenario fuzzing). A reply
+  /// ships only the rows written since the inquiry's `behalf_echo`, so
+  /// each version of a row reaches an inquirer once.
   FlatMap<ProcessId, DependencyVector> behalf_rows;
+  /// On a reply: the highest on-behalf stamp among `behalf_rows` (0 when
+  /// it ships none), drawn from the sender's revision counter under
+  /// `sync_epoch`. Stamps carry no protocol meaning beyond this frontier.
+  std::uint64_t behalf_stamp = 0;
+  /// On an inquiry: the highest `behalf_stamp` the sender has merged from
+  /// the receiver's replies — every row the receiver stamped at or below
+  /// it is already merged — valid under `ack_epoch` like `row_acks`. 0
+  /// asks for every row, and so does an echo from another epoch.
+  std::uint64_t behalf_echo = 0;
   /// Relayed in-edge rows of other processes, versioned by their subjects'
   /// own counters. Rows flooding along the cascade is what keeps the
   /// message COUNT of collecting a k-element structure at O(k) (§4's
@@ -203,13 +214,29 @@ class GgdProcess {
   [[nodiscard]] bool is_root() const { return is_root_; }
   [[nodiscard]] bool removed() const { return removed_; }
 
-  /// Mutable log access is how the mutator side (lazy log-keeping) writes
-  /// the self row, so it also marks the cached V stale.
+  /// Unrestricted write access to the log, for tests and tools. It cannot
+  /// tell which rows the caller changes, so it marks the cached V stale
+  /// and has the next reply re-stamp every on-behalf row (each inquirer
+  /// then receives them all again). The mutator side writes through the
+  /// log writers below instead.
   [[nodiscard]] DvLog& log() {
     v_current_ = false;
+    log_stamps_stale_ = true;
     return log_;
   }
   [[nodiscard]] const DvLog& log() const { return log_; }
+
+  /// The log writers lazy log-keeping (§3.4) uses: entry `slot` of the
+  /// row kept for `row` (the self row when `row` is this process). A
+  /// write that changes the self row marks the cached V stale; one that
+  /// changes another row stamps it afresh from the revision counter, so
+  /// the next reply to each inquirer ships it.
+  Timestamp increment_log(ProcessId row, ProcessId slot);
+  void merge_log_entry(ProcessId row, ProcessId slot, Timestamp ts);
+  /// A new local log-keeping event: bumps this process's own counter.
+  Timestamp new_local_event() { return increment_log(id_, id_); }
+  /// Drops the on-behalf row kept for `row` (its bundle has been sent).
+  void erase_log_row(ProcessId row);
 
   [[nodiscard]] const FlatSet<ProcessId>& acquaintances() const {
     return acquaintances_;
@@ -253,10 +280,11 @@ class GgdProcess {
   [[nodiscard]] std::vector<GgdMessage> remove_self(
       const FlatSet<ProcessId>& condemned = {});
 
-  /// Builds the answer to an inquiry: this process's current vector-time
+  /// Builds the answer to `inquiry`: this process's current vector-time
   /// approximation, vouchers and death knowledge, flagged as a reply so
-  /// the inquirer does not mistake it for an edge fact.
-  [[nodiscard]] GgdMessage make_reply(ProcessId to);
+  /// the inquirer does not mistake it for an edge fact, plus the deferred
+  /// on-behalf rows stamped past the inquiry's `behalf_echo`.
+  [[nodiscard]] GgdMessage make_reply(const GgdMessage& inquiry);
 
   /// Builds an edge announce: a regular vector message to `to` asserting
   /// the newly created edge this -> to (the runtime layer sends one per
@@ -434,6 +462,23 @@ class GgdProcess {
     const std::uint64_t rev = row_rev(q);
     return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
   }
+  /// The on-behalf stamp of the log row kept for `q` (0: none).
+  [[nodiscard]] std::uint64_t log_rev(ProcessId q) const {
+    auto it = log_rev_.find(q);
+    return it == log_rev_.end() ? 0 : it->second;
+  }
+  /// The behalf echo this process holds for `peer`: the highest on-behalf
+  /// stamp merged from its replies, and the peer's epoch it was stamped
+  /// under ({0, 0}: none, the next inquiry asks for every row).
+  struct BehalfEcho {
+    std::uint64_t epoch = 0;
+    std::uint64_t stamp = 0;
+    [[nodiscard]] bool operator==(const BehalfEcho&) const = default;
+  };
+  [[nodiscard]] BehalfEcho behalf_echo(ProcessId peer) const {
+    auto it = behalf_echo_.find(peer);
+    return it == behalf_echo_.end() ? BehalfEcho{} : it->second;
+  }
   /// The full replica-row map, materialized (differential conformance
   /// compares the converged row state of delta vs whole-map runs).
   [[nodiscard]] FlatMap<ProcessId, DependencyVector> known_rows() const {
@@ -574,6 +619,17 @@ class GgdProcess {
   /// message addressed to msg.from.
   void record_row_acks(const GgdMessage& msg);
 
+  /// Stamps the on-behalf row kept for `q` afresh (see log_rev_).
+  void stamp_log_row(ProcessId q) { log_rev_[q] = ++rev_counter_; }
+
+  /// Re-stamps every on-behalf row after a write through log() (see
+  /// log_stamps_stale_); nothing to do otherwise.
+  void settle_log_stamps();
+
+  /// Advances the behalf echo for `reply.from` past the rows `reply`
+  /// shipped. Called only when the reply's rows have been merged.
+  void advance_behalf_echo(const GgdMessage& reply);
+
   ProcessId id_;
   bool is_root_;
   DvLog log_;
@@ -644,6 +700,9 @@ class GgdProcess {
   /// and every write that changes one of the three clears it. Exact, so
   /// skipping a closure while it holds cannot change what is sent.
   bool v_current_ = false;
+  /// Set by the unrestricted log() accessor: some on-behalf row may have
+  /// changed without a fresh stamp, so the next reply re-stamps them all.
+  bool log_stamps_stale_ = false;
   /// Closures run while observed (see take_v_closures). Not serialized.
   mutable std::uint32_t v_closures_ = 0;
   DependencyVector last_v_;
@@ -662,6 +721,19 @@ class GgdProcess {
   /// recorded under.
   FlatMap<ProcessId, FlatMap<ProcessId, std::uint64_t>> ack_pending_;
   FlatMap<ProcessId, std::uint64_t> ack_epoch_pending_;
+  /// Per on-behalf (non-self, non-empty) log row: the revision counter's
+  /// value at its last real write. A reply ships exactly the rows stamped
+  /// past the inquirer's echo — the confirmed frontier, never an
+  /// optimistic sent mark: a lost reply leaves the echo where it was, so
+  /// the next reply ships the same rows again and the inquirer's overlay
+  /// (known_behalf_) always equals what shipping every row would give.
+  /// A recreated row is stamped afresh, and import_state re-stamps every
+  /// row under the new sync epoch.
+  FlatMap<ProcessId, std::uint64_t> log_rev_;
+  /// Per replier: the behalf echo this process sends on its inquiries.
+  /// Erased when the replier is learned dead, cleared on import (the new
+  /// incarnation re-learns it from a full reply).
+  FlatMap<ProcessId, BehalfEcho> behalf_echo_;
   std::uint64_t sync_epoch_ = 0;
   RelayPolicy relay_policy_ = RelayPolicy::kDelta;
 };

@@ -211,7 +211,7 @@ void SiteCore::deliver(const GgdMessage& msg) {
       // before its reply is built, so the reply never certifies an
       // in-edge row that a pending regrant is about to change.
       target.absorb_edge_facts(msg.behalf, msg.from);
-      emit(target.make_reply(msg.from));
+      emit(target.make_reply(msg));
       if (obs_attached_) {
         observe_closures(target);
       }

@@ -3,21 +3,20 @@
 namespace cgc {
 
 void LazyLogKeeping::on_send_own_ref(GgdProcess& i, ProcessId j) const {
-  auto self = i.log().self_row();  // proxy handle, stable across interning
-  self.increment(j);
-  self.increment(i.id());
+  i.increment_log(i.id(), j);
+  i.new_local_event();
 }
 
 void LazyLogKeeping::on_send_third_party_ref(GgdProcess& i, ProcessId k,
                                              ProcessId j) const {
-  i.log().row(k).increment(j);
+  i.increment_log(k, j);
   if (mode_ == LogKeepingMode::kRobust) {
     // Forwarding is a log-keeping event of the forwarder: bumping its own
     // counter orders the forward before any later state of the forwarder,
     // so a row of the forwarder that proves it unreachable is necessarily
     // newer than its last forward — the ordering the decision walk's
     // soundness argument rests on.
-    i.log().new_local_event();
+    i.new_local_event();
   }
 }
 
@@ -31,8 +30,8 @@ void LazyLogKeeping::on_receive_ref(GgdProcess& j, ProcessId k) const {
     // acquirer: bump its own counter and record the new edge with that
     // fresh index, so any later destruction marker from j necessarily
     // carries a strictly larger index than every edge it outlived.
-    const Timestamp own = j.log().new_local_event();
-    j.log().row(k).merge_entry(j.id(), own);
+    const Timestamp own = j.new_local_event();
+    j.merge_log_entry(k, j.id(), own);
   } else {
     // Paper-exact rule (§3.4): DV_j[k][j]++ — the acquirer locally assigns
     // the next index of its own timeline for this edge, and mirrors the
@@ -40,8 +39,8 @@ void LazyLogKeeping::on_receive_ref(GgdProcess& j, ProcessId k) const {
     // from j carries an index that supersedes every index j ever assigned
     // on its own behalf (this is what makes the root's destruction message
     // in Fig. 8 carry E1 rather than E0).
-    const Timestamp assigned = j.log().row(k).increment(j.id());
-    j.log().self_row().merge_entry(j.id(), assigned);
+    const Timestamp assigned = j.increment_log(k, j.id());
+    j.merge_log_entry(j.id(), j.id(), assigned);
   }
   j.add_acquaintance(k);
 }
@@ -54,7 +53,7 @@ GgdMessage LazyLogKeeping::on_drop_ref(GgdProcess& j, ProcessId k) const {
     bundle_entries_->record(msg.v.size());
   }
   j.remove_acquaintance(k);
-  j.log().erase_row(k);
+  j.erase_log_row(k);
   j.decertify_row(k);
   return msg;
 }

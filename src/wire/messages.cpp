@@ -35,28 +35,34 @@ ObjectRefTransfer decode_object_ref_transfer(Decoder& dec) {
 }
 
 /// Bits of a control body's presence mask: the four flags, and one bit
-/// per field that is written only when non-empty (an epoch: non-zero).
-/// The mask is a varint, so only the low seven bits fit its first byte.
-/// They go to what the commonest messages set: a bare inquiry, an
-/// inquiry that flushes acks, and a reply whose sender neither holds nor
-/// owes grants to its receiver and relays no rows all take a one-byte
-/// mask (57-67% of control messages on the gcbench simulator workloads).
+/// per field that is written only when non-empty (an epoch or a stamp:
+/// non-zero). The mask is a varint, so only the low seven bits fit its
+/// first byte. They go to what the commonest messages set: a bare
+/// inquiry, an inquiry that echoes its behalf frontier or flushes acks,
+/// and a reply whose sender neither holds nor owes grants to its receiver
+/// and relays no rows all take a one-byte mask (57-67% of control
+/// messages on the gcbench simulator workloads). A reply that ships
+/// deferred rows is rare once inquirers echo their frontier, and the
+/// epochs are non-zero only after a migration, so those take the high
+/// bits.
 enum MaskBit : std::uint64_t {
   kInquiry = 1 << 0,
   kReply = 1 << 1,
   kHasOutEdges = 1 << 2,
   kV = 1 << 3,
   kSelfRow = 1 << 4,
-  kBehalfRows = 1 << 5,
+  kBehalfEcho = 1 << 5,
   kRowAcks = 1 << 6,
   kHoldsReceiver = 1 << 7,
   kBehalf = 1 << 8,
   kRows = 1 << 9,
   kDead = 1 << 10,
   kCondemned = 1 << 11,
-  kSyncEpoch = 1 << 12,
-  kAckEpoch = 1 << 13,
-  kKnownBits = (1 << 14) - 1,
+  kBehalfRows = 1 << 12,
+  kBehalfStamp = 1 << 13,
+  kSyncEpoch = 1 << 14,
+  kAckEpoch = 1 << 15,
+  kKnownBits = (1 << 16) - 1,
 };
 
 std::uint64_t presence_mask(const GgdMessage& m) {
@@ -80,6 +86,8 @@ std::uint64_t presence_mask(const GgdMessage& m) {
   set(!m.condemned.empty(), kCondemned);
   set(m.sync_epoch != 0, kSyncEpoch);
   set(m.ack_epoch != 0, kAckEpoch);
+  set(m.behalf_stamp != 0, kBehalfStamp);
+  set(m.behalf_echo != 0, kBehalfEcho);
   return mask;
 }
 
@@ -109,6 +117,13 @@ void encode_ggd_body(Encoder& enc, const GgdMessage& m, Mark&& mark) {
     enc.row_map(m.behalf_rows);
   }
   mark(GgdField::kBehalfRows);
+  if ((mask & kBehalfStamp) != 0) {
+    enc.varint(m.behalf_stamp);
+  }
+  if ((mask & kBehalfEcho) != 0) {
+    enc.varint(m.behalf_echo);
+  }
+  mark(GgdField::kBehalfStamps);
   // Relayed rows travel as one columnar batch (delta row-relay): the
   // per-row encoding paid the id/timestamp interleave for every row,
   // while the batch's single RLE timestamp column collapses across rows.
@@ -180,6 +195,11 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
     require(!m.behalf_rows.empty());
   } else {
     recycle_rows(m.behalf_rows, behalf_pool);
+  }
+  for (auto [field, bit] : {std::pair{&m.behalf_stamp, kBehalfStamp},
+                            std::pair{&m.behalf_echo, kBehalfEcho}}) {
+    *field = has(bit) ? dec.varint() : 0;
+    require(!has(bit) || *field != 0);
   }
   if (has(kRows)) {
     dec.row_batch(m.rows, m.row_revs, rows_pool);
@@ -458,8 +478,9 @@ std::size_t MessageDecoder::capacity() const {
 
 const char* ggd_field_name(GgdField f) {
   static constexpr const char* kNames[] = {
-      "header",      "v",    "self_row", "behalf", "behalf_rows",
-      "rows",        "row_acks", "epochs", "dead", "condemned"};
+      "header", "v",        "self_row", "behalf", "behalf_rows",
+      "behalf_stamps", "rows", "row_acks", "epochs", "dead",
+      "condemned"};
   static_assert(std::size(kNames) == kGgdFieldCount);
   return kNames[static_cast<std::size_t>(f)];
 }

@@ -197,7 +197,8 @@ class MessageDecoder {
 [[nodiscard]] std::size_t encoded_size(const WireMessage& msg);
 
 /// The parts of a framed GGD control message, in wire order. `kHeader` is
-/// the kind/tag byte, the presence mask, `from` and `to`; `kEpochs` is
+/// the kind/tag byte, the presence mask, `from` and `to`;
+/// `kBehalfStamps` is `behalf_stamp` and `behalf_echo`; `kEpochs` is
 /// `sync_epoch` and `ack_epoch`; `kRows` includes `row_revs`.
 enum class GgdField : std::uint8_t {
   kHeader,
@@ -205,6 +206,7 @@ enum class GgdField : std::uint8_t {
   kSelfRow,
   kBehalf,
   kBehalfRows,
+  kBehalfStamps,
   kRows,
   kRowAcks,
   kEpochs,

@@ -1,5 +1,7 @@
 // Delta row-relay: per-peer sync state, piggybacked acks, the sweep's
 // full-resync escape hatch, and migration's epoch-fenced frontier reset.
+// Also the reply's on-behalf frontier: stamped deferred rows and the
+// inquirer's confirmed echo.
 //
 // The protocol contract under test: delta relaying is an OPTIMIZATION of
 // whole-map relaying — it may defer when a row travels, never whether the
@@ -10,9 +12,11 @@
 
 #include <cstdint>
 #include <set>
+#include <utility>
 
 #include "ggd/engine.hpp"
 #include "ggd/process.hpp"
+#include "logkeeping/lazy_logkeeping.hpp"
 #include "net/network.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
@@ -189,6 +193,226 @@ TEST(DeltaSync, MigrationBounceResetsFrontiersAndFencesTheEpoch) {
   EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// The reply's on-behalf frontier (unit level, no network).
+// ---------------------------------------------------------------------------
+
+/// Whether `known` holds every entry of `row` (the join of the two is
+/// `known` again).
+bool covers(const RowTable::RowView& known, const DependencyVector& row) {
+  for (const auto& [p, ts] : row.entries()) {
+    if (!(Timestamp::merge(known.get(p), ts) == known.get(p))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Answers `inq` the way the site does (SiteCore::deliver).
+GgdMessage answer(GgdProcess& target, const GgdMessage& inq) {
+  target.apply_row_acks(inq);
+  target.absorb_edge_facts(inq.behalf, inq.from);
+  return target.make_reply(inq);
+}
+
+/// Replier 2 holds deferred rows for third parties; inquirer 3 is held
+/// by 5, which is held by 2, which nothing holds: 3 proves itself
+/// unreachable unless it sees 2's deferred grant 6 -> 5 (6 is a root).
+struct BehalfFixture {
+  GgdProcess replier{P(2), false};
+  GgdProcess inquirer{P(3), false};
+  LazyLogKeeping lk;
+  SimTime now = 0;
+  const std::function<bool(ProcessId)> is_root = roots({6});
+
+  BehalfFixture() {
+    inquirer.increment_log(P(3), P(5));  // edge 5 -> 3
+    GgdMessage from5;
+    from5.from = P(5);
+    from5.to = P(3);
+    from5.reply = true;
+    from5.v.set(P(5), Timestamp::creation(1));
+    from5.self_row.set(P(2), Timestamp::creation(1));  // edge 2 -> 5
+    (void)inquirer.receive(from5, is_root, now);
+    // 2's row (no in-edges), from a reply built before any deferral.
+    (void)inquirer.receive(answer(replier, bare_inquiry()), is_root, now);
+    EXPECT_FALSE(inquirer.removed());
+  }
+
+  GgdMessage bare_inquiry() const {
+    GgdMessage inq;
+    inq.from = P(3);
+    inq.to = P(2);
+    inq.inquiry = true;
+    return inq;
+  }
+
+  /// The inquiry 3's next decision sends 2 (a fresh round: gates reset).
+  GgdMessage inquire() {
+    inquirer.reset_inquiry_gates();
+    for (GgdMessage& m : inquirer.decide(is_root, true, ++now)) {
+      if (m.inquiry && m.to == P(2)) {
+        return m;
+      }
+    }
+    ADD_FAILURE() << "no inquiry to 2";
+    return bare_inquiry();
+  }
+
+  void deliver(const GgdMessage& reply) {
+    (void)inquirer.receive(reply, is_root, ++now);
+  }
+};
+
+TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
+  BehalfFixture f;
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(6));  // grant 6 -> 5
+  ASSERT_GT(f.replier.log_rev(P(5)), 0u);
+
+  const GgdMessage first = f.inquire();
+  EXPECT_EQ(first.behalf_echo, 0u);
+  const GgdMessage lost = answer(f.replier, first);
+  ASSERT_TRUE(lost.behalf_rows.contains(P(5)));
+  EXPECT_EQ(lost.behalf_stamp, f.replier.log_rev(P(5)));
+  // `lost` never arrives: the echo must not have moved on sending.
+  const GgdMessage second = f.inquire();
+  EXPECT_EQ(second.behalf_echo, 0u);
+  const GgdMessage reply = answer(f.replier, second);
+  ASSERT_TRUE(reply.behalf_rows.contains(P(5)))
+      << "a reply lost on the way must not cost the inquirer the grant";
+  f.deliver(reply);
+  EXPECT_FALSE(f.inquirer.removed());
+  FlatSet<ProcessId> missing, evidence, consulted;
+  EXPECT_EQ(f.inquirer.walk_to_root(f.is_root, missing, evidence, consulted),
+            GgdProcess::WalkResult::kReachable);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)).stamp, reply.behalf_stamp);
+
+  // Merged: the next reply ships nothing until 2 writes the row again.
+  const GgdMessage third = f.inquire();
+  EXPECT_EQ(third.behalf_echo, reply.behalf_stamp);
+  EXPECT_TRUE(answer(f.replier, third).behalf_rows.empty());
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(7));
+  const GgdMessage fourth = answer(f.replier, f.inquire());
+  ASSERT_TRUE(fourth.behalf_rows.contains(P(5)));
+  EXPECT_GT(fourth.behalf_stamp, reply.behalf_stamp);
+}
+
+TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
+  BehalfFixture f;
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
+  f.lk.on_send_third_party_ref(f.replier, P(8), P(9));
+  const GgdMessage before = answer(f.replier, f.inquire());
+  ASSERT_EQ(before.behalf_rows.size(), 2u);
+  f.deliver(before);
+  ASSERT_NE(f.inquirer.behalf_echo(P(2)).stamp, 0u);
+  const GgdMessage settled = f.inquire();
+  EXPECT_TRUE(answer(f.replier, settled).behalf_rows.empty());
+
+  // 2 moves: the new incarnation re-stamps its rows under a new epoch,
+  // and an echo recorded under the old one asks for every row.
+  f.replier.import_state(f.replier.export_state());
+  ASSERT_EQ(f.replier.sync_epoch(), 1u);
+  const GgdMessage after = answer(f.replier, settled);
+  EXPECT_EQ(after.behalf_rows.size(), 2u);
+  EXPECT_EQ(after.sync_epoch, 1u);
+  f.deliver(after);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)),
+            (GgdProcess::BehalfEcho{1, after.behalf_stamp}));
+  // The echo now names epoch 1 (in ack_epoch), so 2 ships nothing more.
+  const GgdMessage next = f.inquire();
+  EXPECT_EQ(next.ack_epoch, 1u);
+  EXPECT_TRUE(answer(f.replier, next).behalf_rows.empty());
+  // A row the new incarnation writes is stamped past that echo.
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(10));
+  const GgdMessage rewritten = answer(f.replier, next);
+  ASSERT_EQ(rewritten.behalf_rows.size(), 1u);
+  EXPECT_EQ(rewritten.behalf_rows.at(P(5)).get(P(10)),
+            Timestamp::creation(1));
+  // A reply the old incarnation built, delivered late, moves no echo.
+  f.deliver(before);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)),
+            (GgdProcess::BehalfEcho{1, after.behalf_stamp}));
+}
+
+TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
+  BehalfFixture f;
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
+  const GgdMessage early = answer(f.replier, f.inquire());
+  f.lk.on_send_third_party_ref(f.replier, P(8), P(9));   // row 8, newer
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(7));   // row 5 rewritten
+  const GgdMessage late = answer(f.replier, f.inquire());
+  ASSERT_EQ(late.behalf_rows.size(), 2u);
+  ASSERT_LT(early.behalf_stamp, late.behalf_stamp);
+
+  // Only the early reply, twice: the echo stops at its stamp, below both
+  // rows written since, so the next reply ships them.
+  f.deliver(early);
+  f.deliver(early);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)).stamp, early.behalf_stamp);
+  const GgdMessage next = answer(f.replier, f.inquire());
+  EXPECT_EQ(next.behalf_rows.size(), 2u);
+  EXPECT_EQ(next.behalf_stamp, late.behalf_stamp);
+
+  // The late reply, then the early one again (reordered): the echo keeps
+  // the highest merged stamp, and every row is merged.
+  f.deliver(late);
+  f.deliver(early);
+  f.deliver(late);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)).stamp, late.behalf_stamp);
+  for (ProcessId q : {P(5), P(8)}) {
+    EXPECT_TRUE(covers(f.inquirer.known_behalf().row(q),
+                       std::as_const(f.replier).log().row(q)))
+        << q.str();
+  }
+  EXPECT_TRUE(answer(f.replier, f.inquire()).behalf_rows.empty());
+}
+
+TEST(BehalfFrontier, AWriteThroughLogReshipsEveryRow) {
+  BehalfFixture f;
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
+  f.lk.on_send_third_party_ref(f.replier, P(8), P(9));
+  f.deliver(answer(f.replier, f.inquire()));
+  const GgdMessage settled = f.inquire();
+  ASSERT_TRUE(answer(f.replier, settled).behalf_rows.empty());
+  // log() cannot tell which row its caller writes, so every row ships.
+  f.replier.log().row(P(8)).increment(P(4));
+  const GgdMessage reply = answer(f.replier, settled);
+  EXPECT_EQ(reply.behalf_rows.size(), 2u);
+  EXPECT_EQ(reply.behalf_rows.at(P(8)).get(P(4)), Timestamp::creation(1));
+}
+
+TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
+  BehalfFixture f;
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
+  const std::size_t before = f.inquirer.storage_footprint().relay_bytes;
+  f.deliver(answer(f.replier, f.inquire()));
+  ASSERT_NE(f.inquirer.behalf_echo(P(2)).stamp, 0u);
+  EXPECT_GT(f.inquirer.storage_footprint().relay_bytes, before)
+      << "echo records are relay state";
+
+  // Learning that the replier died drops its record.
+  GgdMessage death;
+  death.from = P(5);
+  death.to = P(3);
+  death.reply = true;
+  death.dead.insert(P(2));
+  (void)f.inquirer.receive(death, f.is_root, ++f.now);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), GgdProcess::BehalfEcho{});
+
+  // So does the inquirer's own removal, for every peer.
+  GgdProcess other(P(4), false);
+  f.lk.on_send_third_party_ref(other, P(5), P(6));
+  GgdMessage inq = f.bare_inquiry();
+  inq.to = P(4);
+  f.deliver(answer(other, inq));
+  ASSERT_NE(f.inquirer.behalf_echo(P(4)).stamp, 0u);
+  if (!f.inquirer.removed()) {
+    (void)f.inquirer.remove_self();
+  }
+  f.inquirer.retire_tombstone();
+  EXPECT_EQ(f.inquirer.behalf_echo(P(4)), GgdProcess::BehalfEcho{});
+}
+
 TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
   GgdProcess p(P(3), false);
   DependencyVector v;
@@ -212,7 +436,11 @@ TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
       << "re-adopting identical content must not re-stamp";
 
   // The ack echoes the SENDER's stamp exactly once per flush, at the max.
-  GgdMessage reply = p.make_reply(P(2));
+  GgdMessage inquiry;
+  inquiry.from = P(2);
+  inquiry.to = p.id();
+  inquiry.inquiry = true;
+  GgdMessage reply = p.make_reply(inquiry);
   auto it = reply.row_acks.find(P(9));
   ASSERT_NE(it, reply.row_acks.end());
   EXPECT_EQ(it->second, 7u);

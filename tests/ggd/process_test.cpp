@@ -403,7 +403,7 @@ GgdMessage answer_inquiry(GgdProcess& target, ProcessId inquirer) {
     return target.make_destruction_message(inquirer);
   }
   target.absorb_edge_facts(inq.behalf, inq.from);
-  return target.make_reply(inquirer);
+  return target.make_reply(inq);
 }
 
 TEST(GgdProcess, AnsweringAnInquiryInternsNoLogRow) {

@@ -3,12 +3,17 @@
 // death knowledge) are unchanged. Every test here holds compute_v() to the
 // reference closure, which always recomputes: one test per write that can
 // change an input, and a per-event differential over generated scenarios
-// on the simulator host.
+// on the simulator host. The same scenarios also hold the reply's
+// on-behalf frontier to what shipping every row would give.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +22,8 @@
 #include "logkeeping/lazy_logkeeping.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/spec.hpp"
+#include "wire/batching.hpp"
+#include "wire/trace.hpp"
 #include "workload/scenario.hpp"
 
 namespace cgc {
@@ -86,7 +93,11 @@ TEST(VCurrent, NoOpReceiveAndReplyReuseTheClosure) {
   EXPECT_EQ(p.take_v_closures(), 1u);
   (void)p.receive(msg, all_roots);  // a duplicate changes no input
   EXPECT_EQ(p.take_v_closures(), 0u);
-  const GgdMessage reply = p.make_reply(P(3));
+  GgdMessage inquiry;
+  inquiry.from = P(3);
+  inquiry.to = p.id();
+  inquiry.inquiry = true;
+  const GgdMessage reply = p.make_reply(inquiry);
   EXPECT_EQ(p.take_v_closures(), 0u);
   EXPECT_EQ(reply.v, reference_compute_v(p));
   EXPECT_FALSE(reply.v.get(P(4)).is_delta());
@@ -198,17 +209,23 @@ void check_every_process(GgdEngine& engine, DifferentialStats& st,
   }
 }
 
+/// A check run after every mutator op, sweep and simulator event;
+/// `idle` is set once the simulator has drained.
+using EventCheck = std::function<void(Scenario&, const std::string& where,
+                                      bool idle)>;
+
 /// Steps the scenario's simulator one event at a time, at most `limit`
-/// events, checking every process after each. Returns false if the
-/// simulator was still busy after `limit` events.
-bool step_and_check(Scenario& s, std::uint64_t limit, DifferentialStats& st,
-                    const std::string& where) {
+/// events, running `check` after each. Returns false if the simulator
+/// was still busy after `limit` events.
+bool step_and_check(Scenario& s, std::uint64_t limit, std::size_t& events,
+                    const EventCheck& check, const std::string& where) {
   for (std::uint64_t k = 0; k < limit; ++k) {
     if (!s.sim().step()) {
+      check(s, where, /*idle=*/true);
       return true;
     }
-    ++st.events;
-    check_every_process(s.engine(), st, where);
+    ++events;
+    check(s, where, /*idle=*/false);
     if (::testing::Test::HasFatalFailure()) {
       return true;
     }
@@ -218,8 +235,11 @@ bool step_and_check(Scenario& s, std::uint64_t limit, DifferentialStats& st,
 
 /// Drives one generated scenario the way the conformance runner does
 /// (mutation under the spec's faults and pacing, then heal and sweeps),
-/// checking every process after every mutator op and every event.
-void run_differential(std::uint64_t seed, DifferentialStats& st) {
+/// running `check` after every mutator op and every event. `setup` sees
+/// the scenario before its first op.
+void run_stepped(std::uint64_t seed, std::size_t& events,
+                 const EventCheck& check,
+                 const std::function<void(Scenario&)>& setup) {
   const ScenarioSpec spec = spec_from_seed(seed);
   const std::vector<MutatorOp> ops = generate_trace(spec);
   obs::Registry reg;  // outlives the engine, which caches its counters
@@ -229,34 +249,42 @@ void run_differential(std::uint64_t seed, DifferentialStats& st) {
   // Observed processes count their closures, which is how a check tells a
   // reused V from a recomputed one.
   s.engine().attach_obs(&reg, nullptr);
+  setup(s);
   constexpr std::uint64_t kDrainLimit = 2'000'000;
   Rng burst_rng(seed * 0x2545f4914f6cdd1dULL + 1);
   const std::string where = spec.describe();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     (void)s.apply(ops[i]);
-    check_every_process(s.engine(), st, where + " after op " +
-                                            std::to_string(i));
+    check(s, where + " after op " + std::to_string(i), /*idle=*/false);
     const std::uint64_t burst =
         spec.paced ? kDrainLimit : burst_rng.below(48);
-    const bool drained = step_and_check(s, burst, st, where);
+    const bool drained = step_and_check(s, burst, events, check, where);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     ASSERT_TRUE(drained || !spec.paced) << where << ": did not quiesce";
   }
-  ASSERT_TRUE(step_and_check(s, kDrainLimit, st, where));
+  ASSERT_TRUE(step_and_check(s, kDrainLimit, events, check, where));
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   s.net().set_drop_rate(0.0);
   s.net().set_duplicate_rate(0.0);
   for (int round = 0; round < 4; ++round) {
     s.engine().periodic_sweep();
-    check_every_process(s.engine(), st, where + " after a sweep");
-    ASSERT_TRUE(step_and_check(s, kDrainLimit, st, where));
+    check(s, where + " after a sweep", /*idle=*/false);
+    ASSERT_TRUE(step_and_check(s, kDrainLimit, events, check, where));
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
 }
 
-TEST(VCurrent, EveryEventOfGeneratedScenariosServesTheReferenceClosure) {
-  DifferentialStats st;
-  std::set<ScenarioClass> classes;
+void run_differential(std::uint64_t seed, DifferentialStats& st) {
+  run_stepped(
+      seed, st.events,
+      [&st](Scenario& s, const std::string& where, bool) {
+        check_every_process(s.engine(), st, where);
+      },
+      [](Scenario&) {});
+}
+
+/// The seeds both differentials step through.
+std::vector<std::uint64_t> differential_seeds() {
   // Seeds 1-14 cover every class. Of seeds 1-300, 22 and 52 are
   // two of the few on which a build that skipped the invalidation for a
   // newly learned death served a stale V; they keep that mutation caught
@@ -265,7 +293,13 @@ TEST(VCurrent, EveryEventOfGeneratedScenariosServesTheReferenceClosure) {
   for (std::uint64_t seed = 1; seed <= 14; ++seed) {
     seeds.push_back(seed);
   }
-  for (std::uint64_t seed : seeds) {
+  return seeds;
+}
+
+TEST(VCurrent, EveryEventOfGeneratedScenariosServesTheReferenceClosure) {
+  DifferentialStats st;
+  std::set<ScenarioClass> classes;
+  for (std::uint64_t seed : differential_seeds()) {
     classes.insert(spec_from_seed(seed).cls);
     run_differential(seed, st);
     ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
@@ -276,6 +310,195 @@ TEST(VCurrent, EveryEventOfGeneratedScenariosServesTheReferenceClosure) {
   // Most checks must be served from the reused V, or this test would not
   // exercise it.
   EXPECT_GT(st.reused * 2, st.checks);
+}
+
+// ---- the reply's on-behalf frontier, per event ------------------------
+
+/// A process's deferred on-behalf rows: every non-empty log row but its
+/// own, as shipping every row would send them.
+using BehalfRows = FlatMap<ProcessId, DependencyVector>;
+
+BehalfRows behalf_rows_of(const GgdProcess& p) {
+  BehalfRows out;
+  for (const auto& [q, row] : p.log().rows()) {
+    if (q != p.id() && !row.empty()) {
+      out.emplace(q, row);
+    }
+  }
+  return out;
+}
+
+/// A reply seen on the wire, awaiting its delivery: the rows its replier
+/// held when it built the reply (the one to its inquirer left out).
+struct SentReply {
+  SimTime delivered_at = 0;
+  ProcessId inquirer;
+  std::uint64_t inquirer_epoch = 0;
+  BehalfRows rows;
+};
+
+struct FrontierStats {
+  std::size_t replies = 0;        // delivered replies checked
+  std::size_t rows_checked = 0;   // rows held to the inquirer's overlay
+  std::size_t echo_rows = 0;      // rows under a live echo, checked
+};
+
+/// Holds the delta rule to the full-ship rule after every event:
+///   * each delivered reply left its inquirer's known_behalf() covering
+///     every row its replier held when it built the reply;
+///   * every row a replier stamped at or under an inquirer's current echo
+///     (same epoch) is already covered there, so leaving it out of the
+///     next reply loses nothing.
+/// A reply's build-time rows are read from the replier before the event
+/// that built it: within an event a log row only grows (a reference
+/// arrives), so those rows are a lower bound of what the reply held.
+class FrontierCheck {
+ public:
+  explicit FrontierCheck(FrontierStats& st) : st_(st) {}
+
+  void attach(Scenario& s) {
+    s.net().set_trace(&trace_);
+    snapshot(s.engine());
+  }
+
+  void operator()(Scenario& s, const std::string& where, bool idle) {
+    GgdEngine& engine = s.engine();
+    const wire::WireTrace& trace = trace_;
+    for (; seen_ < trace.size(); ++seen_) {
+      const wire::PacketRecord& rec = trace.packets()[seen_];
+      if (rec.delivered_at.empty()) {
+        continue;  // dropped
+      }
+      wire::read_packet(
+          rec.bytes, [](const wire::PacketHeader&) {},
+          [&](const wire::WireMessage& msg, std::size_t) {
+            const auto* c = std::get_if<wire::GgdControl>(&msg.body);
+            if (c == nullptr || !c->msg.reply) {
+              return;
+            }
+            const GgdMessage& r = c->msg;
+            auto held = before_.find(r.from);
+            if (held == before_.end() ||
+                held->second.epoch != engine.process(r.from).sync_epoch()) {
+              return;  // the replier arrived by migration in this event
+            }
+            SentReply sent{rec.delivered_at.front(), r.to,
+                           engine.process(r.to).sync_epoch(),
+                           held->second.rows};
+            sent.rows.erase(r.to);
+            pending_.push_back(std::move(sent));
+          });
+    }
+    const SimTime now = s.sim().now();
+    std::vector<SentReply> later;
+    for (SentReply& sent : pending_) {
+      if (sent.delivered_at > now || (sent.delivered_at == now && !idle)) {
+        later.push_back(std::move(sent));
+        continue;
+      }
+      const GgdProcess& i = engine.process(sent.inquirer);
+      if (i.removed() || engine.migrating(sent.inquirer) ||
+          i.sync_epoch() != sent.inquirer_epoch) {
+        continue;  // not merged here, or merged by another incarnation
+      }
+      ++st_.replies;
+      for (const auto& [q, row] : sent.rows) {
+        if (q == i.id() || i.dead().contains(q)) {
+          continue;  // never merged, by either rule
+        }
+        ++st_.rows_checked;
+        ASSERT_TRUE(covers(i.known_behalf().row(q), row))
+            << where << ": process " << i.id().str()
+            << " lacks a deferred row of " << q.str()
+            << " that a delivered reply held";
+      }
+    }
+    pending_ = std::move(later);
+    check_echoes(engine, where);
+    snapshot(engine);
+  }
+
+ private:
+  struct Held {
+    std::uint64_t epoch = 0;
+    BehalfRows rows;
+  };
+
+  static bool covers(const RowTable::RowView& known,
+                     const DependencyVector& row) {
+    for (const auto& [p, ts] : row.entries()) {
+      if (!(Timestamp::merge(known.get(p), ts) == known.get(p))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void check_echoes(GgdEngine& engine, const std::string& where) {
+    for (ProcessId id : engine.process_ids()) {
+      const GgdProcess& i = engine.process(id);
+      if (i.removed()) {
+        continue;
+      }
+      for (ProcessId r : engine.process_ids()) {
+        const GgdProcess::BehalfEcho echo = i.behalf_echo(r);
+        const GgdProcess& replier = engine.process(r);
+        if (echo.stamp == 0 || replier.sync_epoch() != echo.epoch) {
+          continue;
+        }
+        for (const auto& [q, row] : replier.log().rows()) {
+          const std::uint64_t stamp = replier.log_rev(q);
+          if (q == r || q == id || stamp == 0 || stamp > echo.stamp ||
+              i.dead().contains(q)) {
+            continue;
+          }
+          ++st_.echo_rows;
+          ASSERT_TRUE(covers(i.known_behalf().row(q), row))
+              << where << ": process " << id.str() << "'s echo for "
+              << r.str() << " passes a row of " << q.str()
+              << " it never merged";
+        }
+      }
+    }
+  }
+
+  void snapshot(GgdEngine& engine) {
+    before_.clear();
+    for (ProcessId id : engine.process_ids()) {
+      const GgdProcess& p = engine.process(id);
+      if (!p.removed()) {
+        before_.emplace(id, Held{p.sync_epoch(), behalf_rows_of(p)});
+      }
+    }
+  }
+
+  FrontierStats& st_;
+  wire::WireTrace trace_;
+  std::size_t seen_ = 0;
+  FlatMap<ProcessId, Held> before_;
+  std::vector<SentReply> pending_;
+};
+
+TEST(BehalfFrontier, EveryDeliveredReplyLeavesWhatShippingEveryRowWould) {
+  FrontierStats st;
+  std::size_t events = 0;
+  for (std::uint64_t seed : differential_seeds()) {
+    FrontierCheck check(st);
+    run_stepped(
+        seed, events,
+        [&check](Scenario& s, const std::string& where, bool idle) {
+          check(s, where, idle);
+        },
+        [&check](Scenario& s) { check.attach(s); });
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+  }
+  std::printf("replies=%zu rows_checked=%zu echo_rows=%zu events=%zu\n",
+              st.replies, st.rows_checked, st.echo_rows, events);
+  // The checks must have teeth: replies that carried deferred rows, and
+  // rows left out of replies because they lay under a live echo.
+  EXPECT_GT(st.replies, 1'000u);
+  EXPECT_GT(st.rows_checked, 1'000u);
+  EXPECT_GT(st.echo_rows, 1'000u);
 }
 
 }  // namespace

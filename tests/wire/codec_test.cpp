@@ -315,6 +315,12 @@ const std::vector<Presence>& presences() {
        },
        [](M& m) { m.behalf_rows.clear(); }, F::kBehalfRows,
        [](E& e, const M& m) { e.row_map(m.behalf_rows); }},
+      {"behalf_stamp", [](M& m, Rng& r) { m.behalf_stamp = 1 + r.below(900); },
+       [](M& m) { m.behalf_stamp = 0; }, F::kBehalfStamps,
+       [](E& e, const M& m) { e.varint(m.behalf_stamp); }},
+      {"behalf_echo", [](M& m, Rng& r) { m.behalf_echo = 1 + r.below(900); },
+       [](M& m) { m.behalf_echo = 0; }, F::kBehalfStamps,
+       [](E& e, const M& m) { e.varint(m.behalf_echo); }},
       {"rows",
        [](M& m, Rng& r) {
          const ProcessId q = P(1 + r.below(40));

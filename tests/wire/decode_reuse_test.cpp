@@ -73,6 +73,12 @@ GgdMessage random_control(Rng& rng, bool large) {
   m.reply = !m.inquiry && rng.chance(0.4);
   m.has_out_edges = m.reply;
   m.holds_receiver = m.has_out_edges && rng.chance(0.5);
+  if (m.reply && !m.behalf_rows.empty()) {
+    m.behalf_stamp = 1 + rng.below(1000);
+  }
+  if (m.inquiry && rng.chance(0.5)) {
+    m.behalf_echo = 1 + rng.below(1000);
+  }
   if (!m.inquiry && !m.reply && rng.chance(0.5)) {
     m.condemned = random_set(rng, large ? 16 : 3);
   }
@@ -161,6 +167,8 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
       {"self_row", [](GgdMessage& m) { m.self_row.clear(); }},
       {"behalf", [](GgdMessage& m) { m.behalf.clear(); }},
       {"behalf_rows", [](GgdMessage& m) { m.behalf_rows.clear(); }},
+      {"behalf_stamp", [](GgdMessage& m) { m.behalf_stamp = 0; }},
+      {"behalf_echo", [](GgdMessage& m) { m.behalf_echo = 0; }},
       {"rows",
        [](GgdMessage& m) {
          m.rows.clear();
@@ -182,6 +190,8 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
   full.inquiry = full.reply = full.has_out_edges = full.holds_receiver = true;
   full.sync_epoch = 3;
   full.ack_epoch = 2;
+  full.behalf_stamp = 9;
+  full.behalf_echo = 5;
   full.condemned = {P(4), P(7)};
   wire::MessageDecoder reader;
   for (const auto& [name, clear] : fields) {
