@@ -160,14 +160,14 @@ struct Golden {
 // its subject hot (the simulator host does, this host does not): most
 // scans of a cold row emit nothing either way.
 constexpr Golden kGoldens[] = {
-    {1, 0x9b0514a2428b6e17ULL, 0x0afd05115bfd50e6ULL},
-    {2, 0xde23e8fc0808b2ffULL, 0xaaedbd59c0117c00ULL},
-    {3, 0x794be6a64e0cf680ULL, 0xa027ac1f3e6e9a98ULL},
-    {4, 0xd76624f496e56556ULL, 0xd141608468991bb0ULL},
-    {5, 0x34e1b8dfde7b8765ULL, 0x5edbec098a1bf0cfULL},
-    {7, 0x75300a2a634f8116ULL, 0xe37c564220f4686eULL},
-    {8, 0x8219f04214acfd77ULL, 0xf2e52db15fd8a845ULL},
-    {12, 0x70647c0402d31d5dULL, 0xfb77e046fa621288ULL},
+    {1, 0x2e1815212f8aa27dULL, 0xaf53a08bdd8672c1ULL},
+    {2, 0x16a13fcfbad3c260ULL, 0xabe5de65e060f60eULL},
+    {3, 0x0811fb6df7f85cc8ULL, 0x8aee364acd96658eULL},
+    {4, 0x00023dd5b65761a4ULL, 0x87181938539c3f05ULL},
+    {5, 0xb39318a7b2206c18ULL, 0x51e7dde8bb30707fULL},
+    {7, 0x0337c300adf3323fULL, 0xade971ecdd6f8329ULL},
+    {8, 0x45249a9a056c0bc1ULL, 0x98e98090d86cae49ULL},
+    {12, 0xc58cb3460ff56059ULL, 0x05e44251df9b118aULL},
 };
 
 TEST(SiteNodeGolden, UnboundedSweepsAreByteIdentical) {

