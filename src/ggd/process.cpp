@@ -887,11 +887,7 @@ void GgdProcess::merge_edge_facts(const DependencyVector& facts,
 
 Timestamp GgdProcess::increment_log(ProcessId row, ProcessId slot) {
   const Timestamp next = log_.row(row).increment(slot);
-  if (row == id_) {
-    v_current_ = false;
-  } else {
-    stamp_log_row(row);
-  }
+  note_log_write(row);
   return next;
 }
 
@@ -904,11 +900,7 @@ void GgdProcess::merge_log_entry(ProcessId row, ProcessId slot,
     return;
   }
   r.set(slot, merged);
-  if (row == id_) {
-    v_current_ = false;
-  } else {
-    stamp_log_row(row);
-  }
+  note_log_write(row);
 }
 
 void GgdProcess::erase_log_row(ProcessId row) {
@@ -1201,13 +1193,7 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
     (void)row;
     row_rev_.emplace(q, ++rev_counter_);
   }
-  log_rev_.clear();
-  log_stamps_stale_ = false;
-  for (const auto& [q, row] : log_.rows()) {
-    if (q != id_ && !row.empty()) {
-      stamp_log_row(q);
-    }
-  }
+  log_stamps_stale_ = true;  // the next reply re-stamps every row
   behalf_echo_.clear();
   peer_sync_.clear();
   ack_pending_.clear();

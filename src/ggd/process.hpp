@@ -622,8 +622,18 @@ class GgdProcess {
   /// Stamps the on-behalf row kept for `q` afresh (see log_rev_).
   void stamp_log_row(ProcessId q) { log_rev_[q] = ++rev_counter_; }
 
-  /// Re-stamps every on-behalf row after a write through log() (see
-  /// log_stamps_stale_); nothing to do otherwise.
+  /// After a write that changed log row `row`: the self row is a closure
+  /// input, any other row is stamped afresh.
+  void note_log_write(ProcessId row) {
+    if (row == id_) {
+      v_current_ = false;
+    } else {
+      stamp_log_row(row);
+    }
+  }
+
+  /// Re-stamps every on-behalf row when log_stamps_stale_ is set;
+  /// nothing to do otherwise.
   void settle_log_stamps();
 
   /// Advances the behalf echo for `reply.from` past the rows `reply`
@@ -700,8 +710,9 @@ class GgdProcess {
   /// and every write that changes one of the three clears it. Exact, so
   /// skipping a closure while it holds cannot change what is sent.
   bool v_current_ = false;
-  /// Set by the unrestricted log() accessor: some on-behalf row may have
-  /// changed without a fresh stamp, so the next reply re-stamps them all.
+  /// Set by the unrestricted log() accessor (some on-behalf row may have
+  /// changed without a fresh stamp) and by import_state (stamps restart
+  /// with the new sync epoch): the next reply re-stamps every row.
   bool log_stamps_stale_ = false;
   /// Closures run while observed (see take_v_closures). Not serialized.
   mutable std::uint32_t v_closures_ = 0;
@@ -727,8 +738,8 @@ class GgdProcess {
   /// optimistic sent mark: a lost reply leaves the echo where it was, so
   /// the next reply ships the same rows again and the inquirer's overlay
   /// (known_behalf_) always equals what shipping every row would give.
-  /// A recreated row is stamped afresh, and import_state re-stamps every
-  /// row under the new sync epoch.
+  /// A recreated row is stamped afresh, and every row is re-stamped
+  /// under the new sync epoch after import_state.
   FlatMap<ProcessId, std::uint64_t> log_rev_;
   /// Per replier: the behalf echo this process sends on its inquiries.
   /// Erased when the replier is learned dead, cleared on import (the new
