@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -15,22 +16,20 @@ namespace {
 /// Replace-if-newer merge of a reported self row, versioned by the
 /// subject's own event counter (strictly monotone at the subject). An
 /// older report never clobbers a newer one — duplication and reordering
-/// are harmless (robustness, §5). Returns whether the stored copy
-/// actually changed, which is what drives the delta-relay revision stamp:
-/// the subject's counter alone cannot be the version because an
-/// equal-index merge can change content without advancing it.
-bool adopt_row(RowTable& rows, ProcessId subject,
-               const DependencyVector& row) {
+/// are harmless (robustness, §5). Returns the stored row if it actually
+/// changed, which is what drives the delta-relay revision stamp: the
+/// subject's counter alone cannot be the version because an equal-index
+/// merge can change content without advancing it.
+std::optional<RowTable::RowRef> adopt_row(RowTable& rows, ProcessId subject,
+                                          const DependencyVector& row) {
   if (!rows.contains(subject)) {
-    rows.row(subject) = row;
-    return true;
+    return rows.row(subject) = row;
   }
   RowTable::RowRef stored_row = rows.row(subject);
   const std::uint64_t stored = stored_row.get(subject).index();
   const std::uint64_t incoming = row.get(subject).index();
   if (incoming > stored) {
-    stored_row = row;
-    return true;
+    return stored_row = row;
   }
   if (incoming == stored) {
     // Same version: merge conservatively (a destruction marker at equal
@@ -46,9 +45,9 @@ bool adopt_row(RowTable& rows, ProcessId subject,
         changed = true;
       }
     }
-    return changed;
+    return changed ? std::optional(stored_row) : std::nullopt;
   }
-  return false;
+  return std::nullopt;
 }
 
 /// Per-thread working sets of the per-message closure, walk and decision.
@@ -277,7 +276,6 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     if (q != id_ && dead_.insert(q).second) {
       history_.erase(q);
       known_rows_.erase(q);
-      row_rev_.erase(q);
       known_behalf_.erase(q);
       behalf_echo_.erase(q);
       v_current_ = false;
@@ -288,15 +286,15 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
   // re-blocks for ever on an eventless subject. Rows of dead processes are
   // not resurrected.
   if (!dead_.contains(m)) {
-    if (adopt_row(known_rows_, m, msg.self_row)) {
-      bump_rev(m);
+    if (auto adopted = adopt_row(known_rows_, m, msg.self_row)) {
+      stamp_row(*adopted);
     }
   }
   // Relayed rows (versioned facts, replace-if-newer).
   for (const auto& [q, row] : msg.rows) {
     if (q != id_ && q != m && !dead_.contains(q)) {
-      if (adopt_row(known_rows_, q, row)) {
-        bump_rev(q);
+      if (auto adopted = adopt_row(known_rows_, q, row)) {
+        stamp_row(*adopted);
       }
     }
   }
@@ -690,10 +688,9 @@ void GgdProcess::attach_sync(GgdMessage& msg, bool include_rows) {
   }
   if (relay_policy_ == RelayPolicy::kWholeMap) {
     for (const auto& [q, row] : known_rows_.rows()) {
+      CGC_CHECK(row.stamp() != 0);
       msg.rows.emplace(q, row);
-      auto rit = row_rev_.find(q);
-      CGC_CHECK(rit != row_rev_.end());
-      msg.row_revs.emplace(q, rit->second);
+      msg.row_revs.emplace(q, row.stamp());
     }
     return;
   }
@@ -710,9 +707,8 @@ void GgdProcess::attach_sync(GgdMessage& msg, bool include_rows) {
     if (q == msg.to) {
       continue;  // the receiver ignores a relayed copy of its own row
     }
-    auto rit = row_rev_.find(q);
-    CGC_CHECK(rit != row_rev_.end());
-    const std::uint64_t rev = rit->second;
+    const std::uint64_t rev = row.stamp();
+    CGC_CHECK(rev != 0);
     if (rev <= ps.sent_watermark && !ps.forced.contains(q)) {
       continue;
     }
@@ -761,10 +757,9 @@ void GgdProcess::settle_log_stamps() {
     return;
   }
   log_stamps_stale_ = false;
-  log_rev_.clear();
   for (const auto& [q, row] : log_.rows()) {
     if (q != id_ && !row.empty()) {
-      stamp_log_row(q);
+      stamp_row(log_.row(q));
     }
   }
 }
@@ -811,9 +806,8 @@ void GgdProcess::apply_row_acks(const GgdMessage& msg) {
     // was rolled back meanwhile; clearing the forced mark when the ack
     // covers the row's current revision avoids one spurious re-ship (the
     // old representation's sent := max(sent, acked) lift). A vanished row
-    // (death purge) has nothing left to re-ship either way.
-    auto rit = row_rev_.find(q);
-    if (rit == row_rev_.end() || rev >= rit->second) {
+    // (death purge) reads stamp 0 and has nothing left to re-ship.
+    if (rev >= known_row(q).stamp()) {
       ps.forced.erase(q);
     }
   }
@@ -886,8 +880,9 @@ void GgdProcess::merge_edge_facts(const DependencyVector& facts,
 }
 
 Timestamp GgdProcess::increment_log(ProcessId row, ProcessId slot) {
-  const Timestamp next = log_.row(row).increment(slot);
-  note_log_write(row);
+  RowTable::RowRef r = log_.row(row);
+  const Timestamp next = r.increment(slot);
+  note_log_write(row, r);
   return next;
 }
 
@@ -900,15 +895,13 @@ void GgdProcess::merge_log_entry(ProcessId row, ProcessId slot,
     return;
   }
   r.set(slot, merged);
-  note_log_write(row);
+  note_log_write(row, r);
 }
 
 void GgdProcess::erase_log_row(ProcessId row) {
   log_.erase_row(row);
   if (row == id_) {
     v_current_ = false;
-  } else {
-    log_rev_.erase(row);
   }
 }
 
@@ -1090,10 +1083,11 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   settle_log_stamps();
   const std::uint64_t echo =
       inquiry.ack_epoch == sync_epoch_ ? inquiry.behalf_echo : 0;
-  for (const auto& [q, stamp] : log_rev_) {
-    if (stamp > echo && q != to && !dead_.contains(q)) {
-      msg.behalf_rows.emplace(q, std::as_const(log_).row(q));
-      msg.behalf_stamp = std::max(msg.behalf_stamp, stamp);
+  for (const auto& [q, row] : log_.rows()) {
+    if (row.stamp() > echo && !row.empty() && q != to &&
+        !dead_.contains(q)) {
+      msg.behalf_rows.emplace(q, row);
+      msg.behalf_stamp = std::max(msg.behalf_stamp, row.stamp());
     }
   }
   msg.dead = dead_;
@@ -1115,16 +1109,9 @@ GgdProcessSnapshot GgdProcess::export_state() const {
   snap.acquaintances = acquaintances_;
   // The SoA tables materialize into the snapshot's owning FlatMaps in
   // increasing-id order (the wire codec's contract).
-  auto materialize = [](const RowTable& table) {
-    FlatMap<ProcessId, DependencyVector> out;
-    for (const auto& [q, row] : table.rows()) {
-      out.emplace(q, row);
-    }
-    return out;
-  };
-  snap.history = materialize(history_);
-  snap.known_rows = materialize(known_rows_);
-  snap.known_behalf = materialize(known_behalf_);
+  snap.history = history_.to_map();
+  snap.known_rows = known_rows_.to_map();
+  snap.known_behalf = known_behalf_.to_map();
   snap.dead = dead_;
   snap.resurrected = resurrected_;
   snap.resurrect_fact_index = resurrect_fact_index_;
@@ -1187,11 +1174,9 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   // every adopted row from a fresh counter and open a new sync epoch so
   // ack echoes addressed to the old incarnation's stamps are discarded
   // instead of regressing frontiers (the migration-bounce failure mode).
-  row_rev_.clear();
   rev_counter_ = 0;
-  for (const auto& [q, row] : known_rows_.rows()) {
-    (void)row;
-    row_rev_.emplace(q, ++rev_counter_);
+  for (const auto& adopted : snap.known_rows) {
+    stamp_row(known_rows_.row(adopted.first));
   }
   log_stamps_stale_ = true;  // the next reply re-stamps every row
   behalf_echo_.clear();
@@ -1217,7 +1202,6 @@ void GgdProcess::retire_tombstone() {
   confirm_time_.release();
   in_edge_confirmed_.release();
   // Reply frontiers: a tombstone neither replies nor merges replies.
-  log_rev_.release();
   behalf_echo_.release();
   // Forward coalescing: take_forwards() is empty for a tombstone, so the
   // acquaintance list and cached V can go. `forward_pending_` must KEEP
@@ -1232,7 +1216,6 @@ void GgdProcess::retire_tombstone() {
   // apply_row_acks): frozen content, tight-packed in place.
   log_.shrink_to_fit();
   known_rows_.shrink_to_fit();
-  row_rev_.shrink_to_fit();
   dead_.shrink_to_fit();
   ack_epoch_pending_.shrink_to_fit();
   for (auto& [peer, ps] : peer_sync_) {
@@ -1240,9 +1223,10 @@ void GgdProcess::retire_tombstone() {
     // `unacked` is write-only bookkeeping once removed: the rollback that
     // reads it (sync_sweep_round) never runs for a tombstone — sweeps
     // skip removed processes — and neither the attach decision
-    // (watermark + forced) nor the ack handler's forced-clear (row_rev_)
-    // consults it. The final cascade shipped every known row to every
-    // acquaintance, so these maps are the bulk of a corpse's relay state.
+    // (watermark + forced) nor the ack handler's forced-clear (the known
+    // row's stamp) consults it. The final cascade shipped every known row
+    // to every acquaintance, so these maps are the bulk of a corpse's
+    // relay state.
     ps.unacked.release();
     ps.forced.shrink_to_fit();
   }
@@ -1266,11 +1250,10 @@ GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
   };
   // dead_ counts here, not under gating: death knowledge rides in every
   // posthumous message, so it is wire-live state like the frontiers.
-  f.relay_bytes = map64(row_rev_) + map64(ack_epoch_pending_) +
-                  map64(dead_) + map64(log_rev_) + map64(behalf_echo_) +
+  f.relay_bytes = map64(ack_epoch_pending_) + map64(dead_) +
+                  map64(behalf_echo_) + map64(ack_pending_) +
                   peer_sync_.capacity() *
-                      sizeof(std::pair<ProcessId, PeerSync>) +
-                  map64(ack_pending_);
+                      sizeof(std::pair<ProcessId, PeerSync>);
   for (const auto& [peer, ps] : peer_sync_) {
     (void)peer;
     f.relay_bytes += map64(ps.unacked) + map64(ps.forced);
@@ -1316,8 +1299,6 @@ void GgdProcess::trim_storage() {
       m.shrink_to_fit();
     }
   };
-  trim(row_rev_);
-  trim(log_rev_);
   trim(behalf_echo_);
   trim(dead_);
   trim(ack_epoch_pending_);

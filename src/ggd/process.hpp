@@ -83,7 +83,7 @@ struct GgdMessage {
   /// member's row — O(k^2) messages. Under the delta relay policy this
   /// carries only rows new or changed since the receiver's confirmed
   /// frontier (O(changed), not O(population), bytes per forward); the
-  /// whole-map policy ships everything, as the pre-delta protocol did.
+  /// tests' whole-map reference policy ships everything, as pre-delta.
   FlatMap<ProcessId, DependencyVector> rows;
   /// Sender-local revision stamps, one per entry of `rows` (same keys).
   /// Revisions are drawn from a per-process monotone counter and bumped
@@ -188,8 +188,8 @@ struct GgdProcessSnapshot {
 /// How a process selects relayed rows for an outgoing message.
 /// kDelta (the default) ships only rows new or changed since the
 /// destination's confirmed frontier; kWholeMap reproduces the pre-delta
-/// protocol (every known row on every message) and exists for the
-/// differential conformance sweep and as an operational escape hatch.
+/// protocol (every known row on every message): only the reference path
+/// of delta_sync_test and logkeeping_equivalence_test.
 enum class RelayPolicy : std::uint8_t { kDelta, kWholeMap };
 
 /// Whether a process is an actual root of the global root graph: asked by
@@ -300,11 +300,10 @@ class GgdProcess {
   void decertify_row(ProcessId q) {
     history_.erase(q);
     v_current_ = false;
+    // The row's stamp goes with it: a later re-adoption stamps a fresh
+    // revision from the monotone counter, so peers whose frontier saw the
+    // decertified copy re-receive it.
     known_rows_.erase(q);
-    // Keep the revision map aligned with known_rows_ (hard invariant): a
-    // later re-adoption stamps a fresh revision from the monotone counter,
-    // so peers whose frontier saw the decertified copy re-receive it.
-    row_rev_.erase(q);
   }
 
   /// Accumulated third-party on-behalf knowledge: for subject q, the
@@ -314,6 +313,7 @@ class GgdProcess {
 
   /// The edge-precise in-edge row of `q` as last reported by `q` itself
   /// (replace-if-newer by q's own event counter). Non-exists() if unknown.
+  /// Its stamp() is the row's delta-relay revision.
   [[nodiscard]] RowTable::RowView known_row(ProcessId q) const {
     return known_rows_.row(q);
   }
@@ -405,10 +405,10 @@ class GgdProcess {
   /// verdicts.
   void reset_inquiry_gates();
 
-  /// Selects the relay policy for outgoing row attachment. Switching to
-  /// whole-map mid-run is always safe (it only ever ships MORE); switching
-  /// to delta mid-run is too, because frontiers start empty and therefore
-  /// under-claim.
+  /// Selects the relay policy (kWholeMap: the tests' reference path).
+  /// Switching to whole-map mid-run is always safe (it only ever ships
+  /// MORE); switching to delta mid-run is too, because frontiers start
+  /// empty and therefore under-claim.
   void set_relay_policy(RelayPolicy policy) { relay_policy_ = policy; }
   [[nodiscard]] RelayPolicy relay_policy() const { return relay_policy_; }
 
@@ -430,10 +430,6 @@ class GgdProcess {
 
   /// Delta-sync observability (tests and diagnostics).
   [[nodiscard]] std::uint64_t sync_epoch() const { return sync_epoch_; }
-  [[nodiscard]] std::uint64_t row_rev(ProcessId q) const {
-    auto it = row_rev_.find(q);
-    return it == row_rev_.end() ? 0 : it->second;
-  }
   /// Effective sent frontier for (peer, q), reconstructed from the
   /// watermark representation: the shipped-but-unconfirmed revision if
   /// one is in flight, the row's revision when it sits under the
@@ -447,7 +443,7 @@ class GgdProcess {
     if (ps.forced.contains(q)) return 0;
     auto uit = ps.unacked.find(q);
     if (uit != ps.unacked.end()) return uit->second;
-    const std::uint64_t rev = row_rev(q);
+    const std::uint64_t rev = known_row(q).stamp();
     return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
   }
   /// Effective acked frontier for (peer, q): a row under the watermark
@@ -459,13 +455,8 @@ class GgdProcess {
     if (it == peer_sync_.end()) return 0;
     const PeerSync& ps = it->second;
     if (ps.forced.contains(q) || ps.unacked.contains(q)) return 0;
-    const std::uint64_t rev = row_rev(q);
+    const std::uint64_t rev = known_row(q).stamp();
     return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
-  }
-  /// The on-behalf stamp of the log row kept for `q` (0: none).
-  [[nodiscard]] std::uint64_t log_rev(ProcessId q) const {
-    auto it = log_rev_.find(q);
-    return it == log_rev_.end() ? 0 : it->second;
   }
   /// The behalf echo this process holds for `peer`: the highest on-behalf
   /// stamp merged from its replies, and the peer's epoch it was stamped
@@ -482,11 +473,7 @@ class GgdProcess {
   /// The full replica-row map, materialized (differential conformance
   /// compares the converged row state of delta vs whole-map runs).
   [[nodiscard]] FlatMap<ProcessId, DependencyVector> known_rows() const {
-    FlatMap<ProcessId, DependencyVector> out;
-    for (const auto& [q, row] : known_rows_.rows()) {
-      out.emplace(q, row);
-    }
-    return out;
+    return known_rows_.to_map();
   }
 
   /// Merges announced edge facts delivered outside a regular message —
@@ -564,8 +551,6 @@ class GgdProcess {
   /// into re-verification storms under migration churn.
   void import_state(const GgdProcessSnapshot& snap);
 
- private:
- public:
   [[nodiscard]] const FlatSet<ProcessId>& dead() const { return dead_; }
 
  private:
@@ -579,7 +564,7 @@ class GgdProcess {
   void set_self_entry(ProcessId q, Timestamp ts);
 
   /// Per-peer delta-sync bookkeeping, watermark form. Row revisions are
-  /// globally monotone within this process (`bump_rev`), so "which rows
+  /// globally monotone within this process (`stamp_row`), so "which rows
   /// has this peer been sent" compresses from a per-row map to a single
   /// watermark: every row revised at or below it has been shipped (the
   /// attach loop ships ALL rows past the frontier, then advances the
@@ -596,11 +581,12 @@ class GgdProcess {
     std::uint8_t stale_rounds = 0;
   };
 
-  /// Stamps a fresh revision on q's stored row. The counter is globally
-  /// monotone within this process, so a re-adopted row (decertify, death
-  /// purge, then fresh arrival) always out-revisions every stamp any peer
-  /// ever saw — no ABA on the frontier.
-  void bump_rev(ProcessId q) { row_rev_[q] = ++rev_counter_; }
+  /// Stamps `row` (a known row or an on-behalf log row) with a fresh
+  /// revision. The counter is globally monotone within this process, so
+  /// a re-adopted or recreated row (decertify, death purge, erase, then a
+  /// fresh write) always out-revisions every stamp any peer ever saw — no
+  /// ABA on a frontier.
+  void stamp_row(RowTable::RowRef row) { row.set_stamp(++rev_counter_); }
 
   /// Stamps epoch + pending acks onto an outgoing message and, when
   /// `include_rows` is set, attaches the row delta (or the whole map,
@@ -619,16 +605,13 @@ class GgdProcess {
   /// message addressed to msg.from.
   void record_row_acks(const GgdMessage& msg);
 
-  /// Stamps the on-behalf row kept for `q` afresh (see log_rev_).
-  void stamp_log_row(ProcessId q) { log_rev_[q] = ++rev_counter_; }
-
-  /// After a write that changed log row `row`: the self row is a closure
-  /// input, any other row is stamped afresh.
-  void note_log_write(ProcessId row) {
+  /// After a write that changed log row `r` (kept for `row`): the self
+  /// row is a closure input, any other row is stamped afresh.
+  void note_log_write(ProcessId row, RowTable::RowRef r) {
     if (row == id_) {
       v_current_ = false;
     } else {
-      stamp_log_row(row);
+      stamp_row(r);
     }
   }
 
@@ -642,6 +625,12 @@ class GgdProcess {
 
   ProcessId id_;
   bool is_root_;
+  /// An on-behalf log row's stamp is the revision counter at its last
+  /// real write. A reply ships the non-empty rows stamped past the
+  /// inquirer's echo — the confirmed frontier, never an optimistic sent
+  /// mark: a lost reply leaves the echo, so the next reply ships the same
+  /// rows again and the inquirer's overlay (known_behalf_) always equals
+  /// what shipping every row would give.
   DvLog log_;
   /// SoA row tables (shared entry columns, optionally pool-backed): the
   /// three big per-process maps that dominate footprint at scale.
@@ -723,8 +712,8 @@ class GgdProcess {
   /// Frontiers describe what THIS incarnation shipped; after a hand-off
   /// the new site-of-record must not claim rows it never sent, so the
   /// state is rebuilt from scratch on import under a fresh epoch.
-  /// Invariant: keys(row_rev_) == keys(known_rows_).
-  FlatMap<ProcessId, std::uint64_t> row_rev_;
+  /// Each known row's revision is its RowTable stamp, drawn from this
+  /// counter whenever the stored copy actually changes.
   std::uint64_t rev_counter_ = 0;
   FlatMap<ProcessId, PeerSync> peer_sync_;
   /// Acks accumulated per row-sender, flushed onto the next message to
@@ -732,15 +721,6 @@ class GgdProcess {
   /// recorded under.
   FlatMap<ProcessId, FlatMap<ProcessId, std::uint64_t>> ack_pending_;
   FlatMap<ProcessId, std::uint64_t> ack_epoch_pending_;
-  /// Per on-behalf (non-self, non-empty) log row: the revision counter's
-  /// value at its last real write. A reply ships exactly the rows stamped
-  /// past the inquirer's echo — the confirmed frontier, never an
-  /// optimistic sent mark: a lost reply leaves the echo where it was, so
-  /// the next reply ships the same rows again and the inquirer's overlay
-  /// (known_behalf_) always equals what shipping every row would give.
-  /// A recreated row is stamped afresh, and every row is re-stamped
-  /// under the new sync epoch after import_state.
-  FlatMap<ProcessId, std::uint64_t> log_rev_;
   /// Per replier: the behalf echo this process sends on its inquiries.
   /// Erased when the replier is learned dead, cleared on import (the new
   /// incarnation re-learns it from a full reply).

@@ -19,6 +19,10 @@
 // the table actually shrinks — unlike the free-slot recycling it
 // replaces, which pinned every row's high-water block forever.
 //
+// A row may carry a revision stamp (RowRef::set_stamp; 0: never stamped),
+// created and erased with the row, in a slot-indexed column that grows on
+// the first set_stamp: a table that never stamps pays nothing for it.
+//
 // Rows are reached through proxies: RowRef (mutable) and RowView
 // (read-only) mirror DependencyVector's get/set/merge/entries surface
 // and convert implicitly to a materialized DependencyVector where a
@@ -54,7 +58,8 @@ class RowTable {
       : spans_(SpanAlloc(pool)),
         free_slots_(SlotAlloc(pool)),
         ids_(IdAlloc(pool)),
-        ts_(TsAlloc(pool)) {}
+        ts_(TsAlloc(pool)),
+        stamps_(TsAlloc(pool)) {}
 
   // -- packed timestamps ----------------------------------------------------
 
@@ -111,6 +116,12 @@ class RowTable {
       return exists() ? t_->spans_[slot_].len : 0;
     }
     [[nodiscard]] bool empty() const { return size() == 0; }
+
+    /// The row's revision stamp (RowRef::set_stamp); 0 for a row never
+    /// stamped since it was created, and for an absent row.
+    [[nodiscard]] std::uint64_t stamp() const {
+      return exists() && slot_ < t_->stamps_.size() ? t_->stamps_[slot_] : 0;
+    }
 
     [[nodiscard]] Timestamp get(ProcessId p) const {
       if (!exists()) {
@@ -208,6 +219,15 @@ class RowTable {
 
     [[nodiscard]] Timestamp get(ProcessId p) const { return view().get(p); }
 
+    /// Content writes leave the stamp alone: the owner stamps the rows
+    /// whose changes it versions.
+    void set_stamp(std::uint64_t stamp) {
+      if (slot_ >= t_->stamps_.size()) {
+        t_->stamps_.resize(t_->spans_.size());
+      }
+      t_->stamps_[slot_] = stamp;
+    }
+
     /// Overwrites the entry for `p`; storing 0 erases it (DependencyVector
     /// semantics).
     void set(ProcessId p, Timestamp ts) { t_->set_entry(slot_, p, ts); }
@@ -290,6 +310,7 @@ class RowTable {
     free_slots_.clear();
     ids_.clear();
     ts_.clear();
+    stamps_.clear();
     dead_ = 0;
     total_entries_ = 0;
   }
@@ -302,6 +323,7 @@ class RowTable {
     shrink_vec(free_slots_);
     shrink_vec(ids_);
     shrink_vec(ts_);
+    shrink_vec(stamps_);
     dead_ = 0;
     total_entries_ = 0;
   }
@@ -313,6 +335,7 @@ class RowTable {
     compact();
     spans_.shrink_to_fit();
     free_slots_.shrink_to_fit();
+    stamps_.shrink_to_fit();
     index_.shrink_to_fit();
   }
 
@@ -354,6 +377,15 @@ class RowTable {
 
   [[nodiscard]] RowsView rows() const { return RowsView(this); }
 
+  /// Every row materialized into an owning map, increasing ProcessId.
+  [[nodiscard]] FlatMap<ProcessId, DependencyVector> to_map() const {
+    FlatMap<ProcessId, DependencyVector> out;
+    for (const auto& [q, row] : rows()) {
+      out.emplace(q, row);
+    }
+    return out;
+  }
+
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] bool empty() const { return index_.empty(); }
 
@@ -364,8 +396,6 @@ class RowTable {
 
   /// Column slots currently held, live + dead + per-row slack.
   [[nodiscard]] std::size_t column_slots() const { return ids_.size(); }
-  /// Column slots reserved (vector capacity).
-  [[nodiscard]] std::size_t column_capacity() const { return ids_.capacity(); }
   /// Slots owned by no live row (reclaimed by the next compaction).
   [[nodiscard]] std::size_t dead_slots() const { return dead_; }
   /// Actual bytes the two columns occupy right now.
@@ -373,11 +403,12 @@ class RowTable {
     return ids_.capacity() * sizeof(ProcessId) +
            ts_.capacity() * sizeof(std::uint64_t);
   }
-  /// Everything this table holds: columns plus span/index/free-slot
+  /// Everything this table holds: columns plus span/index/free-slot/stamp
   /// bookkeeping — the number that actually shows up in RSS.
   [[nodiscard]] std::size_t footprint_bytes() const {
     return column_bytes() + spans_.capacity() * sizeof(Span) +
            free_slots_.capacity() * sizeof(std::uint32_t) +
+           stamps_.capacity() * sizeof(std::uint64_t) +
            index_.capacity() * sizeof(std::pair<ProcessId, std::uint32_t>);
   }
 
@@ -482,6 +513,9 @@ class RowTable {
       const std::uint32_t slot = free_slots_.back();
       free_slots_.pop_back();
       spans_[slot] = Span{};
+      if (slot < stamps_.size()) {
+        stamps_[slot] = 0;  // a reused slot starts unstamped
+      }
       return slot;
     }
     const auto slot = static_cast<std::uint32_t>(spans_.size());
@@ -649,6 +683,9 @@ class RowTable {
   /// The shared entry columns all rows slice into.
   std::vector<ProcessId, IdAlloc> ids_;
   std::vector<std::uint64_t, TsAlloc> ts_;
+  /// Revision stamp per slot, grown on the first set_stamp; slots past
+  /// its end read 0.
+  std::vector<std::uint64_t, TsAlloc> stamps_;
   std::uint32_t dead_ = 0;
   std::size_t total_entries_ = 0;
 };

@@ -56,7 +56,7 @@ std::uint64_t teach_row(GgdProcess& p, std::uint64_t index) {
   row.set(P(2), Timestamp::creation(index));
   row.set(P(1), Timestamp::creation(1));
   (void)p.receive(vector_msg(P(2), p.id(), row, row), roots({1}));
-  return p.row_rev(P(2));
+  return p.known_row(P(2)).stamp();
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ TEST(DeltaSync, MigrationBounceResetsFrontiersAndFencesTheEpoch) {
   GgdProcess p(P(3), false);
   teach_row(p, 1);
   (void)p.make_announce(P(5));
-  const std::uint64_t rev = p.row_rev(P(2));
+  const std::uint64_t rev = p.known_row(P(2)).stamp();
   ASSERT_GT(p.peer_sent_rev(P(5), P(2)), 0u);
   const std::uint64_t epoch0 = p.sync_epoch();
 
@@ -179,7 +179,7 @@ TEST(DeltaSync, MigrationBounceResetsFrontiersAndFencesTheEpoch) {
   GgdMessage m = p.make_announce(P(5));
   ASSERT_NE(m.rows.find(P(2)), m.rows.end());
   // Revisions were re-stamped by the import; the row itself survived.
-  EXPECT_GT(p.row_rev(P(2)), 0u);
+  EXPECT_GT(p.known_row(P(2)).stamp(), 0u);
   (void)rev;
 
   // An ack echoing the PRE-bounce epoch must not confirm anything now.
@@ -187,7 +187,7 @@ TEST(DeltaSync, MigrationBounceResetsFrontiersAndFencesTheEpoch) {
   stale.from = P(5);
   stale.to = P(3);
   stale.reply = true;
-  stale.row_acks.emplace(P(2), p.row_rev(P(2)));
+  stale.row_acks.emplace(P(2), p.known_row(P(2)).stamp());
   stale.ack_epoch = epoch0;
   (void)p.receive(stale, roots({1}));
   EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u);
@@ -267,13 +267,14 @@ struct BehalfFixture {
 TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));  // grant 6 -> 5
-  ASSERT_GT(f.replier.log_rev(P(5)), 0u);
+  const DvLog& log = std::as_const(f.replier).log();
+  ASSERT_GT(log.row(P(5)).stamp(), 0u);
 
   const GgdMessage first = f.inquire();
   EXPECT_EQ(first.behalf_echo, 0u);
   const GgdMessage lost = answer(f.replier, first);
   ASSERT_TRUE(lost.behalf_rows.contains(P(5)));
-  EXPECT_EQ(lost.behalf_stamp, f.replier.log_rev(P(5)));
+  EXPECT_EQ(lost.behalf_stamp, log.row(P(5)).stamp());
   // `lost` never arrives: the echo must not have moved on sending.
   const GgdMessage second = f.inquire();
   EXPECT_EQ(second.behalf_echo, 0u);
@@ -427,12 +428,12 @@ TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
   m.sync_epoch = 0;
 
   (void)p.receive(m, roots({1}));
-  const std::uint64_t rev_first = p.row_rev(P(9));
+  const std::uint64_t rev_first = p.known_row(P(9)).stamp();
   ASSERT_GT(rev_first, 0u) << "the batched row was adopted";
 
   // Same batch again (duplicated packet): no state may move.
   (void)p.receive(m, roots({1}));
-  EXPECT_EQ(p.row_rev(P(9)), rev_first)
+  EXPECT_EQ(p.known_row(P(9)).stamp(), rev_first)
       << "re-adopting identical content must not re-stamp";
 
   // The ack echoes the SENDER's stamp exactly once per flush, at the max.

@@ -447,7 +447,7 @@ class FrontierCheck {
           continue;
         }
         for (const auto& [q, row] : replier.log().rows()) {
-          const std::uint64_t stamp = replier.log_rev(q);
+          const std::uint64_t stamp = row.stamp();
           if (q == r || q == id || stamp == 0 || stamp > echo.stamp ||
               i.dead().contains(q)) {
             continue;

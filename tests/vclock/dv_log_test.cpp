@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 namespace cgc {
 namespace {
 
@@ -91,6 +94,80 @@ TEST(DvLog, AutomaticCompactionBoundsDeadSlots) {
   }
   EXPECT_LE(log.dead_slots(), log.column_slots());
   EXPECT_LT(log.column_slots(), 16u * 64u * 2u);  // churn did not accrete
+}
+
+// A row's revision stamp belongs to the row: it stays put while compaction
+// slides the columns and while shrink_to_fit trims the bookkeeping.
+TEST(DvLog, StampsSurviveCompactionAndShrink) {
+  DvLog log(P(0));
+  const DvLog& clog = log;
+  for (std::uint64_t q = 1; q <= 96; ++q) {
+    auto row = log.row(P(q));
+    row.set(P(1000 + q), Timestamp::creation(q));
+    row.set_stamp(10 * q);
+  }
+  for (std::uint64_t q = 1; q <= 96; q += 2) {
+    log.erase_row(P(q));
+  }
+  log.compact();
+  ASSERT_EQ(log.dead_slots(), 0u);
+  for (std::uint64_t q = 2; q <= 96; q += 2) {
+    EXPECT_EQ(clog.row(P(q)).stamp(), 10 * q) << q;
+  }
+  log.shrink_to_fit();
+  for (std::uint64_t q = 2; q <= 96; q += 2) {
+    EXPECT_EQ(clog.row(P(q)).stamp(), 10 * q) << q;
+    EXPECT_EQ(clog.row(P(q)).get(P(1000 + q)), Timestamp::creation(q));
+  }
+  EXPECT_EQ(clog.row(P(1)).stamp(), 0u) << "an absent row reads unstamped";
+}
+
+// An erased row's slot is reused by the next new row, which must not
+// inherit the old stamp: a recreated row reads 0 until stamped afresh.
+TEST(DvLog, RecreatedRowReadsUnstamped) {
+  DvLog log(P(0));
+  const DvLog& clog = log;
+  log.row(P(3)).set(P(4), Timestamp::creation(1));
+  log.row(P(3)).set_stamp(7);
+  log.row(P(5)).set(P(4), Timestamp::creation(1));  // past the stamp column
+  EXPECT_EQ(clog.row(P(5)).stamp(), 0u);
+  log.erase_row(P(3));
+  log.row(P(3)).set(P(4), Timestamp::creation(2));
+  EXPECT_EQ(clog.row(P(3)).stamp(), 0u);
+  log.row(P(3)).set_stamp(9);
+  EXPECT_EQ(clog.row(P(3)).stamp(), 9u);
+}
+
+TEST(RowTable, ClearAndReleaseResetStamps) {
+  RowTable t;
+  const RowTable& ct = t;
+  const std::size_t empty_bytes = t.footprint_bytes();
+  t.row(P(1)).set(P(2), Timestamp::creation(1));
+  t.row(P(1)).set_stamp(4);
+  t.clear();
+  t.row(P(1)).set(P(2), Timestamp::creation(1));
+  EXPECT_EQ(ct.row(P(1)).stamp(), 0u);
+  t.row(P(1)).set_stamp(5);
+  t.release();
+  EXPECT_EQ(t.footprint_bytes(), empty_bytes);
+  t.row(P(1)).set(P(2), Timestamp::creation(1));
+  EXPECT_EQ(ct.row(P(1)).stamp(), 0u);
+}
+
+// The stamp column is allocated by the first set_stamp, never by rows or
+// reads alone: a table that never stamps pays nothing for it.
+TEST(RowTable, UnstampedTableHoldsNoStampColumn) {
+  RowTable t;
+  for (std::uint64_t q = 1; q <= 64; ++q) {
+    t.row(P(q)).set(P(1000), Timestamp::creation(q));
+  }
+  const std::size_t unstamped = t.footprint_bytes();
+  for (std::uint64_t q = 1; q <= 64; ++q) {
+    EXPECT_EQ(std::as_const(t).row(P(q)).stamp(), 0u);
+  }
+  EXPECT_EQ(t.footprint_bytes(), unstamped);
+  t.row(P(64)).set_stamp(1);
+  EXPECT_GE(t.footprint_bytes(), unstamped + 64 * sizeof(std::uint64_t));
 }
 
 TEST(DvLog, FixedUniverseRendering) {
