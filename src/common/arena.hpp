@@ -122,12 +122,7 @@ class Arena {
     cur_ = nullptr;
     end_ = nullptr;
     for (Block& b : blocks_) {
-      // Non-ASan builds memset the whole block so tests can assert the
-      // 0xFE pattern on reuse-after-reset; ASan builds poison the shadow.
-#ifndef CGC_HAS_ASAN
-      std::memset(b.data.get(), kArenaPoisonByte, b.size);
-#endif
-      arena_detail::poison(b.data.get(), b.size);
+      arena_detail::poison(b.data.get(), b.size);  // the 0xFE fill or shadow
     }
     if (!blocks_.empty()) {
       // Resume bumping from the first retained block.
@@ -169,8 +164,13 @@ class Arena {
     if (size < need) {
       size = round_up(need);
     }
-    Block b{std::make_unique<std::byte[]>(size), size};
+    // A new block is left untouched (nothing stale lives there): its pages
+    // fault in as the bump pointer reaches them, not all in one allocation
+    // (zeroing and filling 4 MB at once stalls it for milliseconds).
+    Block b{std::make_unique_for_overwrite<std::byte[]>(size), size};
+#ifdef CGC_HAS_ASAN
     arena_detail::poison(b.data.get(), b.size);
+#endif
     cur_ = b.data.get();
     end_ = cur_ + size;
     bytes_reserved_ += size;
@@ -248,9 +248,6 @@ class Pool {
     }
     // Poison the payload but keep the first pointer-sized bytes readable:
     // they hold the intrusive free-list link.
-#ifndef CGC_HAS_ASAN
-    std::memset(p, kArenaPoisonByte, size);
-#endif
     if (size > sizeof(FreeNode)) {
       arena_detail::poison(static_cast<std::byte*>(p) + sizeof(FreeNode),
                            size - sizeof(FreeNode));

@@ -235,6 +235,25 @@ TEST(Pool, ResetPoisonsRetainedBlocks) {
   EXPECT_EQ(q[63], 0x22);
 }
 
+TEST(Arena, NewBlockIsHandedOutWritableAndItsTailStaysPoisoned) {
+  Arena arena;
+  // The second request does not fit the first block: a new one is minted
+  // (and left untouched outside ASan).
+  auto* p = static_cast<unsigned char*>(arena.allocate(Arena::kMinBlockBytes));
+  auto* q = static_cast<unsigned char*>(arena.allocate(256));
+  ASSERT_EQ(arena.block_count(), 2u);
+  std::memset(p, 0x33, Arena::kMinBlockBytes);
+  std::memset(q, 0x44, 256);
+  EXPECT_EQ(p[Arena::kMinBlockBytes - 1], 0x33);
+  EXPECT_EQ(q[255], 0x44);
+#ifdef CGC_HAS_ASAN
+  // Only the bytes handed out are addressable; the rest of the new block
+  // is poisoned shadow until allocate() reaches it.
+  EXPECT_EQ(__asan_address_is_poisoned(q + 255), 0);
+  EXPECT_NE(__asan_address_is_poisoned(q + 256), 0);
+#endif
+}
+
 TEST(Arena, GeometricGrowthAndReset) {
   Arena arena;
   std::size_t total = 0;
