@@ -173,8 +173,6 @@ wire::WireMessage reply_message() {
     m.row_revs.emplace(P(30 + q), 100 + q);
     m.row_acks.emplace(P(40 + q), 50 + q);
   }
-  m.sync_epoch = 1;
-  m.ack_epoch = 1;
   for (std::uint64_t q = 0; q < 5; ++q) {
     m.dead.insert(P(60 + 3 * q));
   }

@@ -71,14 +71,6 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
     return core_.processes().size();
   }
 
-  /// Sets the row-relay policy for every registered process (and every
-  /// process added later). kDelta is the default; kWholeMap, the pre-delta
-  /// wire behaviour, is only the reference path of the delta-relay tests.
-  void set_relay_policy(RelayPolicy policy) { core_.set_relay_policy(policy); }
-  [[nodiscard]] RelayPolicy relay_policy() const {
-    return core_.relay_policy();
-  }
-
   // -- Mutator-level operations (each also performs lazy log-keeping) ----
 
   /// `creator` allocates a new global root `newborn` on `site`

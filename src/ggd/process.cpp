@@ -636,15 +636,7 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   // at q) before its reply can certify an all-dead in-edge row.
   inq.behalf = std::as_const(log_).row(q);
   attach_sync(inq, /*include_rows=*/false);
-  // The behalf echo shares `ack_epoch` with the flushed acks: both echo
-  // q's stamps. Acks recorded under another epoch of q leave the echo
-  // off, which only asks for every row.
-  auto eit = behalf_echo_.find(q);
-  if (eit != behalf_echo_.end() &&
-      (inq.row_acks.empty() || inq.ack_epoch == eit->second.epoch)) {
-    inq.behalf_echo = eit->second.stamp;
-    inq.ack_epoch = eit->second.epoch;
-  }
+  inq.behalf_echo = behalf_echo(q);
   out.push_back(std::move(inq));
   if (observed_) {
     ++walk_obs_.inquiries[static_cast<std::size_t>(why)];
@@ -669,29 +661,14 @@ void GgdProcess::reset_inquiry_gates() {
 }
 
 void GgdProcess::attach_sync(GgdMessage& msg, bool include_rows) {
-  msg.sync_epoch = sync_epoch_;
   // Flush the acks accumulated for this destination: they echo ITS
-  // revision stamps under ITS epoch, regardless of what this message
-  // otherwise carries.
+  // revision stamps, regardless of what this message otherwise carries.
   auto pit = ack_pending_.find(msg.to);
   if (pit != ack_pending_.end()) {
     msg.row_acks = std::move(pit->second);
     ack_pending_.erase(msg.to);
-    auto eit = ack_epoch_pending_.find(msg.to);
-    if (eit != ack_epoch_pending_.end()) {
-      msg.ack_epoch = eit->second;
-      ack_epoch_pending_.erase(msg.to);
-    }
   }
   if (!include_rows) {
-    return;
-  }
-  if (relay_policy_ == RelayPolicy::kWholeMap) {
-    for (const auto& [q, row] : known_rows_.rows()) {
-      CGC_CHECK(row.stamp() != 0);
-      msg.rows.emplace(q, row);
-      msg.row_revs.emplace(q, row.stamp());
-    }
     return;
   }
   // Delta selection: ship only rows whose revision is past what this
@@ -721,29 +698,13 @@ void GgdProcess::attach_sync(GgdMessage& msg, bool include_rows) {
 }
 
 void GgdProcess::record_row_acks(const GgdMessage& msg) {
-  if (msg.row_revs.empty() || relay_policy_ == RelayPolicy::kWholeMap) {
-    // Whole-map peers re-ship everything regardless of acks, so echoing
-    // stamps back at them would be pure overhead (and would make the
-    // whole-map baseline pay delta's bookkeeping bytes in comparisons).
+  if (msg.row_revs.empty()) {
     return;
   }
-  const ProcessId m = msg.from;
-  auto eit = ack_epoch_pending_.find(m);
-  if (eit == ack_epoch_pending_.end()) {
-    ack_epoch_pending_.emplace(m, msg.sync_epoch);
-  } else if (msg.sync_epoch > eit->second) {
-    // The sender's sync state restarted (migration hand-off): stamps
-    // recorded against its previous epoch would be misread as current.
-    eit->second = msg.sync_epoch;
-    ack_pending_.erase(m);
-  } else if (msg.sync_epoch < eit->second) {
-    // Rows from the pre-restart incarnation, delivered late. Adoption
-    // above still applied (rows are versioned by their subjects); the
-    // stamps, however, belong to a dead epoch — acking them under the
-    // current one would advance frontiers the new incarnation never sent.
-    return;
-  }
-  auto& pending = ack_pending_[m];
+  // A late row from an earlier incarnation of the sender carries a stamp
+  // below every stamp the current one drew, so keeping the maximum never
+  // acks a row the current incarnation has not sent.
+  auto& pending = ack_pending_[msg.from];
   for (const auto& [q, rev] : msg.row_revs) {
     auto [it, fresh] = pending.emplace(q, rev);
     if (!fresh && it->second < rev) {
@@ -765,37 +726,26 @@ void GgdProcess::settle_log_stamps() {
 }
 
 void GgdProcess::advance_behalf_echo(const GgdMessage& reply) {
-  const ProcessId m = reply.from;
-  auto it = behalf_echo_.find(m);
-  if (it != behalf_echo_.end()) {
-    if (reply.sync_epoch < it->second.epoch) {
-      // Built by an earlier incarnation of m: its stamps mean nothing to
-      // the current one (its rows merged all the same).
-      return;
-    }
-    if (reply.sync_epoch == it->second.epoch) {
-      // Duplicated or reordered replies leave the highest echo: every row
-      // at or below it was merged when that reply was.
-      it->second.stamp = std::max(it->second.stamp, reply.behalf_stamp);
-      return;
-    }
-    // m re-stamped its rows under a new epoch. Our echo named the old
-    // one, so this reply shipped every row.
-    behalf_echo_.erase(it);
+  if (reply.behalf_stamp == 0) {
+    return;
   }
-  if (reply.behalf_stamp != 0) {
-    behalf_echo_.emplace(m, BehalfEcho{reply.sync_epoch, reply.behalf_stamp});
+  // Duplicated or reordered replies leave the highest echo: every row at
+  // or below it was merged when that reply was. A migrated replier
+  // re-stamps its rows above every stamp it drew before, so a late reply
+  // of its earlier incarnation never lifts the echo past a new row.
+  auto [it, fresh] = behalf_echo_.emplace(reply.from, reply.behalf_stamp);
+  if (!fresh) {
+    it->second = std::max(it->second, reply.behalf_stamp);
   }
 }
 
 void GgdProcess::apply_row_acks(const GgdMessage& msg) {
-  if (msg.row_acks.empty() || msg.ack_epoch != sync_epoch_) {
-    // Epoch mismatch: the acks echo stamps from a previous incarnation of
-    // this process's sync state (pre-migration). Dropping them merely
-    // re-ships some rows; honouring them could advance a frontier past
-    // rows this incarnation never sent.
+  if (msg.row_acks.empty()) {
     return;
   }
+  // An ack that echoes a stamp of an earlier incarnation of this process
+  // lies below every stamp the current one drew: it erases no in-flight
+  // entry and lifts no forced mark.
   auto& ps = peer_sync_[msg.from];
   for (const auto& [q, rev] : msg.row_acks) {
     auto uit = ps.unacked.find(q);
@@ -804,9 +754,9 @@ void GgdProcess::apply_row_acks(const GgdMessage& msg) {
     }
     // An ack implies receipt even if our own optimistic send bookkeeping
     // was rolled back meanwhile; clearing the forced mark when the ack
-    // covers the row's current revision avoids one spurious re-ship (the
-    // old representation's sent := max(sent, acked) lift). A vanished row
-    // (death purge) reads stamp 0 and has nothing left to re-ship.
+    // covers the row's current revision avoids one spurious re-ship. A
+    // vanished row (death purge) reads stamp 0 and has nothing left to
+    // re-ship.
     if (rev >= known_row(q).stamp()) {
       ps.forced.erase(q);
     }
@@ -1076,15 +1026,13 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   // Deferred on-behalf knowledge rides along: the inquirer's verdict may
   // hinge on a grant we deferred for a THIRD party (§3.4). It already
   // merged every row stamped at or below its echo, so only the rows
-  // written since then ship (all of them if the echo is from another
-  // epoch of ours). Rows of processes in `dead` are left out: the
-  // inquirer learns those deaths from this very reply before it merges
-  // its rows, and skips them.
+  // written since then ship (all of them if the echo names stamps of an
+  // earlier incarnation of ours). Rows of processes in `dead` are left
+  // out: the inquirer learns those deaths from this very reply before it
+  // merges its rows, and skips them.
   settle_log_stamps();
-  const std::uint64_t echo =
-      inquiry.ack_epoch == sync_epoch_ ? inquiry.behalf_echo : 0;
   for (const auto& [q, row] : log_.rows()) {
-    if (row.stamp() > echo && !row.empty() && q != to &&
+    if (row.stamp() > inquiry.behalf_echo && !row.empty() && q != to &&
         !dead_.contains(q)) {
       msg.behalf_rows.emplace(q, row);
       msg.behalf_stamp = std::max(msg.behalf_stamp, row.stamp());
@@ -1126,6 +1074,7 @@ GgdProcessSnapshot GgdProcess::export_state() const {
   snap.confirm_time = confirm_time_;
   snap.pending_verify = pending_verify_;
   snap.pending_verify_since = pending_verify_since_;
+  snap.rev_counter = rev_counter_;
   return snap;
 }
 
@@ -1168,13 +1117,13 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   confirm_time_ = snap.confirm_time;
   pending_verify_ = snap.pending_verify;
   pending_verify_since_ = snap.pending_verify_since;
-  // Delta-sync state is deliberately NOT part of the snapshot: per-peer
-  // frontiers describe what the PREVIOUS incarnation shipped, and the new
-  // site-of-record must never claim rows it has not sent itself. Restamp
-  // every adopted row from a fresh counter and open a new sync epoch so
-  // ack echoes addressed to the old incarnation's stamps are discarded
-  // instead of regressing frontiers (the migration-bounce failure mode).
-  rev_counter_ = 0;
+  // Of the delta-sync state only the revision counter is part of the
+  // snapshot: per-peer frontiers describe what the PREVIOUS incarnation
+  // shipped, and the new site-of-record must never claim rows it has not
+  // sent itself. Every adopted row is re-stamped above every stamp the
+  // previous incarnation drew, so an ack or echo of an old stamp confirms
+  // nothing here (the migration-bounce failure mode).
+  rev_counter_ = snap.rev_counter;
   for (const auto& adopted : snap.known_rows) {
     stamp_row(known_rows_.row(adopted.first));
   }
@@ -1182,8 +1131,6 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   behalf_echo_.clear();
   peer_sync_.clear();
   ack_pending_.clear();
-  ack_epoch_pending_.clear();
-  ++sync_epoch_;
 }
 
 void GgdProcess::retire_tombstone() {
@@ -1201,8 +1148,11 @@ void GgdProcess::retire_tombstone() {
   inquired_version_.release();
   confirm_time_.release();
   in_edge_confirmed_.release();
-  // Reply frontiers: a tombstone neither replies nor merges replies.
+  // Reply frontiers: a tombstone neither replies nor merges replies, so
+  // neither its echoes nor the log's stamp column (which only make_reply
+  // reads) are read again.
   behalf_echo_.release();
+  log_.release_stamps();
   // Forward coalescing: take_forwards() is empty for a tombstone, so the
   // acquaintance list and cached V can go. `forward_pending_` must KEEP
   // its value: a pending flag means a flush event is already owed to the
@@ -1217,7 +1167,6 @@ void GgdProcess::retire_tombstone() {
   log_.shrink_to_fit();
   known_rows_.shrink_to_fit();
   dead_.shrink_to_fit();
-  ack_epoch_pending_.shrink_to_fit();
   for (auto& [peer, ps] : peer_sync_) {
     (void)peer;
     // `unacked` is write-only bookkeeping once removed: the rollback that
@@ -1250,8 +1199,7 @@ GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
   };
   // dead_ counts here, not under gating: death knowledge rides in every
   // posthumous message, so it is wire-live state like the frontiers.
-  f.relay_bytes = map64(ack_epoch_pending_) + map64(dead_) +
-                  map64(behalf_echo_) + map64(ack_pending_) +
+  f.relay_bytes = map64(dead_) + map64(behalf_echo_) + map64(ack_pending_) +
                   peer_sync_.capacity() *
                       sizeof(std::pair<ProcessId, PeerSync>);
   for (const auto& [peer, ps] : peer_sync_) {
@@ -1301,7 +1249,6 @@ void GgdProcess::trim_storage() {
   };
   trim(behalf_echo_);
   trim(dead_);
-  trim(ack_epoch_pending_);
   for (auto& [peer, ps] : peer_sync_) {
     (void)peer;
     trim(ps.unacked);

@@ -68,43 +68,38 @@ struct GgdMessage {
   /// each version of a row reaches an inquirer once.
   FlatMap<ProcessId, DependencyVector> behalf_rows;
   /// On a reply: the highest on-behalf stamp among `behalf_rows` (0 when
-  /// it ships none), drawn from the sender's revision counter under
-  /// `sync_epoch`. Stamps carry no protocol meaning beyond this frontier.
+  /// it ships none), drawn from the sender's revision counter. Stamps
+  /// carry no protocol meaning beyond this frontier.
   std::uint64_t behalf_stamp = 0;
   /// On an inquiry: the highest `behalf_stamp` the sender has merged from
   /// the receiver's replies — every row the receiver stamped at or below
-  /// it is already merged — valid under `ack_epoch` like `row_acks`. 0
-  /// asks for every row, and so does an echo from another epoch.
+  /// it is already merged. 0 asks for every row, and so does an echo of
+  /// an earlier incarnation of the receiver: a migrated process re-stamps
+  /// its rows above every stamp it drew before.
   std::uint64_t behalf_echo = 0;
   /// Relayed in-edge rows of other processes, versioned by their subjects'
   /// own counters. Rows flooding along the cascade is what keeps the
   /// message COUNT of collecting a k-element structure at O(k) (§4's
   /// comparison): without relaying, every member must inquire every other
-  /// member's row — O(k^2) messages. Under the delta relay policy this
-  /// carries only rows new or changed since the receiver's confirmed
-  /// frontier (O(changed), not O(population), bytes per forward); the
-  /// tests' whole-map reference policy ships everything, as pre-delta.
+  /// member's row — O(k^2) messages. Only rows new or changed since the
+  /// receiver's frontier ship (O(changed), not O(population), bytes per
+  /// forward).
   FlatMap<ProcessId, DependencyVector> rows;
   /// Sender-local revision stamps, one per entry of `rows` (same keys).
   /// Revisions are drawn from a per-process monotone counter and bumped
   /// whenever the stored copy of a row actually changes — subject event
   /// counters alone cannot version a row because equal-version merges
   /// (behalf overlays, conservative resurrections) change content without
-  /// advancing the subject's counter. Receivers echo these stamps back as
-  /// acks; they carry no protocol meaning beyond frontier bookkeeping.
+  /// advancing the subject's counter. The counter travels with a migrating
+  /// process, so no stamp is ever drawn twice. Receivers echo these stamps
+  /// back as acks; they carry no protocol meaning beyond frontier
+  /// bookkeeping.
   FlatMap<ProcessId, std::uint64_t> row_revs;
   /// Piggybacked frontier acks: for each subject q, the highest revision
-  /// stamp of q's row that `from` has received from `to`. Valid only under
-  /// `ack_epoch`; the receiver ignores acks from a stale epoch (its sync
-  /// state restarted — e.g. a migration hand-off — since they were echoed).
+  /// stamp of q's row that `from` has received from `to`. An ack of an
+  /// earlier incarnation of `to` lies below every stamp the current one
+  /// has drawn, so it confirms nothing.
   FlatMap<ProcessId, std::uint64_t> row_acks;
-  /// The sender's current sync epoch, stamped on every message that ships
-  /// rows. A receiver seeing the epoch advance discards acks it had
-  /// accumulated against the previous incarnation of the sender's stamps.
-  std::uint64_t sync_epoch = 0;
-  /// The epoch under which `row_acks` were recorded (the ROW-sender's
-  /// epoch as last observed by this message's sender).
-  std::uint64_t ack_epoch = 0;
   /// Processes known to have been collected. Death is a stable global
   /// fact (a removed global root has no edges and will never be revived),
   /// so it propagates monotonically on every message; it is what clears
@@ -181,16 +176,13 @@ struct GgdProcessSnapshot {
   FlatMap<ProcessId, std::uint64_t> confirm_time;
   bool pending_verify = false;
   std::uint64_t pending_verify_since = 0;
+  /// The revision counter: the mover keeps drawing stamps above every
+  /// stamp it drew here, so an ack or echo of an old stamp can never be
+  /// read as one of a new stamp.
+  std::uint64_t rev_counter = 0;
 
   [[nodiscard]] bool operator==(const GgdProcessSnapshot&) const = default;
 };
-
-/// How a process selects relayed rows for an outgoing message.
-/// kDelta (the default) ships only rows new or changed since the
-/// destination's confirmed frontier; kWholeMap reproduces the pre-delta
-/// protocol (every known row on every message): only the reference path
-/// of delta_sync_test and logkeeping_equivalence_test.
-enum class RelayPolicy : std::uint8_t { kDelta, kWholeMap };
 
 /// Whether a process is an actual root of the global root graph: asked by
 /// the decision walk for every process it reaches, so it is passed as a
@@ -405,13 +397,6 @@ class GgdProcess {
   /// verdicts.
   void reset_inquiry_gates();
 
-  /// Selects the relay policy (kWholeMap: the tests' reference path).
-  /// Switching to whole-map mid-run is always safe (it only ever ships
-  /// MORE); switching to delta mid-run is too, because frontiers start
-  /// empty and therefore under-claim.
-  void set_relay_policy(RelayPolicy policy) { relay_policy_ = policy; }
-  [[nodiscard]] RelayPolicy relay_policy() const { return relay_policy_; }
-
   /// Applies the piggybacked frontier acks of `msg` (acks this process's
   /// own shipped rows). Called from receive(), and explicitly by the
   /// engine/site inquiry paths — raw inquiries are answered without going
@@ -429,7 +414,6 @@ class GgdProcess {
   void sync_sweep_round();
 
   /// Delta-sync observability (tests and diagnostics).
-  [[nodiscard]] std::uint64_t sync_epoch() const { return sync_epoch_; }
   /// Effective sent frontier for (peer, q), reconstructed from the
   /// watermark representation: the shipped-but-unconfirmed revision if
   /// one is in flight, the row's revision when it sits under the
@@ -459,21 +443,11 @@ class GgdProcess {
     return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
   }
   /// The behalf echo this process holds for `peer`: the highest on-behalf
-  /// stamp merged from its replies, and the peer's epoch it was stamped
-  /// under ({0, 0}: none, the next inquiry asks for every row).
-  struct BehalfEcho {
-    std::uint64_t epoch = 0;
-    std::uint64_t stamp = 0;
-    [[nodiscard]] bool operator==(const BehalfEcho&) const = default;
-  };
-  [[nodiscard]] BehalfEcho behalf_echo(ProcessId peer) const {
+  /// stamp merged from its replies (0: none, the next inquiry asks for
+  /// every row).
+  [[nodiscard]] std::uint64_t behalf_echo(ProcessId peer) const {
     auto it = behalf_echo_.find(peer);
-    return it == behalf_echo_.end() ? BehalfEcho{} : it->second;
-  }
-  /// The full replica-row map, materialized (differential conformance
-  /// compares the converged row state of delta vs whole-map runs).
-  [[nodiscard]] FlatMap<ProcessId, DependencyVector> known_rows() const {
-    return known_rows_.to_map();
+    return it == behalf_echo_.end() ? 0 : it->second;
   }
 
   /// Merges announced edge facts delivered outside a regular message —
@@ -563,17 +537,14 @@ class GgdProcess {
   /// in slot `q` and marks the cached V stale if the entry changed.
   void set_self_entry(ProcessId q, Timestamp ts);
 
-  /// Per-peer delta-sync bookkeeping, watermark form. Row revisions are
-  /// globally monotone within this process (`stamp_row`), so "which rows
-  /// has this peer been sent" compresses from a per-row map to a single
-  /// watermark: every row revised at or below it has been shipped (the
-  /// attach loop ships ALL rows past the frontier, then advances the
+  /// Per-peer delta-sync bookkeeping. Row revisions are monotone within
+  /// this process (`stamp_row`), so "which rows has this peer been sent"
+  /// is one watermark: every row revised at or below it has been shipped
+  /// (the attach loop ships ALL rows past the frontier, then advances the
   /// watermark to the counter). The exceptions are small and transient:
   /// `unacked` holds rows shipped but not yet ack-confirmed (erased as
   /// ack echoes arrive), and `forced` holds rows the full-resync escape
-  /// hatch rolled back for re-shipping. The per-row `sent`/`acked` maps
-  /// this replaces grew to every-row-times-every-peer at steady state —
-  /// the delta relay's +43% peak-RSS bill at the large bench config.
+  /// hatch rolled back for re-shipping.
   struct PeerSync {
     std::uint64_t sent_watermark = 0;
     FlatMap<ProcessId, std::uint64_t> unacked;
@@ -582,15 +553,15 @@ class GgdProcess {
   };
 
   /// Stamps `row` (a known row or an on-behalf log row) with a fresh
-  /// revision. The counter is globally monotone within this process, so
-  /// a re-adopted or recreated row (decertify, death purge, erase, then a
-  /// fresh write) always out-revisions every stamp any peer ever saw — no
-  /// ABA on a frontier.
+  /// revision. The counter is monotone for the life of this process,
+  /// migrations included, so a re-adopted, recreated or re-imported row
+  /// (decertify, death purge, erase, hand-off, then a fresh write) always
+  /// out-revisions every stamp any peer ever saw — no ABA on a frontier.
   void stamp_row(RowTable::RowRef row) { row.set_stamp(++rev_counter_); }
 
-  /// Stamps epoch + pending acks onto an outgoing message and, when
-  /// `include_rows` is set, attaches the row delta (or the whole map,
-  /// per policy) for msg.to. Inquiries pass include_rows=false: the
+  /// Flushes pending acks onto an outgoing message and, when
+  /// `include_rows` is set, attaches the row delta for msg.to.
+  /// Inquiries pass include_rows=false: the
   /// engine answers them without running receive() at the target, so
   /// attached rows would be wasted bytes yet still counted as sent.
   void attach_sync(GgdMessage& msg, bool include_rows);
@@ -700,33 +671,29 @@ class GgdProcess {
   /// skipping a closure while it holds cannot change what is sent.
   bool v_current_ = false;
   /// Set by the unrestricted log() accessor (some on-behalf row may have
-  /// changed without a fresh stamp) and by import_state (stamps restart
-  /// with the new sync epoch): the next reply re-stamps every row.
+  /// changed without a fresh stamp) and by import_state (the adopted rows
+  /// arrive unstamped): the next reply re-stamps every row.
   bool log_stamps_stale_ = false;
   /// Closures run while observed (see take_v_closures). Not serialized.
   mutable std::uint32_t v_closures_ = 0;
   DependencyVector last_v_;
   FlatSet<ProcessId> acquaintances_;
   bool removed_ = false;
-  /// ---- Delta row-relay state (NOT serialized in GgdProcessSnapshot).
-  /// Frontiers describe what THIS incarnation shipped; after a hand-off
-  /// the new site-of-record must not claim rows it never sent, so the
-  /// state is rebuilt from scratch on import under a fresh epoch.
-  /// Each known row's revision is its RowTable stamp, drawn from this
-  /// counter whenever the stored copy actually changes.
+  /// ---- Delta row-relay state. Each known row's revision is its
+  /// RowTable stamp, drawn from this counter whenever the stored copy
+  /// actually changes. Only the counter travels in GgdProcessSnapshot:
+  /// frontiers describe what THIS incarnation shipped, and after a
+  /// hand-off the new site-of-record must not claim rows it never sent,
+  /// so the rest is rebuilt from scratch on import.
   std::uint64_t rev_counter_ = 0;
   FlatMap<ProcessId, PeerSync> peer_sync_;
   /// Acks accumulated per row-sender, flushed onto the next message to
-  /// that sender; ack_epoch_pending_ remembers the sender epoch they were
-  /// recorded under.
+  /// that sender.
   FlatMap<ProcessId, FlatMap<ProcessId, std::uint64_t>> ack_pending_;
-  FlatMap<ProcessId, std::uint64_t> ack_epoch_pending_;
   /// Per replier: the behalf echo this process sends on its inquiries.
   /// Erased when the replier is learned dead, cleared on import (the new
   /// incarnation re-learns it from a full reply).
-  FlatMap<ProcessId, BehalfEcho> behalf_echo_;
-  std::uint64_t sync_epoch_ = 0;
-  RelayPolicy relay_policy_ = RelayPolicy::kDelta;
+  FlatMap<ProcessId, std::uint64_t> behalf_echo_;
 };
 
 }  // namespace cgc

@@ -13,15 +13,7 @@ GgdProcess& SiteCore::add(ProcessId id, bool is_root) {
   generations_.add();  // newborns start hot: scanned by the next round
   proc_order_.insert(id);
   procs_.back().set_observed(obs_attached_);
-  procs_.back().set_relay_policy(relay_policy_);
   return procs_.back();
-}
-
-void SiteCore::set_relay_policy(RelayPolicy policy) {
-  relay_policy_ = policy;
-  for (GgdProcess& p : procs_) {
-    p.set_relay_policy(policy);
-  }
 }
 
 void SiteCore::attach_obs(obs::Registry* registry, obs::Journal* journal) {

@@ -120,10 +120,6 @@ class SiteCore {
     }
   }
 
-  /// Row-relay policy of every hosted process, present and future.
-  void set_relay_policy(RelayPolicy policy);
-  [[nodiscard]] RelayPolicy relay_policy() const { return relay_policy_; }
-
   // -- Mutator transitions (§3.4 log keeping at the acting site) ---------
 
   /// `i` hands its own reference to `j`: rule 1, then the transfer.
@@ -221,7 +217,6 @@ class SiteCore {
   std::deque<GgdProcess> procs_;
   FlatSet<ProcessId> proc_order_;
   sweep::GenerationTable generations_;
-  RelayPolicy relay_policy_ = RelayPolicy::kDelta;
   std::vector<ProcessId> removed_;
   /// Edge-destruction messages not yet known to have arrived, keyed
   /// (dropper, target) and re-emitted by the sweep: the local collector's

@@ -91,9 +91,15 @@ class DvLog {
   [[nodiscard]] std::size_t column_bytes() const {
     return rows_.column_bytes();
   }
+  /// Bytes the rows' stamps occupy (0 once released).
+  [[nodiscard]] std::size_t stamp_bytes() const {
+    return rows_.stamp_bytes();
+  }
   void compact() { rows_.compact(); }
   /// Compact + trim all bookkeeping to size (tombstone tight-pack).
   void shrink_to_fit() { rows_.shrink_to_fit(); }
+  /// Drops every row's stamp (see RowTable::release_stamps).
+  void release_stamps() { rows_.release_stamps(); }
 
   /// Fixed-universe rendering matching the paper's Fig. 8 boxes.
   [[nodiscard]] std::string str(const std::vector<ProcessId>& universe) const;

@@ -328,6 +328,11 @@ class RowTable {
     total_entries_ = 0;
   }
 
+  /// Drops the stamp column and returns its bytes: every row reads
+  /// unstamped until its next set_stamp. For a table whose stamps will
+  /// never be read again.
+  void release_stamps() { shrink_vec(stamps_); }
+
   /// Compacts the columns AND trims every bookkeeping vector to size —
   /// the tight-pack applied to state that must stay readable (a
   /// tombstone's wire-live remainder) but will mutate rarely if ever.
@@ -403,12 +408,16 @@ class RowTable {
     return ids_.capacity() * sizeof(ProcessId) +
            ts_.capacity() * sizeof(std::uint64_t);
   }
+  /// Bytes the stamp column occupies (0 for a table that never stamped).
+  [[nodiscard]] std::size_t stamp_bytes() const {
+    return stamps_.capacity() * sizeof(std::uint64_t);
+  }
   /// Everything this table holds: columns plus span/index/free-slot/stamp
   /// bookkeeping — the number that actually shows up in RSS.
   [[nodiscard]] std::size_t footprint_bytes() const {
     return column_bytes() + spans_.capacity() * sizeof(Span) +
            free_slots_.capacity() * sizeof(std::uint32_t) +
-           stamps_.capacity() * sizeof(std::uint64_t) +
+           stamp_bytes() +
            index_.capacity() * sizeof(std::pair<ProcessId, std::uint32_t>);
   }
 

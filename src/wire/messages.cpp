@@ -35,23 +35,21 @@ ObjectRefTransfer decode_object_ref_transfer(Decoder& dec) {
 }
 
 /// Bits of a control body's presence mask: the four flags, and one bit
-/// per field that is written only when non-empty (an epoch or a stamp:
-/// non-zero). The mask is a varint, so only the low seven bits fit its
-/// first byte. They go to what the commonest messages set: a bare
-/// inquiry, an inquiry that echoes its behalf frontier or flushes acks,
-/// and a reply whose sender neither holds nor owes grants to its receiver
-/// and relays no rows all take a one-byte mask (57-67% of control
-/// messages on the gcbench simulator workloads). A reply that ships
-/// deferred rows is rare once inquirers echo their frontier, and the
-/// epochs are non-zero only after a migration, so those take the high
-/// bits.
+/// per field that is written only when non-empty (a stamp: non-zero).
+/// The mask is a varint, so only the low seven bits fit its first byte.
+/// They go to what the commonest messages set: a bare inquiry, an
+/// inquiry that echoes its behalf frontier or flushes acks, and a reply
+/// whose sender neither holds nor owes grants to its receiver and relays
+/// no rows all take a one-byte mask (57-67% of control messages on the
+/// gcbench simulator workloads). A reply that ships deferred rows is rare
+/// once inquirers echo their frontier, so it takes the high bits.
 enum MaskBit : std::uint64_t {
   kInquiry = 1 << 0,
   kReply = 1 << 1,
   kHasOutEdges = 1 << 2,
   kV = 1 << 3,
   kSelfRow = 1 << 4,
-  kBehalfEcho = 1 << 5,
+  kEcho = 1 << 5,  // behalf_echo
   kRowAcks = 1 << 6,
   kHoldsReceiver = 1 << 7,
   kBehalf = 1 << 8,
@@ -60,9 +58,7 @@ enum MaskBit : std::uint64_t {
   kCondemned = 1 << 11,
   kBehalfRows = 1 << 12,
   kBehalfStamp = 1 << 13,
-  kSyncEpoch = 1 << 14,
-  kAckEpoch = 1 << 15,
-  kKnownBits = (1 << 16) - 1,
+  kKnownBits = (1 << 14) - 1,
 };
 
 std::uint64_t presence_mask(const GgdMessage& m) {
@@ -84,10 +80,8 @@ std::uint64_t presence_mask(const GgdMessage& m) {
   set(!m.row_acks.empty(), kRowAcks);
   set(!m.behalf_rows.empty(), kBehalfRows);
   set(!m.condemned.empty(), kCondemned);
-  set(m.sync_epoch != 0, kSyncEpoch);
-  set(m.ack_epoch != 0, kAckEpoch);
   set(m.behalf_stamp != 0, kBehalfStamp);
-  set(m.behalf_echo != 0, kBehalfEcho);
+  set(m.behalf_echo != 0, kEcho);
   return mask;
 }
 
@@ -120,7 +114,7 @@ void encode_ggd_body(Encoder& enc, const GgdMessage& m, Mark&& mark) {
   if ((mask & kBehalfStamp) != 0) {
     enc.varint(m.behalf_stamp);
   }
-  if ((mask & kBehalfEcho) != 0) {
+  if ((mask & kEcho) != 0) {
     enc.varint(m.behalf_echo);
   }
   mark(GgdField::kBehalfStamps);
@@ -135,13 +129,6 @@ void encode_ggd_body(Encoder& enc, const GgdMessage& m, Mark&& mark) {
     enc.u64_map(m.row_acks);
   }
   mark(GgdField::kRowAcks);
-  if ((mask & kSyncEpoch) != 0) {
-    enc.varint(m.sync_epoch);
-  }
-  if ((mask & kAckEpoch) != 0) {
-    enc.varint(m.ack_epoch);
-  }
-  mark(GgdField::kEpochs);
   if ((mask & kDead) != 0) {
     enc.process_set(m.dead);
   }
@@ -197,7 +184,7 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
     recycle_rows(m.behalf_rows, behalf_pool);
   }
   for (auto [field, bit] : {std::pair{&m.behalf_stamp, kBehalfStamp},
-                            std::pair{&m.behalf_echo, kBehalfEcho}}) {
+                            std::pair{&m.behalf_echo, kEcho}}) {
     *field = has(bit) ? dec.varint() : 0;
     require(!has(bit) || *field != 0);
   }
@@ -213,11 +200,6 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
     require(!m.row_acks.empty());
   } else {
     m.row_acks.clear();
-  }
-  for (auto [field, bit] : {std::pair{&m.sync_epoch, kSyncEpoch},
-                            std::pair{&m.ack_epoch, kAckEpoch}}) {
-    *field = has(bit) ? dec.varint() : 0;
-    require(!has(bit) || *field != 0);
   }
   for (auto [field, bit] :
        {std::pair{&m.dead, kDead}, std::pair{&m.condemned, kCondemned}}) {
@@ -326,6 +308,7 @@ void encode_snapshot(Encoder& enc, const GgdProcessSnapshot& s) {
   enc.u64_map(s.confirm_time);
   enc.boolean(s.pending_verify);
   enc.varint(s.pending_verify_since);
+  enc.varint(s.rev_counter);
 }
 
 GgdProcessSnapshot decode_snapshot(Decoder& dec) {
@@ -351,6 +334,7 @@ GgdProcessSnapshot decode_snapshot(Decoder& dec) {
   s.confirm_time = dec.u64_map();
   s.pending_verify = dec.boolean();
   s.pending_verify_since = dec.varint();
+  s.rev_counter = dec.varint();
   return s;
 }
 
@@ -479,8 +463,7 @@ std::size_t MessageDecoder::capacity() const {
 const char* ggd_field_name(GgdField f) {
   static constexpr const char* kNames[] = {
       "header", "v",        "self_row", "behalf", "behalf_rows",
-      "behalf_stamps", "rows", "row_acks", "epochs", "dead",
-      "condemned"};
+      "behalf_stamps", "rows", "row_acks", "dead", "condemned"};
   static_assert(std::size(kNames) == kGgdFieldCount);
   return kNames[static_cast<std::size_t>(f)];
 }

@@ -14,8 +14,8 @@
 // append new shapes at the end, never reorder.
 //
 // A GGD control body starts with a varint presence mask: the message's
-// four flags, and one bit per field that is sent only when non-empty (an
-// epoch: non-zero). Then come `from`, `to` and the present fields in a
+// four flags, and one bit per field that is sent only when non-empty (a
+// stamp: non-zero). Then come `from`, `to` and the present fields in a
 // fixed order; an absent field costs no byte (see messages.cpp for the
 // bits and the order).
 #pragma once
@@ -198,8 +198,8 @@ class MessageDecoder {
 
 /// The parts of a framed GGD control message, in wire order. `kHeader` is
 /// the kind/tag byte, the presence mask, `from` and `to`;
-/// `kBehalfStamps` is `behalf_stamp` and `behalf_echo`; `kEpochs` is
-/// `sync_epoch` and `ack_epoch`; `kRows` includes `row_revs`.
+/// `kBehalfStamps` is `behalf_stamp` and `behalf_echo`; `kRows` includes
+/// `row_revs`.
 enum class GgdField : std::uint8_t {
   kHeader,
   kV,
@@ -209,7 +209,6 @@ enum class GgdField : std::uint8_t {
   kBehalfStamps,
   kRows,
   kRowAcks,
-  kEpochs,
   kDead,
   kCondemned,
 };

@@ -1,15 +1,16 @@
 // Delta row-relay: per-peer sync state, piggybacked acks, the sweep's
-// full-resync escape hatch, and migration's epoch-fenced frontier reset.
-// Also the reply's on-behalf frontier: stamped deferred rows and the
-// inquirer's confirmed echo.
+// full-resync escape hatch, and migration's frontier reset, fenced by a
+// revision counter the mover keeps. Also the reply's on-behalf frontier:
+// stamped deferred rows and the inquirer's confirmed echo.
 //
-// The protocol contract under test: delta relaying is an OPTIMIZATION of
-// whole-map relaying — it may defer when a row travels, never whether the
-// receiver eventually holds it, so oracle verdicts are identical under
-// either policy. The unit tests pin the frontier mechanics; the 64-seed
-// differential pins the verdict equivalence on real fuzz workloads.
+// The protocol contract under test: the delta relay may defer when a row
+// travels, never whether the receiver eventually holds it. The unit tests
+// pin the frontier mechanics; scenario_fuzz_test holds the relay to the
+// oracle's verdicts on generated workloads, and v_current_test holds every
+// row change to a fresh stamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -18,9 +19,7 @@
 #include "ggd/process.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 #include "net/network.hpp"
-#include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
-#include "workload/scenario.hpp"
 
 namespace cgc {
 namespace {
@@ -107,13 +106,12 @@ TEST(DeltaSync, AcksConfirmTheFrontierAndSurviveSweeps) {
   EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
   EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u) << "nothing confirmed yet";
 
-  // The peer echoes the stamp under OUR current epoch: confirmed.
+  // The peer echoes the stamp: confirmed.
   GgdMessage ack;
   ack.from = P(5);
   ack.to = P(3);
   ack.reply = true;
   ack.row_acks.emplace(P(2), rev);
-  ack.ack_epoch = p.sync_epoch();
   (void)p.receive(ack, roots({1}));
   EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), rev);
 
@@ -122,22 +120,6 @@ TEST(DeltaSync, AcksConfirmTheFrontierAndSurviveSweeps) {
   p.sync_sweep_round();
   EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
   EXPECT_TRUE(p.make_announce(P(5)).rows.empty());
-}
-
-TEST(DeltaSync, StaleEpochAcksAreIgnored) {
-  GgdProcess p(P(3), false);
-  const std::uint64_t rev = teach_row(p, 1);
-  (void)p.make_announce(P(5));
-
-  GgdMessage ack;
-  ack.from = P(5);
-  ack.to = P(3);
-  ack.reply = true;
-  ack.row_acks.emplace(P(2), rev);
-  ack.ack_epoch = p.sync_epoch() + 1;  // echo of a future/other incarnation
-  (void)p.receive(ack, roots({1}));
-  EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u)
-      << "an ack under the wrong epoch confirms nothing";
 }
 
 TEST(DeltaSync, SustainedLossTriggersFullResync) {
@@ -158,39 +140,66 @@ TEST(DeltaSync, SustainedLossTriggersFullResync) {
   EXPECT_EQ(resync.row_revs.find(P(2))->second, rev);
 }
 
-TEST(DeltaSync, MigrationBounceResetsFrontiersAndFencesTheEpoch) {
+TEST(DeltaSync, AnImportDrawsStampsAboveEveryStampOfTheExporter) {
+  GgdProcess exporter(P(3), false);
+  LazyLogKeeping lk;
+  teach_row(exporter, 1);
+  lk.on_send_third_party_ref(exporter, P(5), P(6));  // on-behalf row 5
+  teach_row(exporter, 2);
+  const std::uint64_t high = std::max(
+      exporter.known_row(P(2)).stamp(),
+      std::as_const(exporter).log().row(P(5)).stamp());
+  ASSERT_GT(high, 0u);
+
+  // A fresh incarnation of 3 adopts the snapshot.
+  GgdProcess mover(P(3), false);
+  mover.import_state(exporter.export_state());
+  EXPECT_GT(mover.known_row(P(2)).stamp(), high);
+  GgdMessage inq;
+  inq.from = P(7);
+  inq.to = P(3);
+  inq.inquiry = true;
+  const GgdMessage reply = mover.make_reply(inq);  // re-stamps the log
+  ASSERT_TRUE(reply.behalf_rows.contains(P(5)));
+  EXPECT_GT(std::as_const(mover).log().row(P(5)).stamp(), high);
+  EXPECT_GT(reply.behalf_stamp, high);
+}
+
+TEST(DeltaSync, AfterAnImportAnAckOfAnOldStampConfirmsNothing) {
   GgdProcess p(P(3), false);
-  teach_row(p, 1);
+  const std::uint64_t old_rev = teach_row(p, 1);
   (void)p.make_announce(P(5));
-  const std::uint64_t rev = p.known_row(P(2)).stamp();
-  ASSERT_GT(p.peer_sent_rev(P(5), P(2)), 0u);
-  const std::uint64_t epoch0 = p.sync_epoch();
+  ASSERT_EQ(p.peer_sent_rev(P(5), P(2)), old_rev);
 
   // Hop out and back (the bounce): each arrival is a new incarnation.
-  const GgdProcessSnapshot snap = p.export_state();
-  p.import_state(snap);
-  EXPECT_EQ(p.sync_epoch(), epoch0 + 1);
   p.import_state(p.export_state());
-  EXPECT_EQ(p.sync_epoch(), epoch0 + 2) << "epoch is monotone per identity";
+  p.import_state(p.export_state());
+  const std::uint64_t rev = p.known_row(P(2)).stamp();
+  EXPECT_GT(rev, old_rev) << "the row survived, re-stamped";
 
   // The frontier regression guard: after the bounce no peer is assumed to
   // hold anything — the first message to P(5) ships the full row set.
   EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), 0u);
   GgdMessage m = p.make_announce(P(5));
   ASSERT_NE(m.rows.find(P(2)), m.rows.end());
-  // Revisions were re-stamped by the import; the row itself survived.
-  EXPECT_GT(p.known_row(P(2)).stamp(), 0u);
-  (void)rev;
+  EXPECT_EQ(m.row_revs.at(P(2)), rev);
 
-  // An ack echoing the PRE-bounce epoch must not confirm anything now.
+  // An ack echoing the pre-bounce stamp must not confirm anything now,
+  // neither the row in flight nor, after a rollback, the forced re-ship.
   GgdMessage stale;
   stale.from = P(5);
   stale.to = P(3);
   stale.reply = true;
-  stale.row_acks.emplace(P(2), p.known_row(P(2)).stamp());
-  stale.ack_epoch = epoch0;
+  stale.row_acks.emplace(P(2), old_rev);
   (void)p.receive(stale, roots({1}));
   EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u);
+  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
+  p.sync_sweep_round();
+  p.sync_sweep_round();
+  ASSERT_EQ(p.peer_sent_rev(P(5), P(2)), 0u);
+  (void)p.receive(stale, roots({1}));
+  EXPECT_TRUE(p.make_announce(P(5)).rows.contains(P(2)))
+      << "the rolled-back row still re-ships";
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   FlatSet<ProcessId> missing, evidence, consulted;
   EXPECT_EQ(f.inquirer.walk_to_root(f.is_root, missing, evidence, consulted),
             GgdProcess::WalkResult::kReachable);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)).stamp, reply.behalf_stamp);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), reply.behalf_stamp);
 
   // Merged: the next reply ships nothing until 2 writes the row again.
   const GgdMessage third = f.inquire();
@@ -305,23 +314,28 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
   const GgdMessage before = answer(f.replier, f.inquire());
   ASSERT_EQ(before.behalf_rows.size(), 2u);
   f.deliver(before);
-  ASSERT_NE(f.inquirer.behalf_echo(P(2)).stamp, 0u);
+  ASSERT_NE(f.inquirer.behalf_echo(P(2)), 0u);
   const GgdMessage settled = f.inquire();
   EXPECT_TRUE(answer(f.replier, settled).behalf_rows.empty());
 
-  // 2 moves: the new incarnation re-stamps its rows under a new epoch,
-  // and an echo recorded under the old one asks for every row.
+  // 2 moves: the new incarnation re-stamps its rows above every stamp it
+  // drew before, so the echo of an old stamp asks for every row.
+  const std::uint64_t old_echo = f.inquirer.behalf_echo(P(2));
+  ASSERT_EQ(settled.behalf_echo, old_echo);
   f.replier.import_state(f.replier.export_state());
-  ASSERT_EQ(f.replier.sync_epoch(), 1u);
   const GgdMessage after = answer(f.replier, settled);
   EXPECT_EQ(after.behalf_rows.size(), 2u);
-  EXPECT_EQ(after.sync_epoch, 1u);
+  EXPECT_GT(after.behalf_stamp, old_echo);
+  for (const auto& [q, row] : std::as_const(f.replier).log().rows()) {
+    if (q != P(2)) {
+      EXPECT_GT(row.stamp(), old_echo) << q.str();
+    }
+  }
   f.deliver(after);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)),
-            (GgdProcess::BehalfEcho{1, after.behalf_stamp}));
-  // The echo now names epoch 1 (in ack_epoch), so 2 ships nothing more.
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), after.behalf_stamp);
+  // The echo now names the new stamps, so 2 ships nothing more.
   const GgdMessage next = f.inquire();
-  EXPECT_EQ(next.ack_epoch, 1u);
+  EXPECT_EQ(next.behalf_echo, after.behalf_stamp);
   EXPECT_TRUE(answer(f.replier, next).behalf_rows.empty());
   // A row the new incarnation writes is stamped past that echo.
   f.lk.on_send_third_party_ref(f.replier, P(5), P(10));
@@ -331,8 +345,7 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
             Timestamp::creation(1));
   // A reply the old incarnation built, delivered late, moves no echo.
   f.deliver(before);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)),
-            (GgdProcess::BehalfEcho{1, after.behalf_stamp}));
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), after.behalf_stamp);
 }
 
 TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
@@ -349,7 +362,7 @@ TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
   // rows written since, so the next reply ships them.
   f.deliver(early);
   f.deliver(early);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)).stamp, early.behalf_stamp);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), early.behalf_stamp);
   const GgdMessage next = answer(f.replier, f.inquire());
   EXPECT_EQ(next.behalf_rows.size(), 2u);
   EXPECT_EQ(next.behalf_stamp, late.behalf_stamp);
@@ -359,7 +372,7 @@ TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
   f.deliver(late);
   f.deliver(early);
   f.deliver(late);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)).stamp, late.behalf_stamp);
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), late.behalf_stamp);
   for (ProcessId q : {P(5), P(8)}) {
     EXPECT_TRUE(covers(f.inquirer.known_behalf().row(q),
                        std::as_const(f.replier).log().row(q)))
@@ -387,7 +400,7 @@ TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
   const std::size_t before = f.inquirer.storage_footprint().relay_bytes;
   f.deliver(answer(f.replier, f.inquire()));
-  ASSERT_NE(f.inquirer.behalf_echo(P(2)).stamp, 0u);
+  ASSERT_NE(f.inquirer.behalf_echo(P(2)), 0u);
   EXPECT_GT(f.inquirer.storage_footprint().relay_bytes, before)
       << "echo records are relay state";
 
@@ -398,7 +411,7 @@ TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   death.reply = true;
   death.dead.insert(P(2));
   (void)f.inquirer.receive(death, f.is_root, ++f.now);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), GgdProcess::BehalfEcho{});
+  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), 0u);
 
   // So does the inquirer's own removal, for every peer.
   GgdProcess other(P(4), false);
@@ -406,12 +419,28 @@ TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   GgdMessage inq = f.bare_inquiry();
   inq.to = P(4);
   f.deliver(answer(other, inq));
-  ASSERT_NE(f.inquirer.behalf_echo(P(4)).stamp, 0u);
+  ASSERT_NE(f.inquirer.behalf_echo(P(4)), 0u);
   if (!f.inquirer.removed()) {
     (void)f.inquirer.remove_self();
   }
   f.inquirer.retire_tombstone();
-  EXPECT_EQ(f.inquirer.behalf_echo(P(4)), GgdProcess::BehalfEcho{});
+  EXPECT_EQ(f.inquirer.behalf_echo(P(4)), 0u);
+}
+
+TEST(BehalfFrontier, ARetiredTombstoneKeepsNoLogStamps) {
+  BehalfFixture f;
+  f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
+  f.lk.on_send_third_party_ref(f.replier, P(8), P(9));
+  const DvLog& log = std::as_const(f.replier).log();
+  ASSERT_GT(log.stamp_bytes(), 0u);
+  const DependencyVector row5 = log.row(P(5));
+  // Only make_reply reads the stamps, and a tombstone never replies.
+  (void)f.replier.remove_self();
+  f.replier.retire_tombstone();
+  EXPECT_EQ(log.stamp_bytes(), 0u);
+  EXPECT_EQ(log.row(P(5)).stamp(), 0u);
+  EXPECT_EQ(DependencyVector(log.row(P(5))), row5)
+      << "the posthumous bundle still reads the rows";
 }
 
 TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
@@ -425,7 +454,6 @@ TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
   row9.set(P(1), Timestamp::creation(1));
   m.rows.emplace(P(9), row9);
   m.row_revs.emplace(P(9), 7);
-  m.sync_epoch = 0;
 
   (void)p.receive(m, roots({1}));
   const std::uint64_t rev_first = p.known_row(P(9)).stamp();
@@ -445,7 +473,6 @@ TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
   auto it = reply.row_acks.find(P(9));
   ASSERT_NE(it, reply.row_acks.end());
   EXPECT_EQ(it->second, 7u);
-  EXPECT_EQ(reply.ack_epoch, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,115 +542,6 @@ TEST(DeltaSync, CollectsAfterTotalLossViaSweepResync) {
   const std::set<ProcessId> removed(eng.removed().begin(),
                                     eng.removed().end());
   EXPECT_EQ(removed, (std::set<ProcessId>{P(2), P(3)}));
-}
-
-// ---------------------------------------------------------------------------
-// 64-seed differential: delta vs whole-map relaying.
-// ---------------------------------------------------------------------------
-
-struct PolicyRun {
-  std::set<ProcessId> removed;
-  bool safe = false;
-  std::size_t residual = 0;
-  std::uint64_t control_bytes = 0;
-  /// Every process's converged known-row map, for cross-policy equality.
-  std::vector<std::pair<ProcessId, FlatMap<ProcessId, DependencyVector>>>
-      rows;
-};
-
-PolicyRun run_policy(const ScenarioSpec& spec,
-                     const std::vector<MutatorOp>& ops, RelayPolicy policy) {
-  Scenario s(Scenario::Config{.net = spec.net_config(),
-                              .mode = LogKeepingMode::kRobust,
-                              .num_sites = spec.num_sites});
-  s.engine().set_relay_policy(policy);
-  for (const MutatorOp& op : ops) {
-    (void)s.apply(op);  // lenient: faults may invalidate preconditions
-    EXPECT_TRUE(s.run());
-  }
-  s.net().set_drop_rate(0.0);
-  s.net().set_duplicate_rate(0.0);
-  EXPECT_TRUE(s.run_with_sweeps(16));
-  PolicyRun out;
-  out.removed = s.removed();
-  out.safe = s.safety_holds();
-  out.residual = s.residual_garbage().size();
-  out.control_bytes = s.net().stats().control_bytes_sent();
-  for (ProcessId p : s.engine().process_ids()) {
-    out.rows.emplace_back(p, s.engine().process(p).known_rows());
-  }
-  return out;
-}
-
-// Both relay policies must yield clean oracle verdicts on every seed,
-// and identical reclaimed sets on fault-free seeds. (Under faults the
-// two policies recover differently — delta's missing rows trigger extra
-// inquiries — which shifts the shared network RNG stream, so the two
-// runs build genuinely different delivered graphs; each is adjudicated
-// against its own ground truth instead.)
-//
-// Converged row state is compared pairwise on fault-free seeds. Exact
-// map equality is NOT a theorem of the design: whole-map flooding keeps
-// delivering rows after the last content change, while a delta sender
-// with an up-to-date frontier has nothing left to say — and equal-index
-// rows are lattice-joined from whatever copies happened to arrive, so
-// the two modes may quiesce at different (both correct) knowledge
-// positions. What the tripwire pins is that this tail stays marginal:
-// ≥ 99% of all (holder, subject) row pairs must be bit-identical
-// (measured: 32 of 19479 pairs diverge, ~0.16%). A protocol regression
-// that stops relaying rows would blow through the bound immediately.
-TEST(DeltaSync, SixtyFourSeedDifferentialVsWholeMap) {
-  std::size_t compared = 0;
-  std::size_t fault_free = 0;
-  std::size_t row_pairs = 0;
-  std::size_t row_diverged = 0;
-  std::uint64_t delta_bytes = 0;
-  std::uint64_t whole_bytes = 0;
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    const ScenarioSpec spec = spec_from_seed(seed);
-    const std::vector<MutatorOp> ops = generate_trace(spec);
-    const PolicyRun delta = run_policy(spec, ops, RelayPolicy::kDelta);
-    const PolicyRun whole = run_policy(spec, ops, RelayPolicy::kWholeMap);
-    EXPECT_TRUE(delta.safe) << "seed " << seed;
-    EXPECT_TRUE(whole.safe) << "seed " << seed;
-    EXPECT_EQ(delta.residual, 0u) << "seed " << seed;
-    EXPECT_EQ(whole.residual, 0u) << "seed " << seed;
-    if (spec.drop_rate == 0.0 && spec.duplicate_rate == 0.0) {
-      EXPECT_EQ(delta.removed, whole.removed)
-          << "seed " << seed << ": the relay policy changed a verdict";
-      ASSERT_EQ(delta.rows.size(), whole.rows.size()) << "seed " << seed;
-      for (std::size_t i = 0; i < delta.rows.size(); ++i) {
-        const auto& [p, drows] = delta.rows[i];
-        ASSERT_EQ(whole.rows[i].first, p);
-        const auto& wrows = whole.rows[i].second;
-        for (const auto& [q, row] : wrows) {
-          ++row_pairs;
-          auto it = drows.find(q);
-          if (it == drows.end() || !(it->second == row)) {
-            ++row_diverged;
-          }
-        }
-        for (const auto& [q, row] : drows) {
-          if (wrows.find(q) == wrows.end()) {
-            ++row_pairs;
-            ++row_diverged;
-          }
-        }
-      }
-      ++fault_free;
-    }
-    delta_bytes += delta.control_bytes;
-    whole_bytes += whole.control_bytes;
-    ++compared;
-  }
-  EXPECT_EQ(compared, 64u);
-  EXPECT_GE(fault_free, 16u) << "the sweep must cover fault-free seeds";
-  ASSERT_GT(row_pairs, 1000u) << "the row comparison must have teeth";
-  EXPECT_LE(row_diverged, row_pairs / 100)
-      << "cross-policy row divergence must stay a marginal tail";
-  // The optimization must actually optimize, in aggregate, on real fuzz
-  // workloads — not just on hand-picked traces.
-  EXPECT_LT(delta_bytes, whole_bytes);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -328,12 +329,13 @@ BehalfRows behalf_rows_of(const GgdProcess& p) {
   return out;
 }
 
-/// A reply seen on the wire, awaiting its delivery: the rows its replier
-/// held when it built the reply (the one to its inquirer left out).
+/// A reply seen on the wire, awaiting its delivery at `site`: the rows
+/// its replier held when it built the reply (the one to its inquirer left
+/// out).
 struct SentReply {
   SimTime delivered_at = 0;
+  SiteId site;
   ProcessId inquirer;
-  std::uint64_t inquirer_epoch = 0;
   BehalfRows rows;
 };
 
@@ -347,8 +349,9 @@ struct FrontierStats {
 ///   * each delivered reply left its inquirer's known_behalf() covering
 ///     every row its replier held when it built the reply;
 ///   * every row a replier stamped at or under an inquirer's current echo
-///     (same epoch) is already covered there, so leaving it out of the
-///     next reply loses nothing.
+///     is already covered there, so leaving it out of the next reply
+///     loses nothing. An echo of an earlier incarnation of the replier
+///     lies below every stamp the current one drew, so it passes no row.
 /// A reply's build-time rows are read from the replier before the event
 /// that built it: within an event a log row only grows (a reference
 /// arrives), so those rows are a lower bound of what the reply held.
@@ -378,13 +381,11 @@ class FrontierCheck {
             }
             const GgdMessage& r = c->msg;
             auto held = before_.find(r.from);
-            if (held == before_.end() ||
-                held->second.epoch != engine.process(r.from).sync_epoch()) {
-              return;  // the replier arrived by migration in this event
+            if (held == before_.end()) {
+              return;
             }
-            SentReply sent{rec.delivered_at.front(), r.to,
-                           engine.process(r.to).sync_epoch(),
-                           held->second.rows};
+            SentReply sent{rec.delivered_at.front(), rec.to, r.to,
+                           held->second};
             sent.rows.erase(r.to);
             pending_.push_back(std::move(sent));
           });
@@ -398,8 +399,8 @@ class FrontierCheck {
       }
       const GgdProcess& i = engine.process(sent.inquirer);
       if (i.removed() || engine.migrating(sent.inquirer) ||
-          i.sync_epoch() != sent.inquirer_epoch) {
-        continue;  // not merged here, or merged by another incarnation
+          engine.site_of(sent.inquirer) != sent.site) {
+        continue;  // not merged on delivery: redirected after a hand-off
       }
       ++st_.replies;
       for (const auto& [q, row] : sent.rows) {
@@ -419,11 +420,6 @@ class FrontierCheck {
   }
 
  private:
-  struct Held {
-    std::uint64_t epoch = 0;
-    BehalfRows rows;
-  };
-
   static bool covers(const RowTable::RowView& known,
                      const DependencyVector& row) {
     for (const auto& [p, ts] : row.entries()) {
@@ -441,14 +437,14 @@ class FrontierCheck {
         continue;
       }
       for (ProcessId r : engine.process_ids()) {
-        const GgdProcess::BehalfEcho echo = i.behalf_echo(r);
-        const GgdProcess& replier = engine.process(r);
-        if (echo.stamp == 0 || replier.sync_epoch() != echo.epoch) {
+        const std::uint64_t echo = i.behalf_echo(r);
+        if (echo == 0) {
           continue;
         }
+        const GgdProcess& replier = engine.process(r);
         for (const auto& [q, row] : replier.log().rows()) {
           const std::uint64_t stamp = row.stamp();
-          if (q == r || q == id || stamp == 0 || stamp > echo.stamp ||
+          if (q == r || q == id || stamp == 0 || stamp > echo ||
               i.dead().contains(q)) {
             continue;
           }
@@ -467,7 +463,7 @@ class FrontierCheck {
     for (ProcessId id : engine.process_ids()) {
       const GgdProcess& p = engine.process(id);
       if (!p.removed()) {
-        before_.emplace(id, Held{p.sync_epoch(), behalf_rows_of(p)});
+        before_.emplace(id, behalf_rows_of(p));
       }
     }
   }
@@ -475,7 +471,7 @@ class FrontierCheck {
   FrontierStats& st_;
   wire::WireTrace trace_;
   std::size_t seen_ = 0;
-  FlatMap<ProcessId, Held> before_;
+  FlatMap<ProcessId, BehalfRows> before_;
   std::vector<SentReply> pending_;
 };
 
@@ -499,6 +495,98 @@ TEST(BehalfFrontier, EveryDeliveredReplyLeavesWhatShippingEveryRowWould) {
   EXPECT_GT(st.replies, 1'000u);
   EXPECT_GT(st.rows_checked, 1'000u);
   EXPECT_GT(st.echo_rows, 1'000u);
+}
+
+// ---- the relay's revision stamps, per event --------------------------
+
+struct StampStats {
+  std::size_t rows_checked = 0;  // (holder, subject) rows seen per event
+  std::size_t changes = 0;       // row contents that changed
+};
+
+/// Holds every live process's known rows to the relay's stamp rule after
+/// every event: a known row carries a stamp, the stamp of a holder's row
+/// of q never goes down, and a row whose content changed since the last
+/// event carries a larger stamp than before. The rule spans the row's
+/// erasure and re-adoption and the holder's migration, so a peer whose
+/// frontier passed the old stamp always receives the new content.
+class StampCheck {
+ public:
+  explicit StampCheck(StampStats& st) : st_(st) {}
+
+  void operator()(Scenario& s, const std::string& where) {
+    GgdEngine& engine = s.engine();
+    for (ProcessId id : engine.process_ids()) {
+      const GgdProcess& p = engine.process(id);
+      if (p.removed()) {
+        continue;
+      }
+      for (ProcessId q : engine.process_ids()) {
+        const RowTable::RowView row = p.known_row(q);
+        if (!row.exists()) {
+          continue;
+        }
+        ++st_.rows_checked;
+        const std::uint64_t stamp = row.stamp();
+        ASSERT_NE(stamp, 0u) << where << ": process " << id.str()
+                             << " holds an unstamped row of " << q.str();
+        auto [it, fresh] = last_.try_emplace({id, q});
+        Seen& seen = it->second;
+        if (!fresh && stamp == seen.stamp && same(row, seen.row)) {
+          continue;
+        }
+        if (!fresh && !same(row, seen.row)) {
+          ++st_.changes;
+        }
+        ASSERT_TRUE(fresh || stamp > seen.stamp)
+            << where << ": process " << id.str() << "'s row of " << q.str()
+            << " went from " << seen.row.str() << " at stamp " << seen.stamp
+            << " to " << row.str() << " at stamp " << stamp;
+        seen = Seen{stamp, row.to_dv()};
+      }
+    }
+  }
+
+ private:
+  struct Seen {
+    std::uint64_t stamp = 0;
+    DependencyVector row;
+  };
+
+  static bool same(const RowTable::RowView& row, const DependencyVector& dv) {
+    if (row.size() != dv.size()) {
+      return false;
+    }
+    for (const auto& [q, ts] : row) {
+      if (!(dv.get(q) == ts)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  StampStats& st_;
+  /// Per (holder, subject): the row and stamp last seen, kept after the
+  /// row is erased so a re-adoption is held to them too.
+  std::map<std::pair<ProcessId, ProcessId>, Seen> last_;
+};
+
+TEST(RelayStamps, EveryKnownRowChangeDrawsALargerStamp) {
+  StampStats st;
+  std::size_t events = 0;
+  for (std::uint64_t seed : differential_seeds()) {
+    StampCheck check(st);
+    run_stepped(
+        seed, events,
+        [&check](Scenario& s, const std::string& where, bool) {
+          check(s, where);
+        },
+        [](Scenario&) {});
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
+  }
+  std::printf("rows_checked=%zu changes=%zu events=%zu\n", st.rows_checked,
+              st.changes, events);
+  EXPECT_GT(st.changes, 1'000u) << "the check must see rows change";
 }
 
 }  // namespace

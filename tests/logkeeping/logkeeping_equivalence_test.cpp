@@ -36,13 +36,6 @@ ModeRun run_mode(const std::vector<MutatorOp>& ops, LogKeepingMode mode,
                            .seed = seed},
       .mode = mode,
   });
-  // The byte-cost relation asserted below (lazy rows never cost more than
-  // robust rows) is a statement about row CONTENT, so it is compared under
-  // whole-map relaying. The delta relay makes per-run byte counts
-  // path-dependent — a decertified row re-ships when re-certified — which
-  // jitters the totals a percent either way without bearing on the
-  // log-keeping modes' relation.
-  s.engine().set_relay_policy(RelayPolicy::kWholeMap);
   wire::WireTrace trace;
   s.net().set_trace(&trace);
   replay_on_scenario(s, ops);

@@ -170,6 +170,30 @@ TEST(RowTable, UnstampedTableHoldsNoStampColumn) {
   EXPECT_GE(t.footprint_bytes(), unstamped + 64 * sizeof(std::uint64_t));
 }
 
+// release_stamps drops the column a table will never read again; its
+// rows, and the table's other bookkeeping, stay as they were.
+TEST(RowTable, ReleasedStampsFreeTheColumnAndKeepTheRows) {
+  RowTable t;
+  const RowTable& ct = t;
+  for (std::uint64_t q = 1; q <= 64; ++q) {
+    t.row(P(q)).set(P(1000), Timestamp::creation(q));
+  }
+  const std::size_t unstamped = t.footprint_bytes();
+  for (std::uint64_t q = 1; q <= 64; ++q) {
+    t.row(P(q)).set_stamp(q);
+  }
+  EXPECT_GE(t.stamp_bytes(), 64 * sizeof(std::uint64_t));
+  t.release_stamps();
+  EXPECT_EQ(t.stamp_bytes(), 0u);
+  EXPECT_EQ(t.footprint_bytes(), unstamped);
+  for (std::uint64_t q = 1; q <= 64; ++q) {
+    EXPECT_EQ(ct.row(P(q)).stamp(), 0u);
+    EXPECT_EQ(ct.row(P(q)).get(P(1000)), Timestamp::creation(q));
+  }
+  t.row(P(3)).set_stamp(9);
+  EXPECT_EQ(ct.row(P(3)).stamp(), 9u);
+}
+
 TEST(DvLog, FixedUniverseRendering) {
   DvLog log(P(2));
   log.self_row().set(P(1), Timestamp::destruction(1));

@@ -66,8 +66,6 @@ GgdMessage random_control(Rng& rng, bool large) {
       m.row_acks.emplace(P(pid), 1 + rng.below(1000));
     }
   }
-  m.sync_epoch = rng.below(4);
-  m.ack_epoch = rng.below(4);
   m.dead = random_set(rng, large ? 12 : 2);
   m.inquiry = rng.chance(0.3);
   m.reply = !m.inquiry && rng.chance(0.4);
@@ -175,8 +173,6 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
          m.row_revs.clear();
        }},
       {"row_acks", [](GgdMessage& m) { m.row_acks.clear(); }},
-      {"sync_epoch", [](GgdMessage& m) { m.sync_epoch = 0; }},
-      {"ack_epoch", [](GgdMessage& m) { m.ack_epoch = 0; }},
       {"dead", [](GgdMessage& m) { m.dead.clear(); }},
       {"condemned", [](GgdMessage& m) { m.condemned.clear(); }},
   };
@@ -188,8 +184,6 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
     full = random_control(rng, /*large=*/true);
   }
   full.inquiry = full.reply = full.has_out_edges = full.holds_receiver = true;
-  full.sync_epoch = 3;
-  full.ack_epoch = 2;
   full.behalf_stamp = 9;
   full.behalf_echo = 5;
   full.condemned = {P(4), P(7)};
