@@ -91,9 +91,9 @@ std::uint64_t hash_map(std::uint64_t h, const Map& m, HashValue value) {
   return h;
 }
 
-/// Every field a receiver reads from one decoded control message. Of a
-/// reply's out-edges it takes only whether they include the receiver,
-/// the one bit the receiver reads.
+/// Every field of one decoded control message, the reply frontier's
+/// stamps included. Of a reply's out-edges it takes only whether they
+/// include the receiver, the one bit the receiver reads.
 std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
   const auto row = [](std::uint64_t acc, const DependencyVector& dv) {
     return hash_dv(acc, dv);
@@ -107,6 +107,8 @@ std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
   h = hash_dv(h, m.self_row);
   h = hash_dv(h, m.behalf);
   h = hash_map(h, m.behalf_rows, row);
+  h = fnv(h, m.behalf_stamp);
+  h = fnv(h, m.behalf_echo);
   h = hash_map(h, m.rows, row);
   h = hash_map(h, m.row_revs, u64);
   h = hash_map(h, m.row_acks, u64);
@@ -232,17 +234,17 @@ void run_and_check(const Golden& golden, bool observed = false) {
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
   run_and_check({99, 0.10, 1045, 6, 0x8b571febbbf522d2ULL,
-                 0x2041b64c957a0fb2ULL});
+                 0xdff4fc521004f851ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
   run_and_check({7, 0.0, 826, 6, 0xec9b8513e6355269ULL,
-                 0x6efa4571b0040d33ULL});
+                 0xabe7dab4aab08790ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
   run_and_check({123456, 0.05, 1001, 6, 0x387bfd1647ef433eULL,
-                 0x901aea9f6bb6fce0ULL});
+                 0x7ea13145cb288106ULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
@@ -250,11 +252,11 @@ TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
   run_and_check({99, 0.10, 1045, 6, 0x8b571febbbf522d2ULL,
-                 0x2041b64c957a0fb2ULL}, /*observed=*/true);
+                 0xdff4fc521004f851ULL}, /*observed=*/true);
   run_and_check({7, 0.0, 826, 6, 0xec9b8513e6355269ULL,
-                 0x6efa4571b0040d33ULL}, /*observed=*/true);
+                 0xabe7dab4aab08790ULL}, /*observed=*/true);
   run_and_check({123456, 0.05, 1001, 6, 0x387bfd1647ef433eULL,
-                 0x901aea9f6bb6fce0ULL},
+                 0x7ea13145cb288106ULL},
                 /*observed=*/true);
 }
 
