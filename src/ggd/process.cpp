@@ -278,6 +278,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       known_rows_.erase(q);
       known_behalf_.erase(q);
       behalf_echo_.erase(q);
+      ack_pending_.erase(q);
       v_current_ = false;
     }
   }
@@ -698,7 +699,9 @@ void GgdProcess::attach_sync(GgdMessage& msg, bool include_rows) {
 }
 
 void GgdProcess::record_row_acks(const GgdMessage& msg) {
-  if (msg.row_revs.empty()) {
+  // A collected sender reads no acks: its tombstone answers inquiries but
+  // never sweeps, so nothing it shipped is ever rolled back for re-shipping.
+  if (msg.row_revs.empty() || dead_.contains(msg.from)) {
     return;
   }
   // A late row from an earlier incarnation of the sender carries a stamp
@@ -745,8 +748,13 @@ void GgdProcess::apply_row_acks(const GgdMessage& msg) {
   }
   // An ack that echoes a stamp of an earlier incarnation of this process
   // lies below every stamp the current one drew: it erases no in-flight
-  // entry and lifts no forced mark.
-  auto& ps = peer_sync_[msg.from];
+  // entry and lifts no forced mark. A peer without a frontier has nothing
+  // in flight or forced, so its acks confirm nothing either.
+  auto pit = peer_sync_.find(msg.from);
+  if (pit == peer_sync_.end()) {
+    return;
+  }
+  PeerSync& ps = pit->second;
   for (const auto& [q, rev] : msg.row_acks) {
     auto uit = ps.unacked.find(q);
     if (uit != ps.unacked.end() && uit->second <= rev) {

