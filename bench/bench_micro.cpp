@@ -102,9 +102,10 @@ BENCHMARK(BM_ComputeVDense)->Arg(16)->Arg(64);
 /// for 16 third parties: nothing changed its V since its last receive(),
 /// so the reply reuses that V instead of running the closure. The first
 /// reply ships the replica rows; the timed ones ship none. The second
-/// argument is whether the inquirer is a warm peer: 0, its behalf echo
-/// is empty and every reply ships all 16 deferred rows; 1, its echo is
-/// current, as on a settled peer, and the reply ships none of them.
+/// argument is whether the inquirer is a warm peer: 0, its echo is empty
+/// and every reply ships V, the self row and all 16 deferred rows; 1, its
+/// echo covers them, as on a settled peer, and the reply is a current
+/// one that ships none of them.
 void BM_ReplyCurrent(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   GgdProcess p = make_loaded_process(n);
@@ -116,6 +117,7 @@ void BM_ReplyCurrent(benchmark::State& state) {
   ping.from = P(2);
   ping.to = P(1);
   ping.reply = true;
+  ping.holds_receiver = true;
   (void)p.receive(ping, [](ProcessId) { return true; });
   GgdMessage inquiry;
   inquiry.from = P(2);
@@ -123,7 +125,7 @@ void BM_ReplyCurrent(benchmark::State& state) {
   inquiry.inquiry = true;
   const GgdMessage first = p.make_reply(inquiry);
   if (state.range(1) != 0) {
-    inquiry.behalf_echo = first.behalf_stamp;
+    inquiry.echo = first.reply_stamp;
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(p.make_reply(inquiry));
@@ -177,7 +179,6 @@ wire::WireMessage reply_message() {
     m.dead.insert(P(60 + 3 * q));
   }
   m.reply = true;
-  m.has_out_edges = true;
   m.holds_receiver = true;
   return wire::WireMessage{MessageKind::kGgdInquiry, wire::GgdControl{m}};
 }

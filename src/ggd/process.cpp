@@ -277,7 +277,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       history_.erase(q);
       known_rows_.erase(q);
       known_behalf_.erase(q);
-      behalf_echo_.erase(q);
+      echo_.erase(q);
       ack_pending_.erase(q);
       v_current_ = false;
     }
@@ -285,8 +285,9 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
   // The sender's edge-precise in-edge row. An *empty* row is still an
   // answer ("I have no in-edges") and must be stored, or a blocked walk
   // re-blocks for ever on an eventless subject. Rows of dead processes are
-  // not resurrected.
-  if (!dead_.contains(m)) {
+  // not resurrected. A current reply carries none: this process already
+  // merged the sender's row as it stands.
+  if (!dead_.contains(m) && !msg.current) {
     if (auto adopted = adopt_row(known_rows_, m, msg.self_row)) {
       stamp_row(*adopted);
     }
@@ -311,7 +312,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     }
   }
   if (msg.reply && !dead_.contains(m)) {
-    advance_behalf_echo(msg);
+    advance_echo(msg);
   }
 
   const Timestamp known_m = log_.self_row().get(m);
@@ -321,10 +322,10 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // fresh account as of now — record the arrival time so an unreachable
     // verdict that began pending earlier may rest on it.
     confirm_time_[m] = now;
-    if (history_.row(m).merge(msg.v)) {
+    if (!msg.current && history_.row(m).merge(msg.v)) {
       v_current_ = false;
     }
-    if (msg.has_out_edges && msg.holds_receiver) {
+    if (msg.holds_receiver) {
       // The responder vouches that it currently holds us: its in-edge
       // claim is delivery-confirmed up to the slot's present index.
       const Timestamp cur = log_.self_row().get(m);
@@ -332,7 +333,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
         in_edge_confirmed_[m] = std::max(in_edge_confirmed_[m], cur.index());
       }
     }
-    if (msg.has_out_edges && !msg.holds_receiver) {
+    if (!msg.holds_receiver) {
       const Timestamp cur = log_.self_row().get(m);
       if (!cur.is_delta()) {
         // Fresh refutation: the responder does not hold an edge to us, so
@@ -341,8 +342,9 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
         // reference of us towards m remains a live slot of its own and
         // keeps blocking removal until its atomic bundle re-announces the
         // edge, which re-resurrects and re-verifies.
-        const std::uint64_t version =
-            std::max(cur.index(), msg.self_row.get(m).index());
+        const Timestamp reported = msg.current ? known_row(m).get(m)
+                                               : msg.self_row.get(m);
+        const std::uint64_t version = std::max(cur.index(), reported.index());
         set_self_entry(m, Timestamp::destruction(version));
         resurrected_.erase(m);
         // Every fact index seen so far for this slot is hereby refuted:
@@ -425,7 +427,8 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     if (observed_) {
       ++v_closures_;
     }
-    if (!equals_v(last_v_, s)) {
+    const bool changed = !equals_v(last_v_, s);
+    if (changed) {
       // The approximation improved: it must circulate along the out-bound
       // edges of the global root graph (Fig. 6 / §3.3 step 3). The engine
       // coalesces the actual sends (one consolidated vector per process
@@ -433,6 +436,11 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       // traffic.
       assign_v(last_v_, s);
       forward_pending_ = true;
+    }
+    if (changed || v_stamp_off_last_) {
+      // The V replies ship from now on is not the one last stamped.
+      v_stamp_ = 0;
+      v_stamp_off_last_ = false;
     }
     v_current_ = true;
   }
@@ -637,7 +645,7 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   // at q) before its reply can certify an all-dead in-edge row.
   inq.behalf = std::as_const(log_).row(q);
   attach_sync(inq, /*include_rows=*/false);
-  inq.behalf_echo = behalf_echo(q);
+  inq.echo = echo(q);
   out.push_back(std::move(inq));
   if (observed_) {
     ++walk_obs_.inquiries[static_cast<std::size_t>(why)];
@@ -722,23 +730,24 @@ void GgdProcess::settle_log_stamps() {
   }
   log_stamps_stale_ = false;
   for (const auto& [q, row] : log_.rows()) {
-    if (q != id_ && !row.empty()) {
+    if (q == id_ || !row.empty()) {
       stamp_row(log_.row(q));
     }
   }
 }
 
-void GgdProcess::advance_behalf_echo(const GgdMessage& reply) {
-  if (reply.behalf_stamp == 0) {
+void GgdProcess::advance_echo(const GgdMessage& reply) {
+  if (reply.reply_stamp == 0) {
     return;
   }
-  // Duplicated or reordered replies leave the highest echo: every row at
+  // Duplicated or reordered replies leave the highest echo: everything at
   // or below it was merged when that reply was. A migrated replier
-  // re-stamps its rows above every stamp it drew before, so a late reply
-  // of its earlier incarnation never lifts the echo past a new row.
-  auto [it, fresh] = behalf_echo_.emplace(reply.from, reply.behalf_stamp);
+  // re-stamps what it ships above every stamp it drew before, so a late
+  // reply of its earlier incarnation never lifts the echo past new
+  // content.
+  auto [it, fresh] = echo_.emplace(reply.from, reply.reply_stamp);
   if (!fresh) {
-    it->second = std::max(it->second, reply.behalf_stamp);
+    it->second = std::max(it->second, reply.reply_stamp);
   }
 }
 
@@ -859,7 +868,7 @@ void GgdProcess::merge_log_entry(ProcessId row, ProcessId slot,
 void GgdProcess::erase_log_row(ProcessId row) {
   log_.erase_row(row);
   if (row == id_) {
-    v_current_ = false;
+    v_current_ = false;  // a recreated self row reads unstamped
   }
 }
 
@@ -867,7 +876,7 @@ void GgdProcess::set_self_entry(ProcessId q, Timestamp ts) {
   RowTable::RowRef self = log_.self_row();
   if (!(self.get(q) == ts)) {
     self.set(q, ts);
-    v_current_ = false;
+    self_row_changed();
   }
 }
 
@@ -1023,13 +1032,37 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   return msg;
 }
 
+std::uint64_t GgdProcess::stamp_reply_content(DependencyVector& v) {
+  if (!v_current_) {
+    // The V this reply ships is a fresh closure, which need not be
+    // last_v_ (a log write, a decertified row or an absorbed grant since
+    // the last receive): the stamp must version what actually ships.
+    v = compute_v();
+    const bool off_last = !(v == last_v_);
+    if (off_last || v_stamp_off_last_) {
+      v_stamp_ = 0;
+    }
+    v_stamp_off_last_ = off_last;
+  }
+  RowTable::RowRef self = log_.self_row();
+  if (v_stamp_ == 0 || self.view().stamp() == 0) {
+    // One draw versions whichever part changed.
+    const std::uint64_t stamp = ++rev_counter_;
+    if (v_stamp_ == 0) {
+      v_stamp_ = stamp;
+    }
+    if (self.view().stamp() == 0) {
+      self.set_stamp(stamp);
+    }
+  }
+  return std::max(v_stamp_, self.view().stamp());
+}
+
 GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   const ProcessId to = inquiry.from;
   GgdMessage msg;
   msg.from = id_;
   msg.to = to;
-  msg.v = compute_v();
-  msg.self_row = std::as_const(log_).self_row();
   msg.behalf = std::as_const(log_).row(to);
   // Deferred on-behalf knowledge rides along: the inquirer's verdict may
   // hinge on a grant we deferred for a THIRD party (§3.4). It already
@@ -1040,15 +1073,26 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   // merges its rows, and skips them.
   settle_log_stamps();
   for (const auto& [q, row] : log_.rows()) {
-    if (row.stamp() > inquiry.behalf_echo && !row.empty() && q != to &&
+    if (row.stamp() > inquiry.echo && !row.empty() && q != to && q != id_ &&
         !dead_.contains(q)) {
       msg.behalf_rows.emplace(q, row);
-      msg.behalf_stamp = std::max(msg.behalf_stamp, row.stamp());
+      msg.reply_stamp = std::max(msg.reply_stamp, row.stamp());
     }
+  }
+  // V and the self row are versioned by the same frontier: the inquirer
+  // merges both idempotently, so content it merged from an earlier reply
+  // and that has not changed since is left out.
+  DependencyVector v;
+  const std::uint64_t content = stamp_reply_content(v);
+  if (content > inquiry.echo) {
+    msg.v = v_current_ ? last_v_ : std::move(v);
+    msg.self_row = std::as_const(log_).self_row();
+    msg.reply_stamp = std::max(msg.reply_stamp, content);
+  } else {
+    msg.current = true;
   }
   msg.dead = dead_;
   msg.reply = true;
-  msg.has_out_edges = true;
   msg.holds_receiver = acquaintances_.contains(to);
   attach_sync(msg, /*include_rows=*/true);
   return msg;
@@ -1136,7 +1180,9 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
     stamp_row(known_rows_.row(adopted.first));
   }
   log_stamps_stale_ = true;  // the next reply re-stamps every row
-  behalf_echo_.clear();
+  v_stamp_ = 0;
+  v_stamp_off_last_ = false;
+  echo_.clear();
   peer_sync_.clear();
   ack_pending_.clear();
 }
@@ -1159,7 +1205,7 @@ void GgdProcess::retire_tombstone() {
   // Reply frontiers: a tombstone neither replies nor merges replies, so
   // neither its echoes nor the log's stamp column (which only make_reply
   // reads) are read again.
-  behalf_echo_.release();
+  echo_.release();
   log_.release_stamps();
   // Forward coalescing: take_forwards() is empty for a tombstone, so the
   // acquaintance list and cached V can go. `forward_pending_` must KEEP
@@ -1207,7 +1253,7 @@ GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
   };
   // dead_ counts here, not under gating: death knowledge rides in every
   // posthumous message, so it is wire-live state like the frontiers.
-  f.relay_bytes = map64(dead_) + map64(behalf_echo_) + map64(ack_pending_) +
+  f.relay_bytes = map64(dead_) + map64(echo_) + map64(ack_pending_) +
                   peer_sync_.capacity() *
                       sizeof(std::pair<ProcessId, PeerSync>);
   for (const auto& [peer, ps] : peer_sync_) {
@@ -1255,7 +1301,7 @@ void GgdProcess::trim_storage() {
       m.shrink_to_fit();
     }
   };
-  trim(behalf_echo_);
+  trim(echo_);
   trim(dead_);
   for (auto& [peer, ps] : peer_sync_) {
     (void)peer;

@@ -64,19 +64,20 @@ struct GgdMessage {
   /// subject's in-edges can see grants that exist only at a forwarder —
   /// without them, a process two hops from a lazily-deferred rescue edge
   /// can prove a live structure dead (found by scenario fuzzing). A reply
-  /// ships only the rows written since the inquiry's `behalf_echo`, so
-  /// each version of a row reaches an inquirer once.
+  /// ships only the rows written since the inquiry's `echo`, so each
+  /// version of a row reaches an inquirer once.
   FlatMap<ProcessId, DependencyVector> behalf_rows;
-  /// On a reply: the highest on-behalf stamp among `behalf_rows` (0 when
-  /// it ships none), drawn from the sender's revision counter. Stamps
+  /// On a reply: the highest stamp of what it ships — its `behalf_rows`
+  /// and, unless it is `current`, its `v` and `self_row` — drawn from the
+  /// sender's revision counter (0 when it ships none of them). Stamps
   /// carry no protocol meaning beyond this frontier.
-  std::uint64_t behalf_stamp = 0;
-  /// On an inquiry: the highest `behalf_stamp` the sender has merged from
-  /// the receiver's replies — every row the receiver stamped at or below
-  /// it is already merged. 0 asks for every row, and so does an echo of
-  /// an earlier incarnation of the receiver: a migrated process re-stamps
-  /// its rows above every stamp it drew before.
-  std::uint64_t behalf_echo = 0;
+  std::uint64_t reply_stamp = 0;
+  /// On an inquiry: the highest `reply_stamp` the sender has merged from
+  /// the receiver's replies — whatever the receiver stamped at or below it
+  /// is already merged. 0 asks for everything, and so does an echo of an
+  /// earlier incarnation of the receiver: a migrated process re-stamps
+  /// what it ships above every stamp it drew before.
+  std::uint64_t echo = 0;
   /// Relayed in-edge rows of other processes, versioned by their subjects'
   /// own counters. Rows flooding along the cascade is what keeps the
   /// message COUNT of collecting a k-element structure at O(k) (§4's
@@ -116,12 +117,15 @@ struct GgdMessage {
   /// Marks a message that answers an inquiry: it certifies the sender's
   /// history but must NOT be read as evidence of an edge sender -> to.
   bool reply = false;
-  /// Replies carry the responder's out-edge verdict on the receiver
-  /// (`has_out_edges` set, `holds_receiver` whether its acquaintances
-  /// include `to`), so an inquirer can verify a resurrected edge claim: a
-  /// fresh "I do not hold you" refutes the claimed edge responder ->
-  /// inquirer (and also heals a lost destruction message).
-  bool has_out_edges = false;
+  /// On a reply: the inquiry's `echo` already covers the sender's `v` and
+  /// `self_row`, so the reply leaves both out. The inquirer merged them
+  /// from an earlier reply, and merging them again would change nothing.
+  bool current = false;
+  /// Replies carry the responder's out-edge verdict on the receiver,
+  /// whether its acquaintances include `to`, so an inquirer can verify a
+  /// resurrected edge claim: a fresh "I do not hold you" refutes the
+  /// claimed edge responder -> inquirer (and also heals a lost destruction
+  /// message).
   bool holds_receiver = false;
   /// Condemned set of a confirmed unreachable verdict, carried on the
   /// destruction messages of its removal cascade (empty elsewhere). The
@@ -273,9 +277,10 @@ class GgdProcess {
       const FlatSet<ProcessId>& condemned = {});
 
   /// Builds the answer to `inquiry`: this process's current vector-time
-  /// approximation, vouchers and death knowledge, flagged as a reply so
-  /// the inquirer does not mistake it for an edge fact, plus the deferred
-  /// on-behalf rows stamped past the inquiry's `behalf_echo`.
+  /// approximation and self row unless the inquiry's `echo` shows the
+  /// inquirer already holds them (a `current` reply), vouchers and death
+  /// knowledge, flagged as a reply so the inquirer does not mistake it for
+  /// an edge fact, plus the deferred on-behalf rows stamped past the echo.
   [[nodiscard]] GgdMessage make_reply(const GgdMessage& inquiry);
 
   /// Builds an edge announce: a regular vector message to `to` asserting
@@ -296,6 +301,8 @@ class GgdProcess {
     // revision from the monotone counter, so peers whose frontier saw the
     // decertified copy re-receive it.
     known_rows_.erase(q);
+    // q's next reply must ship what was just dropped.
+    echo_.erase(q);
   }
 
   /// Accumulated third-party on-behalf knowledge: for subject q, the
@@ -442,12 +449,12 @@ class GgdProcess {
     const std::uint64_t rev = known_row(q).stamp();
     return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
   }
-  /// The behalf echo this process holds for `peer`: the highest on-behalf
-  /// stamp merged from its replies (0: none, the next inquiry asks for
-  /// every row).
-  [[nodiscard]] std::uint64_t behalf_echo(ProcessId peer) const {
-    auto it = behalf_echo_.find(peer);
-    return it == behalf_echo_.end() ? 0 : it->second;
+  /// The echo this process holds for `peer`: the highest reply stamp
+  /// merged from its replies (0: none, the next inquiry asks for
+  /// everything).
+  [[nodiscard]] std::uint64_t echo(ProcessId peer) const {
+    auto it = echo_.find(peer);
+    return it == echo_.end() ? 0 : it->second;
   }
 
   /// Merges announced edge facts delivered outside a regular message —
@@ -534,8 +541,26 @@ class GgdProcess {
   void merge_edge_facts(const DependencyVector& facts, ProcessId skip);
 
   /// The one writer of self-row entries inside the detector: stores `ts`
-  /// in slot `q` and marks the cached V stale if the entry changed.
+  /// in slot `q` and, if the entry changed, notes the self row changed.
   void set_self_entry(ProcessId q, Timestamp ts);
+
+  /// After a change to the self row: it is a closure input, so the cached
+  /// V is stale, and it is reply content, so its stamp is cleared and the
+  /// next reply draws a fresh one.
+  void self_row_changed() {
+    v_current_ = false;
+    RowTable::RowRef self = log_.self_row();
+    if (self.view().stamp() != 0) {
+      self.set_stamp(0);
+    }
+  }
+
+  /// The stamp of the content a reply would ship now, the self row and
+  /// compute_v(): the larger of their stamps, drawing a fresh one for a
+  /// part changed since it was last stamped. Leaves compute_v() in `v`
+  /// when the cached V is stale (`v` is untouched otherwise: the reply
+  /// ships last_v_).
+  std::uint64_t stamp_reply_content(DependencyVector& v);
 
   /// Per-peer delta-sync bookkeeping. Row revisions are monotone within
   /// this process (`stamp_row`), so "which rows has this peer been sent"
@@ -577,22 +602,22 @@ class GgdProcess {
   void record_row_acks(const GgdMessage& msg);
 
   /// After a write that changed log row `r` (kept for `row`): the self
-  /// row is a closure input, any other row is stamped afresh.
+  /// row changed, or any other row is stamped afresh.
   void note_log_write(ProcessId row, RowTable::RowRef r) {
     if (row == id_) {
-      v_current_ = false;
+      self_row_changed();
     } else {
       stamp_row(r);
     }
   }
 
-  /// Re-stamps every on-behalf row when log_stamps_stale_ is set;
-  /// nothing to do otherwise.
+  /// Re-stamps every log row, the self row included, when
+  /// log_stamps_stale_ is set; nothing to do otherwise.
   void settle_log_stamps();
 
-  /// Advances the behalf echo for `reply.from` past the rows `reply`
-  /// shipped. Called only when the reply's rows have been merged.
-  void advance_behalf_echo(const GgdMessage& reply);
+  /// Advances the echo for `reply.from` past what `reply` shipped. Called
+  /// only when the reply has been merged.
+  void advance_echo(const GgdMessage& reply);
 
   ProcessId id_;
   bool is_root_;
@@ -601,7 +626,8 @@ class GgdProcess {
   /// inquirer's echo — the confirmed frontier, never an optimistic sent
   /// mark: a lost reply leaves the echo, so the next reply ships the same
   /// rows again and the inquirer's overlay (known_behalf_) always equals
-  /// what shipping every row would give.
+  /// what shipping every row would give. The self row's stamp versions it
+  /// as reply content: 0 after any change, drawn by the next reply.
   DvLog log_;
   /// SoA row tables (shared entry columns, optionally pool-backed): the
   /// three big per-process maps that dominate footprint at scale.
@@ -674,6 +700,14 @@ class GgdProcess {
   /// changed without a fresh stamp) and by import_state (the adopted rows
   /// arrive unstamped): the next reply re-stamps every row.
   bool log_stamps_stale_ = false;
+  /// Set while v_stamp_ versions a V a reply shipped that is not last_v_
+  /// (the cached V was stale): the next closure clears v_stamp_ even if
+  /// last_v_ stays the same.
+  bool v_stamp_off_last_ = false;
+  /// The stamp of the V replies ship, as reply content: cleared when
+  /// receive() assigns a changed last_v_, drawn by the next reply (0: not
+  /// drawn since).
+  std::uint64_t v_stamp_ = 0;
   /// Closures run while observed (see take_v_closures). Not serialized.
   mutable std::uint32_t v_closures_ = 0;
   DependencyVector last_v_;
@@ -690,10 +724,10 @@ class GgdProcess {
   /// Acks accumulated per row-sender, flushed onto the next message to
   /// that sender.
   FlatMap<ProcessId, FlatMap<ProcessId, std::uint64_t>> ack_pending_;
-  /// Per replier: the behalf echo this process sends on its inquiries.
-  /// Erased when the replier is learned dead, cleared on import (the new
-  /// incarnation re-learns it from a full reply).
-  FlatMap<ProcessId, std::uint64_t> behalf_echo_;
+  /// Per replier: the echo this process sends on its inquiries. Erased
+  /// when the replier is learned dead or its row is decertified, cleared
+  /// on import (the new incarnation re-learns it from a full reply).
+  FlatMap<ProcessId, std::uint64_t> echo_;
 };
 
 }  // namespace cgc

@@ -38,18 +38,18 @@ ObjectRefTransfer decode_object_ref_transfer(Decoder& dec) {
 /// per field that is written only when non-empty (a stamp: non-zero).
 /// The mask is a varint, so only the low seven bits fit its first byte.
 /// They go to what the commonest messages set: a bare inquiry, an
-/// inquiry that echoes its behalf frontier or flushes acks, and a reply
+/// inquiry that echoes its reply frontier or flushes acks, and a reply
 /// whose sender neither holds nor owes grants to its receiver and relays
-/// no rows all take a one-byte mask (57-67% of control messages on the
-/// gcbench simulator workloads). A reply that ships deferred rows is rare
-/// once inquirers echo their frontier, so it takes the high bits.
+/// no rows all take a one-byte mask, a current reply included. A reply
+/// that ships deferred rows is rare once inquirers echo their frontier,
+/// so it takes the high bits.
 enum MaskBit : std::uint64_t {
   kInquiry = 1 << 0,
   kReply = 1 << 1,
-  kHasOutEdges = 1 << 2,
+  kCurrent = 1 << 2,
   kV = 1 << 3,
   kSelfRow = 1 << 4,
-  kEcho = 1 << 5,  // behalf_echo
+  kEcho = 1 << 5,
   kRowAcks = 1 << 6,
   kHoldsReceiver = 1 << 7,
   kBehalf = 1 << 8,
@@ -57,7 +57,7 @@ enum MaskBit : std::uint64_t {
   kDead = 1 << 10,
   kCondemned = 1 << 11,
   kBehalfRows = 1 << 12,
-  kBehalfStamp = 1 << 13,
+  kReplyStamp = 1 << 13,
   kKnownBits = (1 << 14) - 1,
 };
 
@@ -70,7 +70,7 @@ std::uint64_t presence_mask(const GgdMessage& m) {
   };
   set(m.inquiry, kInquiry);
   set(m.reply, kReply);
-  set(m.has_out_edges, kHasOutEdges);
+  set(m.current, kCurrent);
   set(m.holds_receiver, kHoldsReceiver);
   set(!m.v.empty(), kV);
   set(!m.self_row.empty(), kSelfRow);
@@ -80,8 +80,8 @@ std::uint64_t presence_mask(const GgdMessage& m) {
   set(!m.row_acks.empty(), kRowAcks);
   set(!m.behalf_rows.empty(), kBehalfRows);
   set(!m.condemned.empty(), kCondemned);
-  set(m.behalf_stamp != 0, kBehalfStamp);
-  set(m.behalf_echo != 0, kEcho);
+  set(m.reply_stamp != 0, kReplyStamp);
+  set(m.echo != 0, kEcho);
   return mask;
 }
 
@@ -111,13 +111,13 @@ void encode_ggd_body(Encoder& enc, const GgdMessage& m, Mark&& mark) {
     enc.row_map(m.behalf_rows);
   }
   mark(GgdField::kBehalfRows);
-  if ((mask & kBehalfStamp) != 0) {
-    enc.varint(m.behalf_stamp);
+  if ((mask & kReplyStamp) != 0) {
+    enc.varint(m.reply_stamp);
   }
   if ((mask & kEcho) != 0) {
-    enc.varint(m.behalf_echo);
+    enc.varint(m.echo);
   }
-  mark(GgdField::kBehalfStamps);
+  mark(GgdField::kReplyStamps);
   // Relayed rows travel as one columnar batch (delta row-relay): the
   // per-row encoding paid the id/timestamp interleave for every row,
   // while the batch's single RLE timestamp column collapses across rows.
@@ -147,7 +147,8 @@ void encode_body(Encoder& enc, const GgdControl& c) {
 /// An absent field is emptied, since warm storage may hold the previous
 /// message's. A present field that decodes empty is rejected: the encoder
 /// never marks one, so accepting it would give the message a second
-/// encoding.
+/// encoding. So is `current` on anything but a reply that leaves out `v`
+/// and `self_row`, which no sender builds.
 void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
                         RowPool& rows_pool) {
   GgdMessage& m = c.msg;
@@ -161,9 +162,12 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
       dec.reject();
     }
   };
+  if (has(kCurrent) && (!has(kReply) || has(kV) || has(kSelfRow))) {
+    dec.reject();
+  }
   m.inquiry = has(kInquiry);
   m.reply = has(kReply);
-  m.has_out_edges = has(kHasOutEdges);
+  m.current = has(kCurrent);
   m.holds_receiver = has(kHoldsReceiver);
   m.from = dec.process_id();
   m.to = dec.process_id();
@@ -183,8 +187,8 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
   } else {
     recycle_rows(m.behalf_rows, behalf_pool);
   }
-  for (auto [field, bit] : {std::pair{&m.behalf_stamp, kBehalfStamp},
-                            std::pair{&m.behalf_echo, kEcho}}) {
+  for (auto [field, bit] : {std::pair{&m.reply_stamp, kReplyStamp},
+                            std::pair{&m.echo, kEcho}}) {
     *field = has(bit) ? dec.varint() : 0;
     require(!has(bit) || *field != 0);
   }
@@ -463,7 +467,7 @@ std::size_t MessageDecoder::capacity() const {
 const char* ggd_field_name(GgdField f) {
   static constexpr const char* kNames[] = {
       "header", "v",        "self_row", "behalf", "behalf_rows",
-      "behalf_stamps", "rows", "row_acks", "dead", "condemned"};
+      "reply_stamps", "rows", "row_acks", "dead", "condemned"};
   static_assert(std::size(kNames) == kGgdFieldCount);
   return kNames[static_cast<std::size_t>(f)];
 }

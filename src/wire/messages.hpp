@@ -198,7 +198,7 @@ class MessageDecoder {
 
 /// The parts of a framed GGD control message, in wire order. `kHeader` is
 /// the kind/tag byte, the presence mask, `from` and `to`;
-/// `kBehalfStamps` is `behalf_stamp` and `behalf_echo`; `kRows` includes
+/// `kReplyStamps` is `reply_stamp` and `echo`; `kRows` includes
 /// `row_revs`.
 enum class GgdField : std::uint8_t {
   kHeader,
@@ -206,7 +206,7 @@ enum class GgdField : std::uint8_t {
   kSelfRow,
   kBehalf,
   kBehalfRows,
-  kBehalfStamps,
+  kReplyStamps,
   kRows,
   kRowAcks,
   kDead,

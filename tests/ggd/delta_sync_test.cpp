@@ -196,7 +196,7 @@ TEST(DeltaSync, AnImportDrawsStampsAboveEveryStampOfTheExporter) {
   const GgdMessage reply = mover.make_reply(inq);  // re-stamps the log
   ASSERT_TRUE(reply.behalf_rows.contains(P(5)));
   EXPECT_GT(std::as_const(mover).log().row(P(5)).stamp(), high);
-  EXPECT_GT(reply.behalf_stamp, high);
+  EXPECT_GT(reply.reply_stamp, high);
 }
 
 TEST(DeltaSync, AfterAnImportAnAckOfAnOldStampConfirmsNothing) {
@@ -274,6 +274,7 @@ struct BehalfFixture {
     from5.from = P(5);
     from5.to = P(3);
     from5.reply = true;
+    from5.holds_receiver = true;
     from5.v.set(P(5), Timestamp::creation(1));
     from5.self_row.set(P(2), Timestamp::creation(1));  // edge 2 -> 5
     (void)inquirer.receive(from5, is_root, now);
@@ -313,14 +314,17 @@ TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   const DvLog& log = std::as_const(f.replier).log();
   ASSERT_GT(log.row(P(5)).stamp(), 0u);
 
+  // The fixture's reply left an echo of 2's content, below the row.
+  const std::uint64_t settled = f.inquirer.echo(P(2));
+  ASSERT_LT(settled, log.row(P(5)).stamp());
   const GgdMessage first = f.inquire();
-  EXPECT_EQ(first.behalf_echo, 0u);
+  EXPECT_EQ(first.echo, settled);
   const GgdMessage lost = answer(f.replier, first);
   ASSERT_TRUE(lost.behalf_rows.contains(P(5)));
-  EXPECT_EQ(lost.behalf_stamp, log.row(P(5)).stamp());
+  EXPECT_GE(lost.reply_stamp, log.row(P(5)).stamp());
   // `lost` never arrives: the echo must not have moved on sending.
   const GgdMessage second = f.inquire();
-  EXPECT_EQ(second.behalf_echo, 0u);
+  EXPECT_EQ(second.echo, settled);
   const GgdMessage reply = answer(f.replier, second);
   ASSERT_TRUE(reply.behalf_rows.contains(P(5)))
       << "a reply lost on the way must not cost the inquirer the grant";
@@ -329,16 +333,16 @@ TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   FlatSet<ProcessId> missing, evidence, consulted;
   EXPECT_EQ(f.inquirer.walk_to_root(f.is_root, missing, evidence, consulted),
             GgdProcess::WalkResult::kReachable);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), reply.behalf_stamp);
+  EXPECT_EQ(f.inquirer.echo(P(2)), reply.reply_stamp);
 
   // Merged: the next reply ships nothing until 2 writes the row again.
   const GgdMessage third = f.inquire();
-  EXPECT_EQ(third.behalf_echo, reply.behalf_stamp);
+  EXPECT_EQ(third.echo, reply.reply_stamp);
   EXPECT_TRUE(answer(f.replier, third).behalf_rows.empty());
   f.lk.on_send_third_party_ref(f.replier, P(5), P(7));
   const GgdMessage fourth = answer(f.replier, f.inquire());
   ASSERT_TRUE(fourth.behalf_rows.contains(P(5)));
-  EXPECT_GT(fourth.behalf_stamp, reply.behalf_stamp);
+  EXPECT_GT(fourth.reply_stamp, reply.reply_stamp);
 }
 
 TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
@@ -348,28 +352,28 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
   const GgdMessage before = answer(f.replier, f.inquire());
   ASSERT_EQ(before.behalf_rows.size(), 2u);
   f.deliver(before);
-  ASSERT_NE(f.inquirer.behalf_echo(P(2)), 0u);
+  ASSERT_NE(f.inquirer.echo(P(2)), 0u);
   const GgdMessage settled = f.inquire();
   EXPECT_TRUE(answer(f.replier, settled).behalf_rows.empty());
 
   // 2 moves: the new incarnation re-stamps its rows above every stamp it
   // drew before, so the echo of an old stamp asks for every row.
-  const std::uint64_t old_echo = f.inquirer.behalf_echo(P(2));
-  ASSERT_EQ(settled.behalf_echo, old_echo);
+  const std::uint64_t old_echo = f.inquirer.echo(P(2));
+  ASSERT_EQ(settled.echo, old_echo);
   f.replier.import_state(f.replier.export_state());
   const GgdMessage after = answer(f.replier, settled);
   EXPECT_EQ(after.behalf_rows.size(), 2u);
-  EXPECT_GT(after.behalf_stamp, old_echo);
+  EXPECT_GT(after.reply_stamp, old_echo);
   for (const auto& [q, row] : std::as_const(f.replier).log().rows()) {
     if (q != P(2)) {
       EXPECT_GT(row.stamp(), old_echo) << q.str();
     }
   }
   f.deliver(after);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), after.behalf_stamp);
+  EXPECT_EQ(f.inquirer.echo(P(2)), after.reply_stamp);
   // The echo now names the new stamps, so 2 ships nothing more.
   const GgdMessage next = f.inquire();
-  EXPECT_EQ(next.behalf_echo, after.behalf_stamp);
+  EXPECT_EQ(next.echo, after.reply_stamp);
   EXPECT_TRUE(answer(f.replier, next).behalf_rows.empty());
   // A row the new incarnation writes is stamped past that echo.
   f.lk.on_send_third_party_ref(f.replier, P(5), P(10));
@@ -379,7 +383,7 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
             Timestamp::creation(1));
   // A reply the old incarnation built, delivered late, moves no echo.
   f.deliver(before);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), after.behalf_stamp);
+  EXPECT_EQ(f.inquirer.echo(P(2)), after.reply_stamp);
 }
 
 TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
@@ -390,23 +394,22 @@ TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
   f.lk.on_send_third_party_ref(f.replier, P(5), P(7));   // row 5 rewritten
   const GgdMessage late = answer(f.replier, f.inquire());
   ASSERT_EQ(late.behalf_rows.size(), 2u);
-  ASSERT_LT(early.behalf_stamp, late.behalf_stamp);
+  ASSERT_LT(early.reply_stamp, late.reply_stamp);
 
   // Only the early reply, twice: the echo stops at its stamp, below both
   // rows written since, so the next reply ships them.
   f.deliver(early);
   f.deliver(early);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), early.behalf_stamp);
+  EXPECT_EQ(f.inquirer.echo(P(2)), early.reply_stamp);
   const GgdMessage next = answer(f.replier, f.inquire());
-  EXPECT_EQ(next.behalf_rows.size(), 2u);
-  EXPECT_EQ(next.behalf_stamp, late.behalf_stamp);
+  EXPECT_EQ(next.behalf_rows, late.behalf_rows);
 
   // The late reply, then the early one again (reordered): the echo keeps
   // the highest merged stamp, and every row is merged.
   f.deliver(late);
   f.deliver(early);
   f.deliver(late);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), late.behalf_stamp);
+  EXPECT_EQ(f.inquirer.echo(P(2)), late.reply_stamp);
   for (ProcessId q : {P(5), P(8)}) {
     EXPECT_TRUE(covers(f.inquirer.known_behalf().row(q),
                        std::as_const(f.replier).log().row(q)))
@@ -432,20 +435,24 @@ TEST(BehalfFrontier, AWriteThroughLogReshipsEveryRow) {
 TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
-  const std::size_t before = f.inquirer.storage_footprint().relay_bytes;
-  f.deliver(answer(f.replier, f.inquire()));
-  ASSERT_NE(f.inquirer.behalf_echo(P(2)), 0u);
-  EXPECT_GT(f.inquirer.storage_footprint().relay_bytes, before)
+  GgdProcess lone(P(3), /*is_root=*/true);
+  const std::size_t before = lone.storage_footprint().relay_bytes;
+  (void)lone.receive(answer(f.replier, f.bare_inquiry()), f.is_root);
+  ASSERT_NE(lone.echo(P(2)), 0u);
+  EXPECT_GT(lone.storage_footprint().relay_bytes, before)
       << "echo records are relay state";
 
   // Learning that the replier died drops its record.
+  f.deliver(answer(f.replier, f.inquire()));
+  ASSERT_NE(f.inquirer.echo(P(2)), 0u);
   GgdMessage death;
   death.from = P(5);
   death.to = P(3);
   death.reply = true;
+  death.holds_receiver = true;
   death.dead.insert(P(2));
   (void)f.inquirer.receive(death, f.is_root, ++f.now);
-  EXPECT_EQ(f.inquirer.behalf_echo(P(2)), 0u);
+  EXPECT_EQ(f.inquirer.echo(P(2)), 0u);
 
   // So does the inquirer's own removal, for every peer.
   GgdProcess other(P(4), false);
@@ -453,12 +460,12 @@ TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   GgdMessage inq = f.bare_inquiry();
   inq.to = P(4);
   f.deliver(answer(other, inq));
-  ASSERT_NE(f.inquirer.behalf_echo(P(4)), 0u);
+  ASSERT_NE(f.inquirer.echo(P(4)), 0u);
   if (!f.inquirer.removed()) {
     (void)f.inquirer.remove_self();
   }
   f.inquirer.retire_tombstone();
-  EXPECT_EQ(f.inquirer.behalf_echo(P(4)), 0u);
+  EXPECT_EQ(f.inquirer.echo(P(4)), 0u);
 }
 
 TEST(BehalfFrontier, ARetiredTombstoneKeepsNoLogStamps) {
@@ -475,6 +482,184 @@ TEST(BehalfFrontier, ARetiredTombstoneKeepsNoLogStamps) {
   EXPECT_EQ(log.row(P(5)).stamp(), 0u);
   EXPECT_EQ(DependencyVector(log.row(P(5))), row5)
       << "the posthumous bundle still reads the rows";
+}
+
+// ---------------------------------------------------------------------------
+// The whole reply's frontier: V and the self row ship only past the echo.
+// ---------------------------------------------------------------------------
+
+/// Replier 2, which holds inquirer 3 and has heard from 4 (whose history
+/// names 5), so its V is the closure of a receive. Both are roots: roots
+/// never decide, so receive() only merges and the state is the test's.
+struct ReplyFixture {
+  GgdProcess replier{P(2), /*is_root=*/true};
+  GgdProcess inquirer{P(3), /*is_root=*/true};
+  const std::function<bool(ProcessId)> is_root = roots({2, 3});
+  SimTime now = 0;
+
+  ReplyFixture() {
+    replier.add_acquaintance(P(3));
+    (void)replier.receive(from4(), is_root, ++now);
+  }
+
+  /// A vector message from 4, which holds 2: 4's history names 5.
+  static GgdMessage from4() {
+    DependencyVector v;
+    v.set(P(4), Timestamp::creation(1));
+    v.set(P(5), Timestamp::creation(2));
+    return vector_msg(P(4), P(2), v, {});
+  }
+
+  /// The inquiry 3 sends 2, echoing what it merged from 2's replies.
+  GgdMessage inquiry() const {
+    GgdMessage inq;
+    inq.from = P(3);
+    inq.to = P(2);
+    inq.inquiry = true;
+    inq.echo = inquirer.echo(P(2));
+    return inq;
+  }
+
+  /// What 2 would answer an inquiry that echoes nothing, built on a copy
+  /// so that 2's own stamps do not move.
+  GgdMessage full_reply() const {
+    GgdProcess copy = replier;
+    GgdMessage inq = inquiry();
+    inq.echo = 0;
+    return copy.make_reply(inq);
+  }
+
+  void deliver(GgdProcess& to, const GgdMessage& reply) {
+    (void)to.receive(reply, is_root, ++now);
+  }
+
+  /// Closes 2's V with a receive(), as the next message it hears would:
+  /// until then a V its replies ship need not be the one it last closed,
+  /// and every reply ships it.
+  void settle_replier() { (void)replier.receive(from4(), is_root, ++now); }
+};
+
+/// Whether `p` holds 2's content as `reply` (a full one) carries it.
+void expect_holds(const GgdProcess& p, const GgdMessage& reply) {
+  ASSERT_FALSE(reply.current);
+  EXPECT_TRUE(p.row_certified(P(2)));
+  EXPECT_TRUE(covers(p.history().row(P(2)), reply.v)) << reply.v.str();
+  EXPECT_TRUE(covers(p.known_row(P(2)), reply.self_row))
+      << reply.self_row.str();
+}
+
+TEST(ReplyFrontier, ARepeatedInquiryToAnUnchangedReplierGetsACurrentReply) {
+  ReplyFixture f;
+  const GgdMessage first = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(first.current);
+  ASSERT_FALSE(first.v.get(P(5)).is_delta()) << "4's history is in V";
+  ASSERT_GT(first.reply_stamp, 0u);
+  f.deliver(f.inquirer, first);
+  EXPECT_EQ(f.inquirer.echo(P(2)), first.reply_stamp);
+
+  const GgdMessage full = f.full_reply();
+  const GgdMessage again = answer(f.replier, f.inquiry());
+  EXPECT_TRUE(again.current);
+  EXPECT_TRUE(again.v.empty() && again.self_row.empty());
+  EXPECT_EQ(again.reply_stamp, 0u) << "nothing shipped, nothing to stamp";
+  EXPECT_TRUE(again.holds_receiver);
+  // The current reply leaves what the full one would: the same state, the
+  // same verdict on the in-edge, and the same echo.
+  GgdProcess twin = f.inquirer;
+  (void)f.inquirer.receive(again, f.is_root, f.now + 1);
+  (void)twin.receive(full, f.is_root, f.now + 1);
+  EXPECT_EQ(f.inquirer.export_state(), twin.export_state());
+  EXPECT_EQ(f.inquirer.echo(P(2)), first.reply_stamp);
+  expect_holds(f.inquirer, full);
+}
+
+TEST(ReplyFrontier, AfterALostReplyTheChangedContentShipsAgain) {
+  ReplyFixture f;
+  const GgdMessage first = answer(f.replier, f.inquiry());
+  f.deliver(f.inquirer, first);
+  // 2 gains an in-edge from 6: its self row and V change.
+  DependencyVector v6;
+  v6.set(P(6), Timestamp::creation(1));
+  (void)f.replier.receive(vector_msg(P(6), P(2), v6, {}), f.is_root, ++f.now);
+  const GgdMessage lost = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(lost.current);
+  ASSERT_GT(lost.reply_stamp, first.reply_stamp);
+  EXPECT_FALSE(lost.self_row.get(P(6)).is_delta());
+  // `lost` never arrives: the echo stays, so the next reply ships again.
+  ASSERT_EQ(f.inquiry().echo, first.reply_stamp);
+  const GgdMessage reply = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(reply.current);
+  EXPECT_EQ(reply.v, lost.v);
+  EXPECT_EQ(reply.self_row, lost.self_row);
+  f.deliver(f.inquirer, reply);
+  expect_holds(f.inquirer, reply);
+  EXPECT_TRUE(answer(f.replier, f.inquiry()).current);
+}
+
+TEST(ReplyFrontier, AReorderedOldReplyNeitherLiftsTheEchoNorRegressesRows) {
+  ReplyFixture f;
+  const GgdMessage old_reply = answer(f.replier, f.inquiry());
+  f.replier.new_local_event();  // a newer self row
+  f.settle_replier();
+  const GgdMessage new_reply = answer(f.replier, f.inquiry());
+  ASSERT_LT(old_reply.reply_stamp, new_reply.reply_stamp);
+  ASSERT_GT(new_reply.self_row.get(P(2)).index(),
+            old_reply.self_row.get(P(2)).index());
+  f.deliver(f.inquirer, new_reply);
+  const GgdProcessSnapshot after_new = f.inquirer.export_state();
+  f.deliver(f.inquirer, old_reply);
+  EXPECT_EQ(f.inquirer.echo(P(2)), new_reply.reply_stamp);
+  EXPECT_EQ(DependencyVector(f.inquirer.known_row(P(2))), new_reply.self_row);
+  EXPECT_EQ(f.inquirer.export_state().history, after_new.history);
+  EXPECT_TRUE(answer(f.replier, f.inquiry()).current);
+}
+
+TEST(ReplyFrontier, AMigratedReplierShipsFullContent) {
+  ReplyFixture f;
+  f.deliver(f.inquirer, answer(f.replier, f.inquiry()));
+  ASSERT_TRUE(answer(f.replier, f.inquiry()).current);
+  // The new incarnation cannot know what the old one shipped: it stamps
+  // its content above every stamp it drew before.
+  const std::uint64_t old_echo = f.inquirer.echo(P(2));
+  f.replier.import_state(f.replier.export_state());
+  const GgdMessage after = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(after.current);
+  EXPECT_GT(after.reply_stamp, old_echo);
+  EXPECT_EQ(after.v, f.replier.compute_v());
+  f.deliver(f.inquirer, after);
+  EXPECT_TRUE(answer(f.replier, f.inquiry()).current);
+}
+
+TEST(ReplyFrontier, AReplyThatShipsAFreshClosureStampsIt) {
+  ReplyFixture f;
+  // 2 drops 4's history: its V shrinks, but receive() has not closed it
+  // again, so the V a reply ships is not the one 2 last closed.
+  f.replier.decertify_row(P(4));
+  const GgdMessage shrunk = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(shrunk.current);
+  ASSERT_TRUE(shrunk.v.get(P(5)).is_delta());
+  f.deliver(f.inquirer, shrunk);
+  // 4's history comes back, and with it the V 2 closed before: that V was
+  // never shipped here, so the next reply must ship it.
+  (void)f.replier.receive(ReplyFixture::from4(), f.is_root, ++f.now);
+  const GgdMessage grown = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(grown.current) << "3 holds the shrunk V only";
+  EXPECT_FALSE(grown.v.get(P(5)).is_delta());
+  f.deliver(f.inquirer, grown);
+  expect_holds(f.inquirer, f.full_reply());
+}
+
+TEST(ReplyFrontier, ADecertifiedRowIsShippedAgain) {
+  ReplyFixture f;
+  f.deliver(f.inquirer, answer(f.replier, f.inquiry()));
+  ASSERT_TRUE(answer(f.replier, f.inquiry()).current);
+  // 3 drops what it knew of 2; its next inquiry asks for everything.
+  f.inquirer.decertify_row(P(2));
+  EXPECT_EQ(f.inquirer.echo(P(2)), 0u);
+  const GgdMessage reply = answer(f.replier, f.inquiry());
+  ASSERT_FALSE(reply.current);
+  f.deliver(f.inquirer, reply);
+  expect_holds(f.inquirer, reply);
 }
 
 TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {

@@ -288,7 +288,6 @@ TEST(GgdProcess, FinalisingWalkerShipsItsConsultedSet) {
     r.v.set(P(3), Timestamp::creation(1));
     r.self_row = r.v;
     r.reply = true;
-    r.has_out_edges = true;
     r.holds_receiver = true;  // P(2) holds an edge to P(3)
     return r;
   };

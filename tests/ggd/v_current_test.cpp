@@ -3,8 +3,8 @@
 // death knowledge) are unchanged. Every test here holds compute_v() to the
 // reference closure, which always recomputes: one test per write that can
 // change an input, and a per-event differential over generated scenarios
-// on the simulator host. The same scenarios also hold the reply's
-// on-behalf frontier to what shipping every row would give.
+// on the simulator host. The same scenarios also hold every delivered
+// reply, a current one included, to what a full reply would leave.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -60,10 +60,13 @@ GgdMessage vector_from(std::uint64_t from, std::uint64_t to,
   return m;
 }
 
+/// A reply from a process that holds its receiver (a reply saying it does
+/// not would refute the receiver's in-edge from it).
 GgdMessage reply_from(std::uint64_t from, std::uint64_t to,
                       DependencyVector v) {
   GgdMessage m = vector_from(from, to, std::move(v));
   m.reply = true;
+  m.holds_receiver = true;
   return m;
 }
 
@@ -331,30 +334,42 @@ BehalfRows behalf_rows_of(const GgdProcess& p) {
 
 /// A reply seen on the wire, awaiting its delivery at `site`: the rows
 /// its replier held when it built the reply (the one to its inquirer left
-/// out).
+/// out), and the V and self row a full reply would have carried.
 struct SentReply {
   SimTime delivered_at = 0;
   SiteId site;
   ProcessId inquirer;
+  ProcessId replier;
+  bool current = false;
   BehalfRows rows;
+  DependencyVector v;
+  DependencyVector self_row;
 };
 
 struct FrontierStats {
   std::size_t replies = 0;        // delivered replies checked
+  std::size_t current = 0;        // of them, current replies
   std::size_t rows_checked = 0;   // rows held to the inquirer's overlay
   std::size_t echo_rows = 0;      // rows under a live echo, checked
 };
 
 /// Holds the delta rule to the full-ship rule after every event:
 ///   * each delivered reply left its inquirer's known_behalf() covering
-///     every row its replier held when it built the reply;
+///     every row its replier held when it built the reply, and its
+///     history() row and known_row() of the replier as merging the
+///     replier's V and self row would leave them: a current reply, which
+///     carries neither, is held to the V and self row its replier had;
 ///   * every row a replier stamped at or under an inquirer's current echo
 ///     is already covered there, so leaving it out of the next reply
 ///     loses nothing. An echo of an earlier incarnation of the replier
 ///     lies below every stamp the current one drew, so it passes no row.
 /// A reply's build-time rows are read from the replier before the event
 /// that built it: within an event a log row only grows (a reference
-/// arrives), so those rows are a lower bound of what the reply held.
+/// arrives), so those rows are a lower bound of what the reply held. A
+/// current reply's V and self row are read from the replier after that
+/// event, as compute_v() and its self row: nothing the event does after
+/// building the reply reaches the replier unless the same packet carries
+/// it a later message, and none of the seeds below does that.
 class FrontierCheck {
  public:
   explicit FrontierCheck(FrontierStats& st) : st_(st) {}
@@ -385,8 +400,16 @@ class FrontierCheck {
               return;
             }
             SentReply sent{rec.delivered_at.front(), rec.to, r.to,
-                           held->second};
+                           r.from, r.current, held->second};
             sent.rows.erase(r.to);
+            if (r.current) {
+              const GgdProcess& replier = engine.process(r.from);
+              sent.v = replier.compute_v();
+              sent.self_row = replier.log().self_row();
+            } else {
+              sent.v = r.v;
+              sent.self_row = r.self_row;
+            }
             pending_.push_back(std::move(sent));
           });
     }
@@ -403,6 +426,15 @@ class FrontierCheck {
         continue;  // not merged on delivery: redirected after a hand-off
       }
       ++st_.replies;
+      st_.current += sent.current ? 1 : 0;
+      if (!i.dead().contains(sent.replier)) {
+        // A full reply from a process known dead merges its V into a
+        // history row no one reads again, and adopts no row: skipped.
+        check_content(i, sent, where);
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
+      }
       for (const auto& [q, row] : sent.rows) {
         if (q == i.id() || i.dead().contains(q)) {
           continue;  // never merged, by either rule
@@ -430,6 +462,34 @@ class FrontierCheck {
     return true;
   }
 
+  /// Whether adopting `row` as the row of `subject` (replace-if-newer by
+  /// the subject's own slot, merge at an equal index) would leave `known`
+  /// as it is.
+  static bool adopts_nothing(const RowTable::RowView& known,
+                             ProcessId subject, const DependencyVector& row) {
+    if (!known.exists()) {
+      return false;
+    }
+    const std::uint64_t stored = known.get(subject).index();
+    const std::uint64_t incoming = row.get(subject).index();
+    return incoming < stored || (incoming == stored && covers(known, row));
+  }
+
+  /// The inquirer's history row and known row of the replier are what
+  /// merging the reply's full content would leave.
+  void check_content(const GgdProcess& i, const SentReply& sent,
+                     const std::string& where) {
+    const ProcessId r = sent.replier;
+    ASSERT_TRUE(i.row_certified(r) && covers(i.history().row(r), sent.v))
+        << where << ": process " << i.id().str() << "'s history of "
+        << r.str() << " lacks the V " << sent.v.str() << " of a delivered "
+        << (sent.current ? "current" : "full") << " reply";
+    ASSERT_TRUE(adopts_nothing(i.known_row(r), r, sent.self_row))
+        << where << ": process " << i.id().str() << "'s row of " << r.str()
+        << " lacks the self row " << sent.self_row.str() << " of a delivered "
+        << (sent.current ? "current" : "full") << " reply";
+  }
+
   void check_echoes(GgdEngine& engine, const std::string& where) {
     for (ProcessId id : engine.process_ids()) {
       const GgdProcess& i = engine.process(id);
@@ -437,7 +497,7 @@ class FrontierCheck {
         continue;
       }
       for (ProcessId r : engine.process_ids()) {
-        const std::uint64_t echo = i.behalf_echo(r);
+        const std::uint64_t echo = i.echo(r);
         if (echo == 0) {
           continue;
         }
@@ -475,7 +535,7 @@ class FrontierCheck {
   std::vector<SentReply> pending_;
 };
 
-TEST(BehalfFrontier, EveryDeliveredReplyLeavesWhatShippingEveryRowWould) {
+TEST(ReplyFrontier, EveryDeliveredReplyLeavesWhatAFullReplyWould) {
   FrontierStats st;
   std::size_t events = 0;
   for (std::uint64_t seed : differential_seeds()) {
@@ -488,11 +548,14 @@ TEST(BehalfFrontier, EveryDeliveredReplyLeavesWhatShippingEveryRowWould) {
         [&check](Scenario& s) { check.attach(s); });
     ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
   }
-  std::printf("replies=%zu rows_checked=%zu echo_rows=%zu events=%zu\n",
-              st.replies, st.rows_checked, st.echo_rows, events);
-  // The checks must have teeth: replies that carried deferred rows, and
-  // rows left out of replies because they lay under a live echo.
+  std::printf(
+      "replies=%zu current=%zu rows_checked=%zu echo_rows=%zu events=%zu\n",
+      st.replies, st.current, st.rows_checked, st.echo_rows, events);
+  // The checks must have teeth: current replies, replies that carried
+  // deferred rows, and rows left out of replies because they lay under a
+  // live echo.
   EXPECT_GT(st.replies, 1'000u);
+  EXPECT_GT(st.current, 1'000u);
   EXPECT_GT(st.rows_checked, 1'000u);
   EXPECT_GT(st.echo_rows, 1'000u);
 }

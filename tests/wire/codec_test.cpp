@@ -64,8 +64,12 @@ GgdMessage random_ggd_message(Rng& rng) {
   m.dead = random_set(rng);
   m.inquiry = rng.chance(0.2);
   m.reply = rng.chance(0.2);
-  m.has_out_edges = rng.chance(0.3);
-  m.holds_receiver = m.has_out_edges && rng.chance(0.5);
+  m.holds_receiver = m.reply && rng.chance(0.5);
+  if (m.reply && rng.chance(0.3)) {
+    m.current = true;
+    m.v.clear();
+    m.self_row.clear();
+  }
   if (rng.chance(0.3)) {
     m.condemned = random_set(rng);
   }
@@ -294,8 +298,8 @@ const std::vector<Presence>& presences() {
        [](M& m) { m.inquiry = false; }, {}, nullptr},
       {"reply", [](M& m, Rng&) { m.reply = true; },
        [](M& m) { m.reply = false; }, {}, nullptr},
-      {"has_out_edges", [](M& m, Rng&) { m.has_out_edges = true; },
-       [](M& m) { m.has_out_edges = false; }, {}, nullptr},
+      {"current", [](M& m, Rng&) { m.current = true; },
+       [](M& m) { m.current = false; }, {}, nullptr},
       {"holds_receiver", [](M& m, Rng&) { m.holds_receiver = true; },
        [](M& m) { m.holds_receiver = false; }, {}, nullptr},
       {"v", [](M& m, Rng& r) { m.v = nonempty_dv(r); },
@@ -313,12 +317,12 @@ const std::vector<Presence>& presences() {
        },
        [](M& m) { m.behalf_rows.clear(); }, F::kBehalfRows,
        [](E& e, const M& m) { e.row_map(m.behalf_rows); }},
-      {"behalf_stamp", [](M& m, Rng& r) { m.behalf_stamp = 1 + r.below(900); },
-       [](M& m) { m.behalf_stamp = 0; }, F::kBehalfStamps,
-       [](E& e, const M& m) { e.varint(m.behalf_stamp); }},
-      {"behalf_echo", [](M& m, Rng& r) { m.behalf_echo = 1 + r.below(900); },
-       [](M& m) { m.behalf_echo = 0; }, F::kBehalfStamps,
-       [](E& e, const M& m) { e.varint(m.behalf_echo); }},
+      {"reply_stamp", [](M& m, Rng& r) { m.reply_stamp = 1 + r.below(900); },
+       [](M& m) { m.reply_stamp = 0; }, F::kReplyStamps,
+       [](E& e, const M& m) { e.varint(m.reply_stamp); }},
+      {"echo", [](M& m, Rng& r) { m.echo = 1 + r.below(900); },
+       [](M& m) { m.echo = 0; }, F::kReplyStamps,
+       [](E& e, const M& m) { e.varint(m.echo); }},
       {"rows",
        [](M& m, Rng& r) {
          const ProcessId q = P(1 + r.below(40));
@@ -363,6 +367,12 @@ std::uint64_t every_presence() {
   return (std::uint64_t{1} << presences().size()) - 1;
 }
 
+/// Whether a message is one a sender can build: `current` only on a reply
+/// that leaves out `v` and `self_row`.
+bool well_formed(const GgdMessage& m) {
+  return !m.current || (m.reply && m.v.empty() && m.self_row.empty());
+}
+
 std::vector<std::uint8_t> encode_control(const GgdMessage& m) {
   std::vector<std::uint8_t> buf;
   wire::Encoder enc(buf);
@@ -383,11 +393,19 @@ TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
   Rng rng(2020);
   const std::uint64_t combos = std::uint64_t{1} << presences().size();
   ASSERT_EQ(combos, std::uint64_t{1} << 14) << "four flags, ten fields";
+  std::size_t rejected = 0;
   for (std::uint64_t combo = 0; combo < combos; ++combo) {
     const GgdMessage m = message_with(combo, rng);
     const std::vector<std::uint8_t> buf = encode_control(m);
     wire::Decoder dec(buf);
     const auto decoded = wire::decode_message(dec);
+    if (!well_formed(m)) {
+      ASSERT_FALSE(decoded.has_value()) << "combination " << combo;
+      ASSERT_EQ(dec.error(), wire::Decoder::Error::kMalformed)
+          << "combination " << combo;
+      ++rejected;
+      continue;
+    }
     ASSERT_TRUE(decoded.has_value()) << "combination " << combo;
     ASSERT_TRUE(dec.done()) << "combination " << combo;
     ASSERT_EQ(std::get<wire::GgdControl>(decoded->body).msg, m)
@@ -411,6 +429,34 @@ TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
           << " in combination " << combo;
     }
   }
+  // `current` is set in half the combinations; an eighth of those are on
+  // a reply without `v` and `self_row`.
+  EXPECT_EQ(rejected, combos / 2 - combos / 16);
+}
+
+TEST(WireCodec, CurrentIsRejectedOffAReplyAndBesideVOrSelfRow) {
+  GgdMessage reply;
+  reply.from = P(4);
+  reply.to = P(7);
+  reply.reply = true;
+  reply.current = true;
+  reply.reply_stamp = 12;
+  const auto decodes = [](const GgdMessage& m) {
+    const std::vector<std::uint8_t> buf = encode_control(m);
+    wire::Decoder dec(buf);
+    return wire::decode_message(dec).has_value();
+  };
+  EXPECT_TRUE(decodes(reply));
+  GgdMessage inquiry = reply;
+  inquiry.reply = false;
+  inquiry.inquiry = true;
+  EXPECT_FALSE(decodes(inquiry)) << "current on an inquiry";
+  GgdMessage with_v = reply;
+  with_v.v.set(P(4), Timestamp::creation(3));
+  EXPECT_FALSE(decodes(with_v)) << "a current reply carrying v";
+  GgdMessage with_row = reply;
+  with_row.self_row.set(P(2), Timestamp::creation(1));
+  EXPECT_FALSE(decodes(with_row)) << "a current reply carrying self_row";
 }
 
 TEST(WireCodec, AbsentFieldsCostNoBytes) {
@@ -477,7 +523,7 @@ TEST(WireCodec, UnknownMaskBitsAreRejected) {
 
 TEST(WireCodec, PresentButEmptyFieldsAreRejected) {
   // A message with one field, whose encoding is swapped for the field's
-  // empty encoding (`behalf_stamp`: zero) under the same mask. No encoder
+  // empty encoding (`reply_stamp`: zero) under the same mask. No encoder
   // marks an empty field present, so the decoder must not accept one.
   Rng rng(9);
   for (std::size_t i = 0; i < presences().size(); ++i) {

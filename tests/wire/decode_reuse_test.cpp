@@ -69,13 +69,18 @@ GgdMessage random_control(Rng& rng, bool large) {
   m.dead = random_set(rng, large ? 12 : 2);
   m.inquiry = rng.chance(0.3);
   m.reply = !m.inquiry && rng.chance(0.4);
-  m.has_out_edges = m.reply;
-  m.holds_receiver = m.has_out_edges && rng.chance(0.5);
+  m.holds_receiver = m.reply && rng.chance(0.5);
+  if (m.reply && rng.chance(0.5)) {
+    // A current reply: the inquirer already holds v and the self row.
+    m.current = true;
+    m.v.clear();
+    m.self_row.clear();
+  }
   if (m.reply && !m.behalf_rows.empty()) {
-    m.behalf_stamp = 1 + rng.below(1000);
+    m.reply_stamp = 1 + rng.below(1000);
   }
   if (m.inquiry && rng.chance(0.5)) {
-    m.behalf_echo = 1 + rng.below(1000);
+    m.echo = 1 + rng.below(1000);
   }
   if (!m.inquiry && !m.reply && rng.chance(0.5)) {
     m.condemned = random_set(rng, large ? 16 : 3);
@@ -159,14 +164,13 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
   const std::vector<std::pair<const char*, Clear>> fields = {
       {"inquiry", [](GgdMessage& m) { m.inquiry = false; }},
       {"reply", [](GgdMessage& m) { m.reply = false; }},
-      {"has_out_edges", [](GgdMessage& m) { m.has_out_edges = false; }},
       {"holds_receiver", [](GgdMessage& m) { m.holds_receiver = false; }},
       {"v", [](GgdMessage& m) { m.v.clear(); }},
       {"self_row", [](GgdMessage& m) { m.self_row.clear(); }},
       {"behalf", [](GgdMessage& m) { m.behalf.clear(); }},
       {"behalf_rows", [](GgdMessage& m) { m.behalf_rows.clear(); }},
-      {"behalf_stamp", [](GgdMessage& m) { m.behalf_stamp = 0; }},
-      {"behalf_echo", [](GgdMessage& m) { m.behalf_echo = 0; }},
+      {"reply_stamp", [](GgdMessage& m) { m.reply_stamp = 0; }},
+      {"echo", [](GgdMessage& m) { m.echo = 0; }},
       {"rows",
        [](GgdMessage& m) {
          m.rows.clear();
@@ -183,9 +187,10 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
          full.row_acks.empty() || full.dead.empty()) {
     full = random_control(rng, /*large=*/true);
   }
-  full.inquiry = full.reply = full.has_out_edges = full.holds_receiver = true;
-  full.behalf_stamp = 9;
-  full.behalf_echo = 5;
+  full.inquiry = full.reply = full.holds_receiver = true;
+  full.current = false;
+  full.reply_stamp = 9;
+  full.echo = 5;
   full.condemned = {P(4), P(7)};
   wire::MessageDecoder reader;
   for (const auto& [name, clear] : fields) {
@@ -200,6 +205,48 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
       EXPECT_EQ(std::get<wire::GgdControl>(reader.message().body).msg, *m)
           << name;
     }
+  }
+  // `current` excludes v and the self row, so it alternates with them.
+  GgdMessage current = full;
+  current.current = true;
+  current.v.clear();
+  current.self_row.clear();
+  for (const GgdMessage* m : {&full, &current, &full}) {
+    const std::vector<std::uint8_t> bytes = encode(control_message(*m));
+    wire::Decoder dec(bytes);
+    ASSERT_TRUE(reader.decode(dec));
+    EXPECT_EQ(std::get<wire::GgdControl>(reader.message().body).msg, *m);
+  }
+}
+
+TEST(DecodeReuse, CurrentOffAReplyOrBesideItsContentIsRejected) {
+  Rng rng(23);
+  GgdMessage reply;
+  while (!reply.reply || reply.v.empty() || reply.self_row.empty()) {
+    reply = random_control(rng, /*large=*/true);
+  }
+  reply.current = false;
+  GgdMessage on_inquiry = reply;
+  on_inquiry.reply = false;
+  on_inquiry.inquiry = true;
+  on_inquiry.v.clear();
+  on_inquiry.self_row.clear();
+  GgdMessage with_v = reply;
+  with_v.self_row.clear();
+  GgdMessage with_row = reply;
+  with_row.v.clear();
+  wire::MessageDecoder reader;
+  for (GgdMessage bad : {on_inquiry, with_v, with_row}) {
+    bad.current = true;
+    const std::vector<std::uint8_t> bytes = encode(control_message(bad));
+    wire::Decoder dec(bytes);
+    EXPECT_FALSE(reader.decode(dec));
+    EXPECT_EQ(dec.error(), wire::Decoder::Error::kMalformed);
+    // The next well-formed message decodes clean.
+    const std::vector<std::uint8_t> good = encode(control_message(reply));
+    wire::Decoder next(good);
+    ASSERT_TRUE(reader.decode(next));
+    EXPECT_EQ(std::get<wire::GgdControl>(reader.message().body).msg, reply);
   }
 }
 

@@ -107,16 +107,17 @@ std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
   h = hash_dv(h, m.self_row);
   h = hash_dv(h, m.behalf);
   h = hash_map(h, m.behalf_rows, row);
-  h = fnv(h, m.behalf_stamp);
-  h = fnv(h, m.behalf_echo);
+  h = fnv(h, m.reply_stamp);
+  h = fnv(h, m.echo);
   h = hash_map(h, m.rows, row);
   h = hash_map(h, m.row_revs, u64);
   h = hash_map(h, m.row_acks, u64);
   h = hash_set(h, m.dead);
   h = fnv(h, m.inquiry ? 1 : 0);
   h = fnv(h, m.reply ? 1 : 0);
-  h = fnv(h, m.has_out_edges ? 1 : 0);
-  h = fnv(h, m.has_out_edges && m.holds_receiver ? 1 : 0);
+  h = fnv(h, m.reply ? 1 : 0);
+  h = fnv(h, m.reply && m.holds_receiver ? 1 : 0);
+  h = fnv(h, m.current ? 1 : 0);
   return hash_set(h, m.condemned);
 }
 
