@@ -286,7 +286,9 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
   // answer ("I have no in-edges") and must be stored, or a blocked walk
   // re-blocks for ever on an eventless subject. Rows of dead processes are
   // not resurrected. A current reply carries none: this process already
-  // merged the sender's row as it stands.
+  // merged the sender's row as it stands. (Had it decertified the row
+  // since its inquiry, the row stays missing until a walk that needs it
+  // inquires again, with the empty echo decertify_row left.)
   if (!dead_.contains(m) && !msg.current) {
     if (auto adopted = adopt_row(known_rows_, m, msg.self_row)) {
       stamp_row(*adopted);
@@ -318,9 +320,10 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
   const Timestamp known_m = log_.self_row().get(m);
   if (msg.reply) {
     // An inquiry answer: certifies the sender's history and row without
-    // implying any edge m -> i. The row adopted above is the sender's own
-    // fresh account as of now — record the arrival time so an unreachable
-    // verdict that began pending earlier may rest on it.
+    // implying any edge m -> i. The row adopted above (or, on a current
+    // reply, held already) is the sender's own fresh account as of now —
+    // record the arrival time so an unreachable verdict that began
+    // pending earlier may rest on it.
     confirm_time_[m] = now;
     if (!msg.current && history_.row(m).merge(msg.v)) {
       v_current_ = false;
@@ -437,10 +440,10 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       assign_v(last_v_, s);
       forward_pending_ = true;
     }
-    if (changed || v_stamp_off_last_) {
+    if (changed || content_off_last_) {
       // The V replies ship from now on is not the one last stamped.
-      v_stamp_ = 0;
-      v_stamp_off_last_ = false;
+      content_stamp_ = 0;
+      content_off_last_ = false;
     }
     v_current_ = true;
   }
@@ -730,7 +733,7 @@ void GgdProcess::settle_log_stamps() {
   }
   log_stamps_stale_ = false;
   for (const auto& [q, row] : log_.rows()) {
-    if (q == id_ || !row.empty()) {
+    if (q != id_ && !row.empty()) {
       stamp_row(log_.row(q));
     }
   }
@@ -868,7 +871,7 @@ void GgdProcess::merge_log_entry(ProcessId row, ProcessId slot,
 void GgdProcess::erase_log_row(ProcessId row) {
   log_.erase_row(row);
   if (row == id_) {
-    v_current_ = false;  // a recreated self row reads unstamped
+    self_row_changed();
   }
 }
 
@@ -1039,23 +1042,15 @@ std::uint64_t GgdProcess::stamp_reply_content(DependencyVector& v) {
     // the last receive): the stamp must version what actually ships.
     v = compute_v();
     const bool off_last = !(v == last_v_);
-    if (off_last || v_stamp_off_last_) {
-      v_stamp_ = 0;
+    if (off_last || content_off_last_) {
+      content_stamp_ = 0;
     }
-    v_stamp_off_last_ = off_last;
+    content_off_last_ = off_last;
   }
-  RowTable::RowRef self = log_.self_row();
-  if (v_stamp_ == 0 || self.view().stamp() == 0) {
-    // One draw versions whichever part changed.
-    const std::uint64_t stamp = ++rev_counter_;
-    if (v_stamp_ == 0) {
-      v_stamp_ = stamp;
-    }
-    if (self.view().stamp() == 0) {
-      self.set_stamp(stamp);
-    }
+  if (content_stamp_ == 0) {
+    content_stamp_ = ++rev_counter_;
   }
-  return std::max(v_stamp_, self.view().stamp());
+  return content_stamp_;
 }
 
 GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
@@ -1073,7 +1068,7 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   // merges its rows, and skips them.
   settle_log_stamps();
   for (const auto& [q, row] : log_.rows()) {
-    if (row.stamp() > inquiry.echo && !row.empty() && q != to && q != id_ &&
+    if (row.stamp() > inquiry.echo && !row.empty() && q != to &&
         !dead_.contains(q)) {
       msg.behalf_rows.emplace(q, row);
       msg.reply_stamp = std::max(msg.reply_stamp, row.stamp());
@@ -1180,8 +1175,8 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
     stamp_row(known_rows_.row(adopted.first));
   }
   log_stamps_stale_ = true;  // the next reply re-stamps every row
-  v_stamp_ = 0;
-  v_stamp_off_last_ = false;
+  content_stamp_ = 0;
+  content_off_last_ = false;
   echo_.clear();
   peer_sync_.clear();
   ack_pending_.clear();

@@ -216,7 +216,7 @@ class GgdProcess {
   /// then receives them all again). The mutator side writes through the
   /// log writers below instead.
   [[nodiscard]] DvLog& log() {
-    v_current_ = false;
+    self_row_changed();
     log_stamps_stale_ = true;
     return log_;
   }
@@ -545,21 +545,17 @@ class GgdProcess {
   void set_self_entry(ProcessId q, Timestamp ts);
 
   /// After a change to the self row: it is a closure input, so the cached
-  /// V is stale, and it is reply content, so its stamp is cleared and the
-  /// next reply draws a fresh one.
+  /// V is stale, and it is reply content, so the next reply draws a fresh
+  /// content stamp.
   void self_row_changed() {
     v_current_ = false;
-    RowTable::RowRef self = log_.self_row();
-    if (self.view().stamp() != 0) {
-      self.set_stamp(0);
-    }
+    content_stamp_ = 0;
   }
 
   /// The stamp of the content a reply would ship now, the self row and
-  /// compute_v(): the larger of their stamps, drawing a fresh one for a
-  /// part changed since it was last stamped. Leaves compute_v() in `v`
-  /// when the cached V is stale (`v` is untouched otherwise: the reply
-  /// ships last_v_).
+  /// compute_v(), drawn afresh if either may have changed since it was
+  /// last drawn. Leaves compute_v() in `v` when the cached V is stale (`v`
+  /// is untouched otherwise: the reply ships last_v_).
   std::uint64_t stamp_reply_content(DependencyVector& v);
 
   /// Per-peer delta-sync bookkeeping. Row revisions are monotone within
@@ -611,8 +607,8 @@ class GgdProcess {
     }
   }
 
-  /// Re-stamps every log row, the self row included, when
-  /// log_stamps_stale_ is set; nothing to do otherwise.
+  /// Re-stamps every on-behalf row when log_stamps_stale_ is set;
+  /// nothing to do otherwise.
   void settle_log_stamps();
 
   /// Advances the echo for `reply.from` past what `reply` shipped. Called
@@ -626,8 +622,7 @@ class GgdProcess {
   /// inquirer's echo — the confirmed frontier, never an optimistic sent
   /// mark: a lost reply leaves the echo, so the next reply ships the same
   /// rows again and the inquirer's overlay (known_behalf_) always equals
-  /// what shipping every row would give. The self row's stamp versions it
-  /// as reply content: 0 after any change, drawn by the next reply.
+  /// what shipping every row would give.
   DvLog log_;
   /// SoA row tables (shared entry columns, optionally pool-backed): the
   /// three big per-process maps that dominate footprint at scale.
@@ -700,14 +695,14 @@ class GgdProcess {
   /// changed without a fresh stamp) and by import_state (the adopted rows
   /// arrive unstamped): the next reply re-stamps every row.
   bool log_stamps_stale_ = false;
-  /// Set while v_stamp_ versions a V a reply shipped that is not last_v_
-  /// (the cached V was stale): the next closure clears v_stamp_ even if
-  /// last_v_ stays the same.
-  bool v_stamp_off_last_ = false;
-  /// The stamp of the V replies ship, as reply content: cleared when
-  /// receive() assigns a changed last_v_, drawn by the next reply (0: not
-  /// drawn since).
-  std::uint64_t v_stamp_ = 0;
+  /// Set while content_stamp_ versions a V a reply shipped that is not
+  /// last_v_ (the cached V was stale): the next closure clears the stamp
+  /// even if last_v_ stays the same.
+  bool content_off_last_ = false;
+  /// The stamp of a reply's content, the self row and V: cleared when the
+  /// self row changes or receive() assigns a changed last_v_, drawn from
+  /// the revision counter by the next reply (0: not drawn since).
+  std::uint64_t content_stamp_ = 0;
   /// Closures run while observed (see take_v_closures). Not serialized.
   mutable std::uint32_t v_closures_ = 0;
   DependencyVector last_v_;

@@ -369,7 +369,8 @@ struct FrontierStats {
 /// current reply's V and self row are read from the replier after that
 /// event, as compute_v() and its self row: nothing the event does after
 /// building the reply reaches the replier unless the same packet carries
-/// it a later message, and none of the seeds below does that.
+/// it a later message. Such a message could make the check flag a sound
+/// reply; on the seeds below it flags none.
 class FrontierCheck {
  public:
   explicit FrontierCheck(FrontierStats& st) : st_(st) {}
