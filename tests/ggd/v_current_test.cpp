@@ -400,16 +400,13 @@ class FrontierCheck {
             if (held == before_.end()) {
               return;
             }
-            SentReply sent{rec.delivered_at.front(), rec.to, r.to,
-                           r.from, r.current, held->second};
+            SentReply sent{rec.delivered_at.front(), rec.to, r.to, r.from,
+                           r.current, held->second, r.v, r.self_row};
             sent.rows.erase(r.to);
             if (r.current) {
               const GgdProcess& replier = engine.process(r.from);
               sent.v = replier.compute_v();
               sent.self_row = replier.log().self_row();
-            } else {
-              sent.v = r.v;
-              sent.self_row = r.self_row;
             }
             pending_.push_back(std::move(sent));
           });
