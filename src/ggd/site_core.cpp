@@ -1,7 +1,6 @@
 #include "ggd/site_core.hpp"
 
 #include <chrono>
-#include <string>
 #include <utility>
 
 namespace cgc {
@@ -41,11 +40,6 @@ void SiteCore::attach_obs(obs::Registry* registry, obs::Journal* journal) {
         &registry->counter("ggd.inquiries.blocked"),
         &registry->counter("ggd.inquiries.lease"),
     };
-    for (std::size_t f = 0; f < wire::kGgdFieldCount; ++f) {
-      metrics_.ctrl_bytes[f] = &registry->counter(
-          std::string("ggd.ctrl_bytes.") +
-          wire::ggd_field_name(static_cast<wire::GgdField>(f)));
-    }
   } else {
     metrics_ = DetectorMetrics{};
   }
@@ -145,14 +139,6 @@ void SiteCore::emit(GgdMessage msg) {
   const ProcessId from = msg.from;
   const ProcessId to = msg.to;
   if (obs_attached_) {
-    if (metrics_.ctrl_bytes[0] != nullptr) {
-      // The per-field ledger encodes the message once more: paid only
-      // while observed.
-      const wire::GgdFieldBytes parts = wire::ggd_field_bytes(msg);
-      for (std::size_t f = 0; f < parts.size(); ++f) {
-        metrics_.ctrl_bytes[f]->inc(parts[f]);
-      }
-    }
     if (msg.inquiry) {
       if (metrics_.inquiries != nullptr) {
         metrics_.inquiries->inc();

@@ -272,9 +272,6 @@ class SiteCore {
     /// `inquiries` because decide() is the only inquiry source.
     std::array<obs::Counter*, GgdProcess::kInquiryReasons>
         inquiries_by_reason{};
-    /// Framed bytes of the GGD control messages sent, one counter per
-    /// wire::GgdField (ggd.ctrl_bytes.<field>).
-    std::array<obs::Counter*, wire::kGgdFieldCount> ctrl_bytes{};
   };
   DetectorMetrics metrics_;
   obs::Journal* journal_ = nullptr;

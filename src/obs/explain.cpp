@@ -1,8 +1,41 @@
 #include "obs/explain.hpp"
 
+#include <array>
+#include <variant>
+
 #include "common/rng.hpp"
+#include "wire/batching.hpp"
+#include "wire/messages.hpp"
 
 namespace cgc::obs {
+namespace {
+
+/// Charges every control message in `trace` to one counter per
+/// wire::GgdField (ggd.ctrl_bytes.<field>): the per-field ledger of the
+/// bytes the run put on the wire, taken after the run so the protocol
+/// pays nothing for it.
+void charge_ctrl_bytes(const wire::WireTrace& trace, Registry& registry) {
+  std::array<Counter*, wire::kGgdFieldCount> fields{};
+  for (std::size_t f = 0; f < wire::kGgdFieldCount; ++f) {
+    fields[f] = &registry.counter(
+        std::string("ggd.ctrl_bytes.") +
+        wire::ggd_field_name(static_cast<wire::GgdField>(f)));
+  }
+  for (const wire::PacketRecord& packet : trace.packets()) {
+    wire::read_packet(
+        packet.bytes, [](const wire::PacketHeader&) {},
+        [&fields](const wire::WireMessage& msg, std::size_t) {
+          if (const auto* c = std::get_if<wire::GgdControl>(&msg.body)) {
+            const wire::GgdFieldBytes parts = wire::ggd_field_bytes(c->msg);
+            for (std::size_t f = 0; f < parts.size(); ++f) {
+              fields[f]->inc(parts[f]);
+            }
+          }
+        });
+  }
+}
+
+}  // namespace
 
 const char* to_string(Explanation::Cause c) {
   switch (c) {
@@ -300,6 +333,7 @@ std::unique_ptr<SeedReplay> replay_trace(const ScenarioSpec& spec,
   s.net().set_drop_rate(0.0);
   s.net().set_duplicate_rate(0.0);
   s.run_with_sweeps(16);
+  charge_ctrl_bytes(replay->trace, replay->registry);
   return replay;
 }
 

@@ -91,7 +91,10 @@ struct SeedReplay {
 
 /// Replays `ops` under `spec` exactly as the conformance runner's GGD path
 /// does (burst pacing, heal, sweep rounds), observed. Returned by pointer:
-/// the engine keeps pointers into the replay's journal/registry.
+/// the engine keeps pointers into the replay's journal/registry. The
+/// registry also gets the run's per-field control byte ledger,
+/// `ggd.ctrl_bytes.<field>` (one counter per wire::GgdField), read from
+/// the trace.
 [[nodiscard]] std::unique_ptr<SeedReplay> replay_trace(
     const ScenarioSpec& spec, const std::vector<MutatorOp>& ops);
 

@@ -8,10 +8,14 @@
 // through unconfirmed-destruction → already-collected as the fault heals.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "metrics/message_stats.hpp"
 #include "obs/explain.hpp"
 #include "scenario/spec.hpp"
+#include "wire/messages.hpp"
 #include "workload/scenario.hpp"
 
 namespace cgc {
@@ -68,6 +72,27 @@ TEST(Explain, CondemnedRemovalNamesTheWalker) {
   const Explanation e = r.explain(P(2), 40);
   EXPECT_EQ(e.cause, Cause::kAlreadyCollected);
   EXPECT_NE(e.answer.find("walker 7"), std::string::npos) << e.answer;
+}
+
+// The replay's per-field ledger, read back from the wire trace, accounts
+// for exactly the control bytes the network charged as sent.
+TEST(ExplainMetrics, TheControlByteLedgerSumsToTheBytesSent) {
+  const auto replay = obs::replay_seed(20);
+  std::uint64_t ledger = 0;
+  for (std::size_t f = 0; f < wire::kGgdFieldCount; ++f) {
+    ledger += replay->registry
+                  .counter(std::string("ggd.ctrl_bytes.") +
+                           wire::ggd_field_name(static_cast<wire::GgdField>(f)))
+                  .value();
+  }
+  const MessageStats& stats = replay->scenario->net().stats();
+  std::uint64_t sent = 0;
+  for (MessageKind k : {MessageKind::kGgdVector, MessageKind::kGgdDestruction,
+                        MessageKind::kGgdInquiry}) {
+    sent += stats.of(k).bytes_sent;
+  }
+  EXPECT_GT(replay->registry.counter("ggd.ctrl_bytes.v").value(), 0u);
+  EXPECT_EQ(ledger, sent);
 }
 
 // A condemned set travels the cascade unchanged, so every removal it

@@ -230,27 +230,6 @@ void run_and_check(const Golden& golden, bool observed = false) {
     }
     EXPECT_GT(registry.counter("ggd.inquiries").value(), 0u);
     EXPECT_EQ(by_reason, registry.counter("ggd.inquiries").value());
-    // Every control message of this migration-free run crosses the wire
-    // once, so the per-field ledger sums to its framed control bytes.
-    std::uint64_t ledger = 0;
-    for (std::size_t f = 0; f < wire::kGgdFieldCount; ++f) {
-      ledger += registry
-                    .counter(std::string("ggd.ctrl_bytes.") +
-                             wire::ggd_field_name(static_cast<wire::GgdField>(f)))
-                    .value();
-    }
-    std::uint64_t framed = 0;
-    for (const auto& p : trace.packets()) {
-      wire::read_packet(
-          p.bytes, [](const wire::PacketHeader&) {},
-          [&framed](const wire::WireMessage& msg, std::size_t bytes) {
-            if (std::holds_alternative<wire::GgdControl>(msg.body)) {
-              framed += bytes;
-            }
-          });
-    }
-    EXPECT_GT(ledger, 0u);
-    EXPECT_EQ(ledger, framed);
   }
 }
 
