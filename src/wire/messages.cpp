@@ -38,11 +38,10 @@ ObjectRefTransfer decode_object_ref_transfer(Decoder& dec) {
 /// per field that is written only when non-empty (a stamp: non-zero).
 /// The mask is a varint, so only the low seven bits fit its first byte.
 /// They go to what the commonest messages set: a bare inquiry, an
-/// inquiry that echoes its reply frontier or flushes acks, and a reply
-/// whose sender neither holds nor owes grants to its receiver and relays
-/// no rows all take a one-byte mask, a current reply included. A reply
-/// that ships deferred rows is rare once inquirers echo their frontier,
-/// so it takes the high bits.
+/// inquiry that echoes its reply frontier or flushes acks, and a current
+/// reply whose sender neither holds nor owes grants to its receiver and
+/// relays no rows all take a one-byte mask. A full reply's stamp and a
+/// reply that ships deferred rows take the high bits.
 enum MaskBit : std::uint64_t {
   kInquiry = 1 << 0,
   kReply = 1 << 1,
