@@ -211,9 +211,9 @@ class GgdProcess {
   [[nodiscard]] bool removed() const { return removed_; }
 
   /// Unrestricted write access to the log, for tests and tools. It cannot
-  /// tell which rows the caller changes, so it marks the cached V stale
-  /// and has the next reply re-stamp every on-behalf row (each inquirer
-  /// then receives them all again). The mutator side writes through the
+  /// tell which rows the caller changes, so it treats the self row as
+  /// changed and has the next reply re-stamp every on-behalf row (each
+  /// inquirer then receives them all again). The mutator side writes through the
   /// log writers below instead.
   [[nodiscard]] DvLog& log() {
     self_row_changed();
@@ -224,9 +224,10 @@ class GgdProcess {
 
   /// The log writers lazy log-keeping (§3.4) uses: entry `slot` of the
   /// row kept for `row` (the self row when `row` is this process). A
-  /// write that changes the self row marks the cached V stale; one that
-  /// changes another row stamps it afresh from the revision counter, so
-  /// the next reply to each inquirer ships it.
+  /// write that changes the self row marks the cached V stale and the
+  /// next reply's content changed; one that changes another row stamps it
+  /// afresh from the revision counter, so the next reply to each inquirer
+  /// ships it.
   Timestamp increment_log(ProcessId row, ProcessId slot);
   void merge_log_entry(ProcessId row, ProcessId slot, Timestamp ts);
   /// A new local log-keeping event: bumps this process's own counter.
