@@ -31,9 +31,8 @@ int main() {
   const ObjectId root_dir = rt.create_object(store1, admin);
   const ObjectId home = rt.create_object(store2, rt.create_root_object(store2));
   const ObjectId a = rt.create_object(store3, rt.create_root_object(store3));
-  const ObjectId b = rt.create_object(store2, rt.owner_of(home) == store2
-                                                   ? home
-                                                   : home);  // under /home
+  const ObjectId b = rt.create_object(store2, home);  // /home -> /home/b
+  rt.add_local_ref(b, home);                          // /home/b/.. -> /home
   // Wire the tree across sites: parents reference children...
   rt.send_ref(rt.site(store2).local_roots().empty()
                   ? admin
@@ -90,10 +89,11 @@ int main() {
   rt.collect_all();
   std::cout << "after session ends: /home exists=" << rt.object_exists(home)
             << "  /home/a exists=" << rt.object_exists(a)
+            << "  /home/b exists=" << rt.object_exists(b)
             << "  / exists=" << rt.object_exists(root_dir) << "\n";
 
   const bool ok = !rt.object_exists(home) && !rt.object_exists(a) &&
-                  rt.object_exists(root_dir);
+                  !rt.object_exists(b) && rt.object_exists(root_dir);
   std::cout << (ok ? "\ncross-site cyclic subtree comprehensively collected; "
                      "live directory untouched\n"
                    : "\nUNEXPECTED STATE\n");

@@ -253,10 +253,6 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
                                             RootPredicate is_root,
                                             SimTime now) {
   CGC_CHECK(msg.to == id_);
-  // Frontier acks apply even to an already-collected receiver: its
-  // posthumous destruction re-emissions still attach rows, and ignoring
-  // the echoes would make every peer look permanently lagged.
-  apply_row_acks(msg);
   if (removed_) {
     // Late or duplicated messages to an already-collected root are ignored;
     // idempotence of removal is part of the robustness claim (§5).
@@ -265,10 +261,6 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
   const ProcessId m = msg.from;
   const Timestamp vm = msg.v.get(m);
   inflight_inquiries_.erase(m);
-  // Ack every row this message shipped — including rows skipped below
-  // (our own, dead subjects): an ack means "stop re-sending", which is
-  // exactly right for a row we will never adopt.
-  record_row_acks(msg);
 
   // Death is a stable global fact and is relayed monotonically. State kept
   // about a collected process will never be consulted again.
@@ -278,7 +270,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       known_rows_.erase(q);
       known_behalf_.erase(q);
       echo_.erase(q);
-      ack_pending_.erase(q);
+      sent_watermark_.erase(q);
       v_current_ = false;
     }
   }
@@ -484,7 +476,7 @@ std::vector<GgdMessage> GgdProcess::take_forwards() {
     fwd.self_row = std::as_const(log_).self_row();
     fwd.behalf = std::as_const(log_).row(k);
     fwd.dead = dead_;
-    attach_sync(fwd, /*include_rows=*/true);
+    attach_sync(fwd);
     out.push_back(std::move(fwd));
   }
   return out;
@@ -607,7 +599,6 @@ std::vector<GgdMessage> GgdProcess::decide(RootPredicate is_root,
         continue;
       }
       vit->second = version;
-      inquired_.insert(q);
       if (inflight_inquiries_.insert(q).second) {
         emit_inquiry(out, q, InquiryReason::kBlocked);
       }
@@ -647,7 +638,6 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   // regrant below an old destruction marker resurrects and lease-verifies
   // at q) before its reply can certify an all-dead in-edge row.
   inq.behalf = std::as_const(log_).row(q);
-  attach_sync(inq, /*include_rows=*/false);
   inq.echo = echo(q);
   out.push_back(std::move(inq));
   if (observed_) {
@@ -656,7 +646,6 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
 }
 
 void GgdProcess::reset_inquiry_gates() {
-  inquired_.clear();
   // Every gate ages out each sweep round: replicas can go stale without
   // their version advancing (resurrections and refutation masks do not
   // bump the owner's counter), so reachable-evidence chains must be
@@ -672,59 +661,30 @@ void GgdProcess::reset_inquiry_gates() {
   pending_verify_ = false;
 }
 
-void GgdProcess::attach_sync(GgdMessage& msg, bool include_rows) {
-  // Flush the acks accumulated for this destination: they echo ITS
-  // revision stamps, regardless of what this message otherwise carries.
-  auto pit = ack_pending_.find(msg.to);
-  if (pit != ack_pending_.end()) {
-    msg.row_acks = std::move(pit->second);
-    ack_pending_.erase(msg.to);
-  }
-  if (!include_rows) {
+void GgdProcess::attach_sync(GgdMessage& msg) {
+  // A collected peer reads no rows, and a watermark kept for it would
+  // never be read again.
+  if (dead_.contains(msg.to)) {
     return;
   }
-  // Delta selection: ship only rows whose revision is past what this
-  // destination has been sent — i.e. past the per-peer watermark, plus
-  // any row the resync escape hatch forced back. The frontier advances
-  // optimistically at build time (watermark := revision counter: every
-  // row at or below it either ships right here or shipped before); loss
-  // is recovered by the sweep's rollback and missing rows self-heal
-  // through the inquiry machinery anyway — a lost row costs latency,
-  // never a verdict.
-  auto& ps = peer_sync_[msg.to];
+  // Delta selection: ship only rows revised past what this destination
+  // has been sent. The watermark advances optimistically at build time
+  // (every row at or below the counter either ships right here or shipped
+  // before); a lost row costs latency, never a verdict, because the walk
+  // that needs it inquires its subject.
+  std::uint64_t& sent = sent_watermark_[msg.to];
   for (const auto& [q, row] : known_rows_.rows()) {
     if (q == msg.to) {
       continue;  // the receiver ignores a relayed copy of its own row
     }
     const std::uint64_t rev = row.stamp();
     CGC_CHECK(rev != 0);
-    if (rev <= ps.sent_watermark && !ps.forced.contains(q)) {
-      continue;
-    }
-    msg.rows.emplace(q, row);
-    msg.row_revs.emplace(q, rev);
-    ps.unacked[q] = rev;
-    ps.forced.erase(q);
-  }
-  ps.sent_watermark = rev_counter_;
-}
-
-void GgdProcess::record_row_acks(const GgdMessage& msg) {
-  // A collected sender reads no acks: its tombstone answers inquiries but
-  // never sweeps, so nothing it shipped is ever rolled back for re-shipping.
-  if (msg.row_revs.empty() || dead_.contains(msg.from)) {
-    return;
-  }
-  // A late row from an earlier incarnation of the sender carries a stamp
-  // below every stamp the current one drew, so keeping the maximum never
-  // acks a row the current incarnation has not sent.
-  auto& pending = ack_pending_[msg.from];
-  for (const auto& [q, rev] : msg.row_revs) {
-    auto [it, fresh] = pending.emplace(q, rev);
-    if (!fresh && it->second < rev) {
-      it->second = rev;
+    if (rev > sent) {
+      msg.rows.emplace(q, row);
+      msg.row_revs.emplace(q, rev);
     }
   }
+  sent = rev_counter_;
 }
 
 void GgdProcess::settle_log_stamps() {
@@ -751,59 +711,6 @@ void GgdProcess::advance_echo(const GgdMessage& reply) {
   auto [it, fresh] = echo_.emplace(reply.from, reply.reply_stamp);
   if (!fresh) {
     it->second = std::max(it->second, reply.reply_stamp);
-  }
-}
-
-void GgdProcess::apply_row_acks(const GgdMessage& msg) {
-  if (msg.row_acks.empty()) {
-    return;
-  }
-  // An ack that echoes a stamp of an earlier incarnation of this process
-  // lies below every stamp the current one drew: it erases no in-flight
-  // entry and lifts no forced mark. A peer without a frontier has nothing
-  // in flight or forced, so its acks confirm nothing either.
-  auto pit = peer_sync_.find(msg.from);
-  if (pit == peer_sync_.end()) {
-    return;
-  }
-  PeerSync& ps = pit->second;
-  for (const auto& [q, rev] : msg.row_acks) {
-    auto uit = ps.unacked.find(q);
-    if (uit != ps.unacked.end() && uit->second <= rev) {
-      ps.unacked.erase(uit);
-    }
-    // An ack implies receipt even if our own optimistic send bookkeeping
-    // was rolled back meanwhile; clearing the forced mark when the ack
-    // covers the row's current revision avoids one spurious re-ship. A
-    // vanished row (death purge) reads stamp 0 and has nothing left to
-    // re-ship.
-    if (rev >= known_row(q).stamp()) {
-      ps.forced.erase(q);
-    }
-  }
-}
-
-void GgdProcess::sync_sweep_round() {
-  for (auto& [peer, ps] : peer_sync_) {
-    if (ps.unacked.empty()) {
-      // Nothing shipped is awaiting confirmation: the peer is current.
-      ps.stale_rounds = 0;
-      continue;
-    }
-    if (++ps.stale_rounds >= 2) {
-      // Full-resync escape hatch: two consecutive sweeps without the
-      // peer confirming everything sent — sustained loss, a migration
-      // bounce that restarted its ack stream, or a one-way edge that
-      // never carries acks back. Roll the unconfirmed rows back into the
-      // forced set; the next message to the peer re-ships exactly those
-      // (confirmed rows stay settled under the watermark).
-      for (const auto& [q, rev] : ps.unacked) {
-        (void)rev;
-        ps.forced.insert(q);
-      }
-      ps.unacked.clear();
-      ps.stale_rounds = 0;
-    }
   }
 }
 
@@ -1015,7 +922,7 @@ GgdMessage GgdProcess::make_destruction_message(
   if (condemned.contains(to)) {
     msg.condemned = condemned;
   }
-  attach_sync(msg, /*include_rows=*/true);
+  attach_sync(msg);
   return msg;
 }
 
@@ -1031,7 +938,7 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   msg.self_row = std::as_const(log_).self_row();
   msg.behalf = std::as_const(log_).row(to);
   msg.dead = dead_;
-  attach_sync(msg, /*include_rows=*/true);
+  attach_sync(msg);
   return msg;
 }
 
@@ -1089,8 +996,21 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   msg.dead = dead_;
   msg.reply = true;
   msg.holds_receiver = acquaintances_.contains(to);
-  attach_sync(msg, /*include_rows=*/true);
+  attach_sync(msg);
   return msg;
+}
+
+GgdMessage GgdProcess::answer(const GgdMessage& inquiry) {
+  if (removed_) {
+    // Posthumous answer: the corpse's final destruction bundle again. Its
+    // death certificate rides in `dead` and its deferred on-behalf grants
+    // (§3.4) in `v`, healing the case where the original finalisation
+    // message to this inquirer was lost or still in flight when the death
+    // became known through relays.
+    return make_destruction_message(inquiry.from);
+  }
+  merge_edge_facts(inquiry.behalf, /*skip=*/inquiry.from);
+  return make_reply(inquiry);
 }
 
 GgdProcessSnapshot GgdProcess::export_state() const {
@@ -1114,7 +1034,6 @@ GgdProcessSnapshot GgdProcess::export_state() const {
   snap.in_edge_confirmed = in_edge_confirmed_;
   snap.last_v = last_v_;
   snap.forward_pending = forward_pending_;
-  snap.inquired = inquired_;
   snap.inflight_inquiries = inflight_inquiries_;
   snap.blocked_inquired_version = blocked_inquired_version_;
   snap.inquired_version = inquired_version_;
@@ -1157,7 +1076,6 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   // in-flight replies here, so outstanding inquiries stay answerable, and
   // verification epochs are stamped in global sim time. A gate stranded
   // by a bounced reply is cleared by the next sweep's reset, as always.
-  inquired_ = snap.inquired;
   inflight_inquiries_ = snap.inflight_inquiries;
   blocked_inquired_version_ = snap.blocked_inquired_version;
   inquired_version_ = snap.inquired_version;
@@ -1165,11 +1083,10 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   pending_verify_ = snap.pending_verify;
   pending_verify_since_ = snap.pending_verify_since;
   // Of the delta-sync state only the revision counter is part of the
-  // snapshot: per-peer frontiers describe what the PREVIOUS incarnation
-  // shipped, and the new site-of-record must never claim rows it has not
-  // sent itself. Every adopted row is re-stamped above every stamp the
-  // previous incarnation drew, so an ack or echo of an old stamp confirms
-  // nothing here (the migration-bounce failure mode).
+  // snapshot: watermarks describe what the PREVIOUS incarnation shipped,
+  // and the new site-of-record must never claim rows it has not sent
+  // itself. Every adopted row is re-stamped above every stamp the previous
+  // incarnation drew, so an echo of an old stamp confirms nothing here.
   rev_counter_ = snap.rev_counter;
   for (const auto& adopted : snap.known_rows) {
     stamp_row(known_rows_.row(adopted.first));
@@ -1178,8 +1095,7 @@ void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   content_stamp_ = 0;
   content_off_last_ = false;
   echo_.clear();
-  peer_sync_.clear();
-  ack_pending_.clear();
+  sent_watermark_.clear();
 }
 
 void GgdProcess::retire_tombstone() {
@@ -1188,7 +1104,6 @@ void GgdProcess::retire_tombstone() {
   // these, and all three are gated on !removed_.
   history_.release();
   known_behalf_.release();
-  inquired_.release();
   inflight_inquiries_.release();
   blocked_inquired_version_.release();
   resurrected_.release();
@@ -1211,29 +1126,12 @@ void GgdProcess::retire_tombstone() {
   acquaintances_.release();
   last_v_ = DependencyVector{};
   v_current_ = false;
-  // Wire-live remainder (make_destruction_message, attach_sync,
-  // apply_row_acks): frozen content, tight-packed in place.
+  // Wire-live remainder (make_destruction_message, attach_sync): frozen
+  // content, tight-packed in place.
   log_.shrink_to_fit();
   known_rows_.shrink_to_fit();
   dead_.shrink_to_fit();
-  for (auto& [peer, ps] : peer_sync_) {
-    (void)peer;
-    // `unacked` is write-only bookkeeping once removed: the rollback that
-    // reads it (sync_sweep_round) never runs for a tombstone — sweeps
-    // skip removed processes — and neither the attach decision
-    // (watermark + forced) nor the ack handler's forced-clear (the known
-    // row's stamp) consults it. The final cascade shipped every known row
-    // to every acquaintance, so these maps are the bulk of a corpse's
-    // relay state.
-    ps.unacked.release();
-    ps.forced.shrink_to_fit();
-  }
-  peer_sync_.shrink_to_fit();
-  for (auto& [peer, acks] : ack_pending_) {
-    (void)peer;
-    acks.shrink_to_fit();
-  }
-  ack_pending_.shrink_to_fit();
+  sent_watermark_.shrink_to_fit();
 }
 
 GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
@@ -1247,25 +1145,13 @@ GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
     return m.capacity() * sizeof(typename std::decay_t<decltype(m)>::value_type);
   };
   // dead_ counts here, not under gating: death knowledge rides in every
-  // posthumous message, so it is wire-live state like the frontiers.
-  f.relay_bytes = map64(dead_) + map64(echo_) + map64(ack_pending_) +
-                  peer_sync_.capacity() *
-                      sizeof(std::pair<ProcessId, PeerSync>);
-  for (const auto& [peer, ps] : peer_sync_) {
-    (void)peer;
-    f.relay_bytes += map64(ps.unacked) + map64(ps.forced);
-  }
-  for (const auto& [peer, acks] : ack_pending_) {
-    (void)peer;
-    f.relay_bytes += map64(acks);
-  }
-
-  f.gate_bytes = map64(inquired_) + map64(inflight_inquiries_) +
-                 map64(blocked_inquired_version_) + map64(resurrected_) +
-                 map64(resurrect_fact_index_) + map64(refuted_fact_ceiling_) +
-                 map64(inquired_version_) + map64(confirm_time_) +
-                 map64(in_edge_confirmed_) + map64(acquaintances_) +
-                 map64(last_v_.entries());
+  // posthumous message, so it is wire-live state like the watermarks.
+  f.relay_bytes = map64(dead_) + map64(echo_) + map64(sent_watermark_);
+  f.gate_bytes = map64(inflight_inquiries_) + map64(blocked_inquired_version_) +
+                 map64(resurrected_) + map64(resurrect_fact_index_) +
+                 map64(refuted_fact_ceiling_) + map64(inquired_version_) +
+                 map64(confirm_time_) + map64(in_edge_confirmed_) +
+                 map64(acquaintances_) + map64(last_v_.entries());
   return f;
 }
 
@@ -1298,19 +1184,8 @@ void GgdProcess::trim_storage() {
   };
   trim(echo_);
   trim(dead_);
-  for (auto& [peer, ps] : peer_sync_) {
-    (void)peer;
-    trim(ps.unacked);
-    trim(ps.forced);
-  }
-  trim(peer_sync_);
-  for (auto& [peer, acks] : ack_pending_) {
-    (void)peer;
-    trim(acks);
-  }
-  trim(ack_pending_);
+  trim(sent_watermark_);
   trim(acquaintances_);
-  trim(inquired_);
   trim(inflight_inquiries_);
   trim(blocked_inquired_version_);
   trim(resurrected_);

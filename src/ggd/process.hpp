@@ -92,14 +92,11 @@ struct GgdMessage {
   /// counters alone cannot version a row because equal-version merges
   /// (behalf overlays, conservative resurrections) change content without
   /// advancing the subject's counter. The counter travels with a migrating
-  /// process, so no stamp is ever drawn twice. Receivers echo these stamps
-  /// back as acks; they carry no protocol meaning beyond frontier
-  /// bookkeeping.
+  /// process, so no stamp is ever drawn twice. Receivers do not read them.
   FlatMap<ProcessId, std::uint64_t> row_revs;
-  /// Piggybacked frontier acks: for each subject q, the highest revision
-  /// stamp of q's row that `from` has received from `to`. An ack of an
-  /// earlier incarnation of `to` lies below every stamp the current one
-  /// has drawn, so it confirms nothing.
+  /// Never filled: the relay keeps no per-row acks (a lost row is fetched
+  /// by the inquiry that needs it). The member and its wire field remain
+  /// because the benchmark's byte ledger still reads them.
   FlatMap<ProcessId, std::uint64_t> row_acks;
   /// Processes known to have been collected. Death is a stable global
   /// fact (a removed global root has no edges and will never be revived),
@@ -173,7 +170,6 @@ struct GgdProcessSnapshot {
   DependencyVector last_v;
   bool forward_pending = false;
   // Decision-gating state.
-  FlatSet<ProcessId> inquired;
   FlatSet<ProcessId> inflight_inquiries;
   FlatMap<ProcessId, std::uint64_t> blocked_inquired_version;
   FlatMap<ProcessId, std::uint64_t> inquired_version;
@@ -181,8 +177,8 @@ struct GgdProcessSnapshot {
   bool pending_verify = false;
   std::uint64_t pending_verify_since = 0;
   /// The revision counter: the mover keeps drawing stamps above every
-  /// stamp it drew here, so an ack or echo of an old stamp can never be
-  /// read as one of a new stamp.
+  /// stamp it drew here, so an echo of an old stamp can never be read as
+  /// one of a new stamp.
   std::uint64_t rev_counter = 0;
 
   [[nodiscard]] bool operator==(const GgdProcessSnapshot&) const = default;
@@ -283,6 +279,13 @@ class GgdProcess {
   /// knowledge, flagged as a reply so the inquirer does not mistake it for
   /// an edge fact, plus the deferred on-behalf rows stamped past the echo.
   [[nodiscard]] GgdMessage make_reply(const GgdMessage& inquiry);
+
+  /// The site's answer to `inquiry`. A live process first adjudicates the
+  /// deferred grants the inquiry carries in `behalf` (resurrect,
+  /// lease-verify or refute), so its reply never certifies an in-edge row
+  /// a pending regrant is about to change, then replies. A removed one
+  /// re-issues its final destruction bundle to the inquirer instead.
+  [[nodiscard]] GgdMessage answer(const GgdMessage& inquiry);
 
   /// Builds an edge announce: a regular vector message to `to` asserting
   /// the newly created edge this -> to (the runtime layer sends one per
@@ -405,50 +408,12 @@ class GgdProcess {
   /// verdicts.
   void reset_inquiry_gates();
 
-  /// Applies the piggybacked frontier acks of `msg` (acks this process's
-  /// own shipped rows). Called from receive(), and explicitly by the
-  /// engine/site inquiry paths — raw inquiries are answered without going
-  /// through receive(), and silently dropping their acks would leave the
-  /// inquirer re-shipping rows the subject already has.
-  void apply_row_acks(const GgdMessage& msg);
-
-  /// Per-sweep maintenance of the per-peer frontiers — the full-resync
-  /// escape hatch. A peer whose acked frontier has lagged its sent
-  /// frontier for two consecutive sweeps (sustained loss, a collected
-  /// correspondent, or a one-way acquaintance edge that never acks) has
-  /// its sent frontier rolled back to the acked one, so the next message
-  /// to it re-ships everything unconfirmed. Bounded: re-shipping costs
-  /// bytes only while messages actually flow to that peer.
-  void sync_sweep_round();
-
-  /// Delta-sync observability (tests and diagnostics).
-  /// Effective sent frontier for (peer, q), reconstructed from the
-  /// watermark representation: the shipped-but-unconfirmed revision if
-  /// one is in flight, the row's revision when it sits under the
-  /// watermark (shipped and settled), and 0 for rolled-back (`forced`)
-  /// or never-shipped rows.
-  [[nodiscard]] std::uint64_t peer_sent_rev(ProcessId peer,
-                                            ProcessId q) const {
-    auto it = peer_sync_.find(peer);
-    if (it == peer_sync_.end()) return 0;
-    const PeerSync& ps = it->second;
-    if (ps.forced.contains(q)) return 0;
-    auto uit = ps.unacked.find(q);
-    if (uit != ps.unacked.end()) return uit->second;
-    const std::uint64_t rev = known_row(q).stamp();
-    return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
-  }
-  /// Effective acked frontier for (peer, q): a row under the watermark
-  /// with nothing in flight and no forced re-ship is exactly a confirmed
-  /// one (acks erase the in-flight entry; rollback forces instead).
-  [[nodiscard]] std::uint64_t peer_acked_rev(ProcessId peer,
-                                             ProcessId q) const {
-    auto it = peer_sync_.find(peer);
-    if (it == peer_sync_.end()) return 0;
-    const PeerSync& ps = it->second;
-    if (ps.forced.contains(q) || ps.unacked.contains(q)) return 0;
-    const std::uint64_t rev = known_row(q).stamp();
-    return rev != 0 && rev <= ps.sent_watermark ? rev : 0;
+  /// The relay's sent watermark for `peer`: every known row stamped at or
+  /// below it has been shipped to `peer` (0: nothing yet, or `peer` is
+  /// known dead).
+  [[nodiscard]] std::uint64_t peer_sent_rev(ProcessId peer) const {
+    auto it = sent_watermark_.find(peer);
+    return it == sent_watermark_.end() ? 0 : it->second;
   }
   /// The echo this process holds for `peer`: the highest reply stamp
   /// merged from its replies (0: none, the next inquiry asks for
@@ -456,14 +421,6 @@ class GgdProcess {
   [[nodiscard]] std::uint64_t echo(ProcessId peer) const {
     auto it = echo_.find(peer);
     return it == echo_.end() ? 0 : it->second;
-  }
-
-  /// Merges announced edge facts delivered outside a regular message —
-  /// the engine feeds an inquiry's piggybacked behalf row through this,
-  /// so a deferred grant reaches its subject for adjudication (resurrect,
-  /// lease-verify or refute) before the subject's reply is built.
-  void absorb_edge_facts(const DependencyVector& facts, ProcessId from) {
-    merge_edge_facts(facts, /*skip=*/from);
   }
 
   /// Certified causal histories of other processes, keyed by sender. Kept
@@ -482,7 +439,7 @@ class GgdProcess {
     std::size_t history_bytes = 0;  ///< certified peer histories
     std::size_t known_bytes = 0;    ///< replica rows of peers
     std::size_t behalf_bytes = 0;   ///< forwarded on-behalf rows
-    std::size_t relay_bytes = 0;    ///< delta-relay frontiers + acks
+    std::size_t relay_bytes = 0;    ///< relay watermarks, echoes, `dead`
     std::size_t gate_bytes = 0;     ///< verdict-gating side tables
     [[nodiscard]] std::size_t total() const {
       return log_bytes + history_bytes + known_bytes + behalf_bytes +
@@ -503,8 +460,8 @@ class GgdProcess {
   /// Releases every byte a removed process will never be asked about
   /// again. A tombstone still answers inquiries posthumously — its
   /// death certificate re-issue reads the log's behalf rows, `dead`,
-  /// and the delta-relay frontier state (attach_sync ships replica rows
-  /// to peers behind the frontier) — so that remainder is kept but
+  /// and the relay watermarks (attach_sync ships replica rows to peers
+  /// behind their watermark) — so that remainder is kept but
   /// tight-packed; the walk/verdict side (history, on-behalf forwards,
   /// gating tables) is provably unread once `removed()` and is dropped
   /// outright. Wire-passive by construction: only storage that no
@@ -559,21 +516,6 @@ class GgdProcess {
   /// is untouched otherwise: the reply ships last_v_).
   std::uint64_t stamp_reply_content(DependencyVector& v);
 
-  /// Per-peer delta-sync bookkeeping. Row revisions are monotone within
-  /// this process (`stamp_row`), so "which rows has this peer been sent"
-  /// is one watermark: every row revised at or below it has been shipped
-  /// (the attach loop ships ALL rows past the frontier, then advances the
-  /// watermark to the counter). The exceptions are small and transient:
-  /// `unacked` holds rows shipped but not yet ack-confirmed (erased as
-  /// ack echoes arrive), and `forced` holds rows the full-resync escape
-  /// hatch rolled back for re-shipping.
-  struct PeerSync {
-    std::uint64_t sent_watermark = 0;
-    FlatMap<ProcessId, std::uint64_t> unacked;
-    FlatSet<ProcessId> forced;
-    std::uint8_t stale_rounds = 0;
-  };
-
   /// Stamps `row` (a known row or an on-behalf log row) with a fresh
   /// revision. The counter is monotone for the life of this process,
   /// migrations included, so a re-adopted, recreated or re-imported row
@@ -581,22 +523,17 @@ class GgdProcess {
   /// out-revisions every stamp any peer ever saw — no ABA on a frontier.
   void stamp_row(RowTable::RowRef row) { row.set_stamp(++rev_counter_); }
 
-  /// Flushes pending acks onto an outgoing message and, when
-  /// `include_rows` is set, attaches the row delta for msg.to.
-  /// Inquiries pass include_rows=false: the
-  /// engine answers them without running receive() at the target, so
-  /// attached rows would be wasted bytes yet still counted as sent.
-  void attach_sync(GgdMessage& msg, bool include_rows);
+  /// Attaches the known rows stamped past msg.to's sent watermark, then
+  /// advances the watermark to the revision counter. A peer known dead
+  /// gets no rows and keeps no watermark.
+  void attach_sync(GgdMessage& msg);
 
   /// Appends one inquiry to `q` to `out`: the deferred grants held for q
   /// ride along (q adjudicates them before its reply certifies anything),
-  /// plus pending acks but no rows. Counts `why` when observed.
+  /// but no rows (the site answers an inquiry without receive(), so they
+  /// would be bytes sent for nothing). Counts `why` when observed.
   void emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
                     InquiryReason why);
-
-  /// Accumulates acks for the rows `msg` shipped, to ride on the next
-  /// message addressed to msg.from.
-  void record_row_acks(const GgdMessage& msg);
 
   /// After a write that changed log row `r` (kept for `row`): the self
   /// row changed, or any other row is stamped afresh.
@@ -631,7 +568,6 @@ class GgdProcess {
   RowTable known_rows_;
   RowTable known_behalf_;
   FlatSet<ProcessId> dead_;
-  FlatSet<ProcessId> inquired_;
   /// Inquiries currently outstanding: at most one in flight per subject
   /// (cleared when any message from the subject arrives, or by the
   /// periodic sweep). Without this, every reply re-inquires every other
@@ -712,14 +648,17 @@ class GgdProcess {
   /// ---- Delta row-relay state. Each known row's revision is its
   /// RowTable stamp, drawn from this counter whenever the stored copy
   /// actually changes. Only the counter travels in GgdProcessSnapshot:
-  /// frontiers describe what THIS incarnation shipped, and after a
+  /// watermarks describe what THIS incarnation shipped, and after a
   /// hand-off the new site-of-record must not claim rows it never sent,
-  /// so the rest is rebuilt from scratch on import.
+  /// so they restart from nothing on import.
   std::uint64_t rev_counter_ = 0;
-  FlatMap<ProcessId, PeerSync> peer_sync_;
-  /// Acks accumulated per row-sender, flushed onto the next message to
-  /// that sender.
-  FlatMap<ProcessId, FlatMap<ProcessId, std::uint64_t>> ack_pending_;
+  /// Per peer: the sent watermark. Revisions are monotone within this
+  /// process (`stamp_row`), so "which rows has this peer been sent" is one
+  /// number: attach_sync ships every row stamped past it, then advances it
+  /// to the counter. The send is optimistic: a lost row is recovered by
+  /// the walk that needs it, which blocks on or confirms the row's subject
+  /// by inquiry, as it recovers any other lost fact.
+  FlatMap<ProcessId, std::uint64_t> sent_watermark_;
   /// Per replier: the echo this process sends on its inquiries. Erased
   /// when the replier is learned dead or its row is decertified, cleared
   /// on import (the new incarnation re-learns it from a full reply).

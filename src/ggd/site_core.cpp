@@ -193,28 +193,10 @@ void SiteCore::deliver(const GgdMessage& msg) {
     metrics_.deliveries->inc();
   }
   if (msg.inquiry) {
-    // Inquiries are answered without running receive() at the target, so
-    // their piggybacked frontier acks must be applied here or the
-    // inquirer would be treated as permanently lagged.
-    target.apply_row_acks(msg);
-    if (!target.removed()) {
-      // The inquiry's piggybacked behalf row delivers any deferred grants
-      // the inquirer holds for this target: the target adjudicates them
-      // before its reply is built, so the reply never certifies an
-      // in-edge row that a pending regrant is about to change.
-      target.absorb_edge_facts(msg.behalf, msg.from);
-      emit(target.make_reply(msg));
-      if (obs_attached_) {
-        observe_closures(target);
-      }
-    } else {
-      // Posthumous answer: re-issue the corpse's final destruction bundle
-      // towards the inquirer — its death certificate rides in the `dead`
-      // set, and the bundle's deferred on-behalf grants (§3.4) ride in
-      // `v`, healing the case where the original finalisation message to
-      // this inquirer was lost or still in flight when the death became
-      // known through relays.
-      emit(target.make_destruction_message(msg.from));
+    // Inquiries are answered without running receive() at the target.
+    emit(target.answer(msg));
+    if (obs_attached_ && !target.removed()) {
+      observe_closures(target);
     }
     return;
   }
@@ -363,7 +345,6 @@ bool SiteCore::sweep_slice(std::uint64_t budget_units) {
       }
       ++cursor_.scanned;
       proc.reset_inquiry_gates();
-      proc.sync_sweep_round();
       std::vector<GgdMessage> out =
           proc.decide(is_root_, /*allow_inquiry=*/true, host_.now());
       observe_walk(proc, sweep_at);

@@ -19,9 +19,9 @@ SiteWorker::SiteWorker(SiteId site, const Placement& placement,
       node_(site, placement, mode, &stats_),
       assembler_(site),
       rng_(rng_seed),
+      sweep_budget_(sweep_budget),
       coalesce_max_bytes_(coalesce_max_bytes),
-      coalesce_max_ops_(coalesce_max_ops),
-      sweep_budget_(sweep_budget) {
+      coalesce_max_ops_(coalesce_max_ops) {
   node_.set_sender([this](SiteId to, const wire::WireMessage& msg) {
     const std::size_t framed = assembler_.add(to, msg);
     deferred_bytes_ += framed;

@@ -304,7 +304,6 @@ void encode_snapshot(Encoder& enc, const GgdProcessSnapshot& s) {
   enc.u64_map(s.in_edge_confirmed);
   enc.dependency_vector(s.last_v);
   enc.boolean(s.forward_pending);
-  enc.process_set(s.inquired);
   enc.process_set(s.inflight_inquiries);
   enc.u64_map(s.blocked_inquired_version);
   enc.u64_map(s.inquired_version);
@@ -330,7 +329,6 @@ GgdProcessSnapshot decode_snapshot(Decoder& dec) {
   s.in_edge_confirmed = dec.u64_map();
   s.last_v = dec.dependency_vector();
   s.forward_pending = dec.boolean();
-  s.inquired = dec.process_set();
   s.inflight_inquiries = dec.process_set();
   s.blocked_inquired_version = dec.u64_map();
   s.inquired_version = dec.u64_map();

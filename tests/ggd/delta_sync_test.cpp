@@ -1,11 +1,12 @@
-// Delta row-relay: per-peer sync state, piggybacked acks, the sweep's
-// full-resync escape hatch, and migration's frontier reset, fenced by a
-// revision counter the mover keeps. Also the reply's on-behalf frontier:
-// stamped deferred rows and the inquirer's confirmed echo.
+// Delta row-relay: the per-peer sent watermark, its reset on migration
+// (fenced by a revision counter the mover keeps) and on a peer's death,
+// and recovery from lost rows through inquiries. Also the reply's
+// on-behalf frontier: stamped deferred rows and the inquirer's confirmed
+// echo.
 //
 // The protocol contract under test: the delta relay may defer when a row
 // travels, never whether the receiver eventually holds it. The unit tests
-// pin the frontier mechanics; scenario_fuzz_test holds the relay to the
+// pin the watermark mechanics; scenario_fuzz_test holds the relay to the
 // oracle's verdicts on generated workloads, and v_current_test holds every
 // row change to a fresh stamp.
 #include <gtest/gtest.h>
@@ -67,11 +68,11 @@ TEST(DeltaSync, ShipsOnlyRowsPastThePeerFrontier) {
   const std::uint64_t rev = teach_row(p, 1);
   ASSERT_GT(rev, 0u);
 
-  // First contact with P(5): everything ships, frontier advances.
+  // First contact with P(5): everything ships, the watermark advances.
   GgdMessage first = p.make_announce(P(5));
   ASSERT_NE(first.rows.find(P(2)), first.rows.end());
   EXPECT_EQ(first.row_revs.find(P(2))->second, rev);
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
+  EXPECT_EQ(p.peer_sent_rev(P(5)), rev);
 
   // Nothing changed: the next message to the SAME peer ships no rows.
   GgdMessage second = p.make_announce(P(5));
@@ -99,81 +100,6 @@ TEST(DeltaSync, ReAdoptingAnIdenticalRowDoesNotBumpTheRevision) {
   EXPECT_TRUE(p.make_announce(P(5)).rows.empty());
 }
 
-TEST(DeltaSync, AcksConfirmTheFrontierAndSurviveSweeps) {
-  GgdProcess p(P(3), false);
-  const std::uint64_t rev = teach_row(p, 1);
-  (void)p.make_announce(P(5));
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
-  EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u) << "nothing confirmed yet";
-
-  // The peer echoes the stamp: confirmed.
-  GgdMessage ack;
-  ack.from = P(5);
-  ack.to = P(3);
-  ack.reply = true;
-  ack.row_acks.emplace(P(2), rev);
-  (void)p.receive(ack, roots({1}));
-  EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), rev);
-
-  // Confirmed frontiers never roll back: sweeps see sent == acked.
-  p.sync_sweep_round();
-  p.sync_sweep_round();
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
-  EXPECT_TRUE(p.make_announce(P(5)).rows.empty());
-}
-
-TEST(DeltaSync, SustainedLossTriggersFullResync) {
-  GgdProcess p(P(3), false);
-  const std::uint64_t rev = teach_row(p, 1);
-  (void)p.make_announce(P(5));  // ships; the packet is then "lost"
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
-
-  // Two consecutive sweeps with sent > acked: the optimistic frontier
-  // rolls back to the confirmed one, and the rows re-ship.
-  p.sync_sweep_round();
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev) << "one stale round is grace";
-  p.sync_sweep_round();
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), 0u) << "rollback to acked frontier";
-  GgdMessage resync = p.make_announce(P(5));
-  ASSERT_NE(resync.rows.find(P(2)), resync.rows.end())
-      << "the resync message re-ships the unconfirmed row";
-  EXPECT_EQ(resync.row_revs.find(P(2))->second, rev);
-}
-
-TEST(DeltaSync, NoAckIsKeptForACollectedPeer) {
-  GgdProcess p(P(3), /*is_root=*/true);  // sends nothing of its own
-  // 5 relays a row: its ack waits for the next message to 5.
-  DependencyVector v5;
-  v5.set(P(5), Timestamp::creation(1));
-  GgdMessage from5 = vector_msg(P(5), P(3), v5, {});
-  DependencyVector row9;
-  row9.set(P(9), Timestamp::creation(1));
-  from5.rows.emplace(P(9), row9);
-  from5.row_revs.emplace(P(9), 4);
-  (void)p.receive(from5, roots({1}));
-  ASSERT_TRUE(p.make_announce(P(5)).row_acks.contains(P(9)));
-  (void)p.receive(from5, roots({1}));
-
-  // 4 reports 5 collected: the pending ack goes with the rest of 5's state.
-  GgdMessage death = vector_msg(P(4), P(3), {}, {});
-  death.reply = true;
-  death.dead.insert(P(5));
-  (void)p.receive(death, roots({1}));
-  EXPECT_TRUE(p.make_destruction_message(P(5)).row_acks.empty());
-
-  // A late message from the corpse is acked to no one, and acks from a
-  // peer that was never sent a row leave no frontier behind.
-  from5.row_revs[P(9)] = 6;
-  (void)p.receive(from5, roots({1}));
-  EXPECT_TRUE(p.make_destruction_message(P(5)).row_acks.empty());
-  GgdMessage acks = vector_msg(P(7), P(3), {}, {});
-  acks.reply = true;
-  acks.row_acks.emplace(P(9), 2);
-  const std::size_t relay = p.storage_footprint().relay_bytes;
-  (void)p.receive(acks, roots({1}));
-  EXPECT_EQ(p.storage_footprint().relay_bytes, relay);
-}
-
 TEST(DeltaSync, AnImportDrawsStampsAboveEveryStampOfTheExporter) {
   GgdProcess exporter(P(3), false);
   LazyLogKeeping lk;
@@ -184,6 +110,8 @@ TEST(DeltaSync, AnImportDrawsStampsAboveEveryStampOfTheExporter) {
       exporter.known_row(P(2)).stamp(),
       std::as_const(exporter).log().row(P(5)).stamp());
   ASSERT_GT(high, 0u);
+  (void)exporter.make_announce(P(5));
+  ASSERT_GE(exporter.peer_sent_rev(P(5)), high);
 
   // A fresh incarnation of 3 adopts the snapshot.
   GgdProcess mover(P(3), false);
@@ -197,43 +125,40 @@ TEST(DeltaSync, AnImportDrawsStampsAboveEveryStampOfTheExporter) {
   ASSERT_TRUE(reply.behalf_rows.contains(P(5)));
   EXPECT_GT(std::as_const(mover).log().row(P(5)).stamp(), high);
   EXPECT_GT(reply.reply_stamp, high);
+
+  // Back to the exporter (a bounce): each arrival is a new incarnation,
+  // which assumes no peer holds anything, so the first message to P(5)
+  // ships the full row set at the new stamps.
+  exporter.import_state(mover.export_state());
+  const std::uint64_t rev = exporter.known_row(P(2)).stamp();
+  EXPECT_GT(rev, mover.known_row(P(2)).stamp()) << "re-stamped again";
+  EXPECT_EQ(exporter.peer_sent_rev(P(5)), 0u);
+  const GgdMessage m = exporter.make_announce(P(5));
+  ASSERT_TRUE(m.rows.contains(P(2)));
+  EXPECT_EQ(m.row_revs.at(P(2)), rev);
 }
 
-TEST(DeltaSync, AfterAnImportAnAckOfAnOldStampConfirmsNothing) {
-  GgdProcess p(P(3), false);
-  const std::uint64_t old_rev = teach_row(p, 1);
+TEST(DeltaSync, ACollectedPeerKeepsNoWatermarkAndIsShippedNoRows) {
+  GgdProcess p(P(3), /*is_root=*/true);  // roots never decide
+  teach_row(p, 1);
   (void)p.make_announce(P(5));
-  ASSERT_EQ(p.peer_sent_rev(P(5), P(2)), old_rev);
+  ASSERT_GT(p.peer_sent_rev(P(5)), 0u);
 
-  // Hop out and back (the bounce): each arrival is a new incarnation.
-  p.import_state(p.export_state());
-  p.import_state(p.export_state());
-  const std::uint64_t rev = p.known_row(P(2)).stamp();
-  EXPECT_GT(rev, old_rev) << "the row survived, re-stamped";
+  // 4 reports 5 collected: its watermark goes with the rest of its state.
+  GgdMessage death = vector_msg(P(4), P(3), {}, {});
+  death.reply = true;
+  death.dead.insert(P(5));
+  (void)p.receive(death, roots({1}));
+  EXPECT_EQ(p.peer_sent_rev(P(5)), 0u);
 
-  // The frontier regression guard: after the bounce no peer is assumed to
-  // hold anything — the first message to P(5) ships the full row set.
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), 0u);
-  GgdMessage m = p.make_announce(P(5));
-  ASSERT_NE(m.rows.find(P(2)), m.rows.end());
-  EXPECT_EQ(m.row_revs.at(P(2)), rev);
-
-  // An ack echoing the pre-bounce stamp must not confirm anything now,
-  // neither the row in flight nor, after a rollback, the forced re-ship.
-  GgdMessage stale;
-  stale.from = P(5);
-  stale.to = P(3);
-  stale.reply = true;
-  stale.row_acks.emplace(P(2), old_rev);
-  (void)p.receive(stale, roots({1}));
-  EXPECT_EQ(p.peer_acked_rev(P(5), P(2)), 0u);
-  EXPECT_EQ(p.peer_sent_rev(P(5), P(2)), rev);
-  p.sync_sweep_round();
-  p.sync_sweep_round();
-  ASSERT_EQ(p.peer_sent_rev(P(5), P(2)), 0u);
-  (void)p.receive(stale, roots({1}));
-  EXPECT_TRUE(p.make_announce(P(5)).rows.contains(P(2)))
-      << "the rolled-back row still re-ships";
+  // A changed row ships to a live peer, but nothing ships to the corpse
+  // and no watermark comes back for it.
+  const std::uint64_t rev = teach_row(p, 2);
+  EXPECT_TRUE(p.make_destruction_message(P(5)).rows.empty());
+  EXPECT_EQ(p.peer_sent_rev(P(5)), 0u);
+  const GgdMessage live = p.make_announce(P(6));
+  ASSERT_TRUE(live.rows.contains(P(2)));
+  EXPECT_EQ(live.row_revs.at(P(2)), rev);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,13 +174,6 @@ bool covers(const RowTable::RowView& known, const DependencyVector& row) {
     }
   }
   return true;
-}
-
-/// Answers `inq` the way the site does (SiteCore::deliver).
-GgdMessage answer(GgdProcess& target, const GgdMessage& inq) {
-  target.apply_row_acks(inq);
-  target.absorb_edge_facts(inq.behalf, inq.from);
-  return target.make_reply(inq);
 }
 
 /// Replier 2 holds deferred rows for third parties; inquirer 3 is held
@@ -279,7 +197,7 @@ struct BehalfFixture {
     from5.self_row.set(P(2), Timestamp::creation(1));  // edge 2 -> 5
     (void)inquirer.receive(from5, is_root, now);
     // 2's row (no in-edges), from a reply built before any deferral.
-    (void)inquirer.receive(answer(replier, bare_inquiry()), is_root, now);
+    (void)inquirer.receive(replier.answer(bare_inquiry()), is_root, now);
     EXPECT_FALSE(inquirer.removed());
   }
 
@@ -319,13 +237,13 @@ TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   ASSERT_LT(settled, log.row(P(5)).stamp());
   const GgdMessage first = f.inquire();
   EXPECT_EQ(first.echo, settled);
-  const GgdMessage lost = answer(f.replier, first);
+  const GgdMessage lost = f.replier.answer(first);
   ASSERT_TRUE(lost.behalf_rows.contains(P(5)));
   EXPECT_GE(lost.reply_stamp, log.row(P(5)).stamp());
   // `lost` never arrives: the echo must not have moved on sending.
   const GgdMessage second = f.inquire();
   EXPECT_EQ(second.echo, settled);
-  const GgdMessage reply = answer(f.replier, second);
+  const GgdMessage reply = f.replier.answer(second);
   ASSERT_TRUE(reply.behalf_rows.contains(P(5)))
       << "a reply lost on the way must not cost the inquirer the grant";
   f.deliver(reply);
@@ -338,9 +256,9 @@ TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   // Merged: the next reply ships nothing until 2 writes the row again.
   const GgdMessage third = f.inquire();
   EXPECT_EQ(third.echo, reply.reply_stamp);
-  EXPECT_TRUE(answer(f.replier, third).behalf_rows.empty());
+  EXPECT_TRUE(f.replier.answer(third).behalf_rows.empty());
   f.lk.on_send_third_party_ref(f.replier, P(5), P(7));
-  const GgdMessage fourth = answer(f.replier, f.inquire());
+  const GgdMessage fourth = f.replier.answer(f.inquire());
   ASSERT_TRUE(fourth.behalf_rows.contains(P(5)));
   EXPECT_GT(fourth.reply_stamp, reply.reply_stamp);
 }
@@ -349,19 +267,19 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
   f.lk.on_send_third_party_ref(f.replier, P(8), P(9));
-  const GgdMessage before = answer(f.replier, f.inquire());
+  const GgdMessage before = f.replier.answer(f.inquire());
   ASSERT_EQ(before.behalf_rows.size(), 2u);
   f.deliver(before);
   ASSERT_NE(f.inquirer.echo(P(2)), 0u);
   const GgdMessage settled = f.inquire();
-  EXPECT_TRUE(answer(f.replier, settled).behalf_rows.empty());
+  EXPECT_TRUE(f.replier.answer(settled).behalf_rows.empty());
 
   // 2 moves: the new incarnation re-stamps its rows above every stamp it
   // drew before, so the echo of an old stamp asks for every row.
   const std::uint64_t old_echo = f.inquirer.echo(P(2));
   ASSERT_EQ(settled.echo, old_echo);
   f.replier.import_state(f.replier.export_state());
-  const GgdMessage after = answer(f.replier, settled);
+  const GgdMessage after = f.replier.answer(settled);
   EXPECT_EQ(after.behalf_rows.size(), 2u);
   EXPECT_GT(after.reply_stamp, old_echo);
   for (const auto& [q, row] : std::as_const(f.replier).log().rows()) {
@@ -374,10 +292,10 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
   // The echo now names the new stamps, so 2 ships nothing more.
   const GgdMessage next = f.inquire();
   EXPECT_EQ(next.echo, after.reply_stamp);
-  EXPECT_TRUE(answer(f.replier, next).behalf_rows.empty());
+  EXPECT_TRUE(f.replier.answer(next).behalf_rows.empty());
   // A row the new incarnation writes is stamped past that echo.
   f.lk.on_send_third_party_ref(f.replier, P(5), P(10));
-  const GgdMessage rewritten = answer(f.replier, next);
+  const GgdMessage rewritten = f.replier.answer(next);
   ASSERT_EQ(rewritten.behalf_rows.size(), 1u);
   EXPECT_EQ(rewritten.behalf_rows.at(P(5)).get(P(10)),
             Timestamp::creation(1));
@@ -389,10 +307,10 @@ TEST(BehalfFrontier, AMigratedReplierShipsEveryRow) {
 TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
-  const GgdMessage early = answer(f.replier, f.inquire());
+  const GgdMessage early = f.replier.answer(f.inquire());
   f.lk.on_send_third_party_ref(f.replier, P(8), P(9));   // row 8, newer
   f.lk.on_send_third_party_ref(f.replier, P(5), P(7));   // row 5 rewritten
-  const GgdMessage late = answer(f.replier, f.inquire());
+  const GgdMessage late = f.replier.answer(f.inquire());
   ASSERT_EQ(late.behalf_rows.size(), 2u);
   ASSERT_LT(early.reply_stamp, late.reply_stamp);
 
@@ -401,7 +319,7 @@ TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
   f.deliver(early);
   f.deliver(early);
   EXPECT_EQ(f.inquirer.echo(P(2)), early.reply_stamp);
-  const GgdMessage next = answer(f.replier, f.inquire());
+  const GgdMessage next = f.replier.answer(f.inquire());
   EXPECT_EQ(next.behalf_rows, late.behalf_rows);
 
   // The late reply, then the early one again (reordered): the echo keeps
@@ -415,19 +333,19 @@ TEST(BehalfFrontier, DuplicatedOrReorderedRepliesNeverSkipAnUnmergedRow) {
                        std::as_const(f.replier).log().row(q)))
         << q.str();
   }
-  EXPECT_TRUE(answer(f.replier, f.inquire()).behalf_rows.empty());
+  EXPECT_TRUE(f.replier.answer(f.inquire()).behalf_rows.empty());
 }
 
 TEST(BehalfFrontier, AWriteThroughLogReshipsEveryRow) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
   f.lk.on_send_third_party_ref(f.replier, P(8), P(9));
-  f.deliver(answer(f.replier, f.inquire()));
+  f.deliver(f.replier.answer(f.inquire()));
   const GgdMessage settled = f.inquire();
-  ASSERT_TRUE(answer(f.replier, settled).behalf_rows.empty());
+  ASSERT_TRUE(f.replier.answer(settled).behalf_rows.empty());
   // log() cannot tell which row its caller writes, so every row ships.
   f.replier.log().row(P(8)).increment(P(4));
-  const GgdMessage reply = answer(f.replier, settled);
+  const GgdMessage reply = f.replier.answer(settled);
   EXPECT_EQ(reply.behalf_rows.size(), 2u);
   EXPECT_EQ(reply.behalf_rows.at(P(8)).get(P(4)), Timestamp::creation(1));
 }
@@ -437,13 +355,13 @@ TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
   GgdProcess lone(P(3), /*is_root=*/true);
   const std::size_t before = lone.storage_footprint().relay_bytes;
-  (void)lone.receive(answer(f.replier, f.bare_inquiry()), f.is_root);
+  (void)lone.receive(f.replier.answer(f.bare_inquiry()), f.is_root);
   ASSERT_NE(lone.echo(P(2)), 0u);
   EXPECT_GT(lone.storage_footprint().relay_bytes, before)
       << "echo records are relay state";
 
   // Learning that the replier died drops its record.
-  f.deliver(answer(f.replier, f.inquire()));
+  f.deliver(f.replier.answer(f.inquire()));
   ASSERT_NE(f.inquirer.echo(P(2)), 0u);
   GgdMessage death;
   death.from = P(5);
@@ -459,7 +377,7 @@ TEST(BehalfFrontier, EchoRecordsAreCountedAndDropped) {
   f.lk.on_send_third_party_ref(other, P(5), P(6));
   GgdMessage inq = f.bare_inquiry();
   inq.to = P(4);
-  f.deliver(answer(other, inq));
+  f.deliver(other.answer(inq));
   ASSERT_NE(f.inquirer.echo(P(4)), 0u);
   if (!f.inquirer.removed()) {
     (void)f.inquirer.remove_self();
@@ -550,7 +468,7 @@ void expect_holds(const GgdProcess& p, const GgdMessage& reply) {
 
 TEST(ReplyFrontier, ARepeatedInquiryToAnUnchangedReplierGetsACurrentReply) {
   ReplyFixture f;
-  const GgdMessage first = answer(f.replier, f.inquiry());
+  const GgdMessage first = f.replier.answer(f.inquiry());
   ASSERT_FALSE(first.current);
   ASSERT_FALSE(first.v.get(P(5)).is_delta()) << "4's history is in V";
   ASSERT_GT(first.reply_stamp, 0u);
@@ -558,7 +476,7 @@ TEST(ReplyFrontier, ARepeatedInquiryToAnUnchangedReplierGetsACurrentReply) {
   EXPECT_EQ(f.inquirer.echo(P(2)), first.reply_stamp);
 
   const GgdMessage full = f.full_reply();
-  const GgdMessage again = answer(f.replier, f.inquiry());
+  const GgdMessage again = f.replier.answer(f.inquiry());
   EXPECT_TRUE(again.current);
   EXPECT_TRUE(again.v.empty() && again.self_row.empty());
   EXPECT_EQ(again.reply_stamp, 0u) << "nothing shipped, nothing to stamp";
@@ -575,33 +493,33 @@ TEST(ReplyFrontier, ARepeatedInquiryToAnUnchangedReplierGetsACurrentReply) {
 
 TEST(ReplyFrontier, AfterALostReplyTheChangedContentShipsAgain) {
   ReplyFixture f;
-  const GgdMessage first = answer(f.replier, f.inquiry());
+  const GgdMessage first = f.replier.answer(f.inquiry());
   f.deliver(f.inquirer, first);
   // 2 gains an in-edge from 6: its self row and V change.
   DependencyVector v6;
   v6.set(P(6), Timestamp::creation(1));
   (void)f.replier.receive(vector_msg(P(6), P(2), v6, {}), f.is_root, ++f.now);
-  const GgdMessage lost = answer(f.replier, f.inquiry());
+  const GgdMessage lost = f.replier.answer(f.inquiry());
   ASSERT_FALSE(lost.current);
   ASSERT_GT(lost.reply_stamp, first.reply_stamp);
   EXPECT_FALSE(lost.self_row.get(P(6)).is_delta());
   // `lost` never arrives: the echo stays, so the next reply ships again.
   ASSERT_EQ(f.inquiry().echo, first.reply_stamp);
-  const GgdMessage reply = answer(f.replier, f.inquiry());
+  const GgdMessage reply = f.replier.answer(f.inquiry());
   ASSERT_FALSE(reply.current);
   EXPECT_EQ(reply.v, lost.v);
   EXPECT_EQ(reply.self_row, lost.self_row);
   f.deliver(f.inquirer, reply);
   expect_holds(f.inquirer, reply);
-  EXPECT_TRUE(answer(f.replier, f.inquiry()).current);
+  EXPECT_TRUE(f.replier.answer(f.inquiry()).current);
 }
 
 TEST(ReplyFrontier, AReorderedOldReplyNeitherLiftsTheEchoNorRegressesRows) {
   ReplyFixture f;
-  const GgdMessage old_reply = answer(f.replier, f.inquiry());
+  const GgdMessage old_reply = f.replier.answer(f.inquiry());
   f.replier.new_local_event();  // a newer self row
   f.settle_replier();
-  const GgdMessage new_reply = answer(f.replier, f.inquiry());
+  const GgdMessage new_reply = f.replier.answer(f.inquiry());
   ASSERT_LT(old_reply.reply_stamp, new_reply.reply_stamp);
   ASSERT_GT(new_reply.self_row.get(P(2)).index(),
             old_reply.self_row.get(P(2)).index());
@@ -611,23 +529,23 @@ TEST(ReplyFrontier, AReorderedOldReplyNeitherLiftsTheEchoNorRegressesRows) {
   EXPECT_EQ(f.inquirer.echo(P(2)), new_reply.reply_stamp);
   EXPECT_EQ(DependencyVector(f.inquirer.known_row(P(2))), new_reply.self_row);
   EXPECT_EQ(f.inquirer.export_state().history, after_new.history);
-  EXPECT_TRUE(answer(f.replier, f.inquiry()).current);
+  EXPECT_TRUE(f.replier.answer(f.inquiry()).current);
 }
 
 TEST(ReplyFrontier, AMigratedReplierShipsFullContent) {
   ReplyFixture f;
-  f.deliver(f.inquirer, answer(f.replier, f.inquiry()));
-  ASSERT_TRUE(answer(f.replier, f.inquiry()).current);
+  f.deliver(f.inquirer, f.replier.answer(f.inquiry()));
+  ASSERT_TRUE(f.replier.answer(f.inquiry()).current);
   // The new incarnation cannot know what the old one shipped: it stamps
   // its content above every stamp it drew before.
   const std::uint64_t old_echo = f.inquirer.echo(P(2));
   f.replier.import_state(f.replier.export_state());
-  const GgdMessage after = answer(f.replier, f.inquiry());
+  const GgdMessage after = f.replier.answer(f.inquiry());
   ASSERT_FALSE(after.current);
   EXPECT_GT(after.reply_stamp, old_echo);
   EXPECT_EQ(after.v, f.replier.compute_v());
   f.deliver(f.inquirer, after);
-  EXPECT_TRUE(answer(f.replier, f.inquiry()).current);
+  EXPECT_TRUE(f.replier.answer(f.inquiry()).current);
 }
 
 TEST(ReplyFrontier, AReplyThatShipsAFreshClosureStampsIt) {
@@ -635,14 +553,14 @@ TEST(ReplyFrontier, AReplyThatShipsAFreshClosureStampsIt) {
   // 2 drops 4's history: its V shrinks, but receive() has not closed it
   // again, so the V a reply ships is not the one 2 last closed.
   f.replier.decertify_row(P(4));
-  const GgdMessage shrunk = answer(f.replier, f.inquiry());
+  const GgdMessage shrunk = f.replier.answer(f.inquiry());
   ASSERT_FALSE(shrunk.current);
   ASSERT_TRUE(shrunk.v.get(P(5)).is_delta());
   f.deliver(f.inquirer, shrunk);
   // 4's history comes back, and with it the V 2 closed before: that V was
   // never shipped here, so the next reply must ship it.
   (void)f.replier.receive(ReplyFixture::from4(), f.is_root, ++f.now);
-  const GgdMessage grown = answer(f.replier, f.inquiry());
+  const GgdMessage grown = f.replier.answer(f.inquiry());
   ASSERT_FALSE(grown.current) << "3 holds the shrunk V only";
   EXPECT_FALSE(grown.v.get(P(5)).is_delta());
   f.deliver(f.inquirer, grown);
@@ -651,12 +569,12 @@ TEST(ReplyFrontier, AReplyThatShipsAFreshClosureStampsIt) {
 
 TEST(ReplyFrontier, ADecertifiedRowIsShippedAgain) {
   ReplyFixture f;
-  f.deliver(f.inquirer, answer(f.replier, f.inquiry()));
-  ASSERT_TRUE(answer(f.replier, f.inquiry()).current);
+  f.deliver(f.inquirer, f.replier.answer(f.inquiry()));
+  ASSERT_TRUE(f.replier.answer(f.inquiry()).current);
   // 3 drops what it knew of 2; its next inquiry asks for everything.
   f.inquirer.decertify_row(P(2));
   EXPECT_EQ(f.inquirer.echo(P(2)), 0u);
-  const GgdMessage reply = answer(f.replier, f.inquiry());
+  const GgdMessage reply = f.replier.answer(f.inquiry());
   ASSERT_FALSE(reply.current);
   f.deliver(f.inquirer, reply);
   expect_holds(f.inquirer, reply);
@@ -682,16 +600,6 @@ TEST(DeltaSync, DuplicateDeltaBatchesAreIdempotent) {
   (void)p.receive(m, roots({1}));
   EXPECT_EQ(p.known_row(P(9)).stamp(), rev_first)
       << "re-adopting identical content must not re-stamp";
-
-  // The ack echoes the SENDER's stamp exactly once per flush, at the max.
-  GgdMessage inquiry;
-  inquiry.from = P(2);
-  inquiry.to = p.id();
-  inquiry.inquiry = true;
-  GgdMessage reply = p.make_reply(inquiry);
-  auto it = reply.row_acks.find(P(9));
-  ASSERT_NE(it, reply.row_acks.end());
-  EXPECT_EQ(it->second, 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -734,7 +642,7 @@ TEST(DeltaSync, CollectsAcrossAMigrationBounce) {
       << "the bounced member's reset frontiers must not stall the cycle";
 }
 
-TEST(DeltaSync, CollectsAfterTotalLossViaSweepResync) {
+TEST(DeltaSync, CollectsAfterTotalLossViaInquiries) {
   Simulator sim;
   Network net(sim, quiet_net(23));
   GgdEngine eng(net);
@@ -745,14 +653,16 @@ TEST(DeltaSync, CollectsAfterTotalLossViaSweepResync) {
   ASSERT_TRUE(sim.run());
 
   // Every control packet vanishes while the garbage is manufactured: the
-  // optimistic sent frontiers advance with nothing delivered.
+  // optimistic sent watermarks advance with nothing delivered, so no relay
+  // ships the lost rows again.
   net.set_drop_rate(1.0);
   eng.drop_ref(P(1), P(2));
   ASSERT_TRUE(sim.run());
   EXPECT_TRUE(eng.removed().empty()) << "nothing can conclude under loss";
 
-  // Heal. The sweeps roll unconfirmed frontiers back and re-emit owed
-  // destruction knowledge; the cycle must still be collected.
+  // Heal. The sweeps' inquiries fetch every row a walk lacks or must
+  // confirm, and the sites re-emit owed destruction knowledge; the cycle
+  // must still be collected.
   net.set_drop_rate(0.0);
   for (int r = 0; r < 10 && eng.removed().size() < 2; ++r) {
     eng.periodic_sweep();

@@ -389,20 +389,14 @@ TEST(GgdProcess, TombstoneRetirementShedsWalkStateKeepsPosthumousWire) {
   EXPECT_EQ(it->second.get(P(1)), Timestamp::creation(1));
 }
 
-/// The site's inquiry handler (SiteCore::deliver): apply the acks, let
-/// the target adjudicate the carried grants, then reply — or, for a
-/// collected target, re-issue its final bundle posthumously.
+/// `target`'s answer to a bare inquiry from `inquirer`, as the site
+/// answers it (a reply, or a collected target's final bundle again).
 GgdMessage answer_inquiry(GgdProcess& target, ProcessId inquirer) {
   GgdMessage inq;
   inq.from = inquirer;
   inq.to = target.id();
   inq.inquiry = true;
-  target.apply_row_acks(inq);
-  if (target.removed()) {
-    return target.make_destruction_message(inquirer);
-  }
-  target.absorb_edge_facts(inq.behalf, inq.from);
-  return target.make_reply(inq);
+  return target.answer(inq);
 }
 
 TEST(GgdProcess, AnsweringAnInquiryInternsNoLogRow) {

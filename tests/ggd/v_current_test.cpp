@@ -125,9 +125,14 @@ TEST(VCurrent, AbsorbedRegrantInvalidates) {
   (void)p.receive(vector_from(3, 1, dv({{3, E(3)}})), all_roots);
   expect_reused(p);
   ASSERT_TRUE(p.compute_v().get(P(4)).is_delta()) << "marker masks P(3)";
-  // A deferred grant below the marker resurrects slot 3, which makes
-  // P(3)'s history count again.
-  p.absorb_edge_facts(dv({{3, C(1)}}), P(9));
+  // An inquiry carries a deferred grant below the marker: answering it
+  // resurrects slot 3, which makes P(3)'s history count again.
+  GgdMessage inquiry;
+  inquiry.from = P(9);
+  inquiry.to = p.id();
+  inquiry.inquiry = true;
+  inquiry.behalf = dv({{3, C(1)}});
+  (void)p.answer(inquiry);
   expect_recomputed(p);
   EXPECT_FALSE(p.compute_v().get(P(4)).is_delta());
 }

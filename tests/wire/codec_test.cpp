@@ -116,7 +116,6 @@ GgdProcessSnapshot random_snapshot(Rng& rng) {
   s.in_edge_confirmed = random_u64_map(rng);
   s.last_v = random_dv(rng);
   s.forward_pending = rng.chance(0.5);
-  s.inquired = random_set(rng);
   s.inflight_inquiries = random_set(rng);
   s.blocked_inquired_version = random_u64_map(rng);
   s.inquired_version = random_u64_map(rng);
