@@ -262,7 +262,7 @@ class GgdProcess {
   /// Builds the finalisation messages this process sends when it removes
   /// itself (or when the mutator side destroys one specific edge — see
   /// lazy_logkeeping). Exposed for the destructor cascade and for tests.
-  /// Non-const: attaching rows advances the destination's sent frontier.
+  /// Non-const: attaching rows advances the destination's sent watermark.
   /// `condemned` rides along when it names `to` (see GgdMessage).
   [[nodiscard]] GgdMessage make_destruction_message(
       ProcessId to, const FlatSet<ProcessId>& condemned = {});

@@ -193,7 +193,6 @@ void SiteCore::deliver(const GgdMessage& msg) {
     metrics_.deliveries->inc();
   }
   if (msg.inquiry) {
-    // Inquiries are answered without running receive() at the target.
     emit(target.answer(msg));
     if (obs_attached_ && !target.removed()) {
       observe_closures(target);
