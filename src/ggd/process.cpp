@@ -321,14 +321,9 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       v_current_ = false;
     }
     if (msg.holds_receiver) {
-      // The responder vouches that it currently holds us: its in-edge
-      // claim is delivery-confirmed up to the slot's present index.
-      const Timestamp cur = log_.self_row().get(m);
-      if (!cur.is_delta() && !cur.destroyed()) {
-        in_edge_confirmed_[m] = std::max(in_edge_confirmed_[m], cur.index());
-      }
-    }
-    if (!msg.holds_receiver) {
+      // The responder vouches that it currently holds us.
+      confirm_in_edge(m);
+    } else {
       const Timestamp cur = log_.self_row().get(m);
       if (!cur.is_delta()) {
         // Fresh refutation: the responder does not hold an edge to us, so
@@ -407,10 +402,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // m -> us (vector forwards go to acquaintances): m holds us right
     // now, so whatever the slot's current state is, its delivery is
     // confirmed. A destruction (vm destroyed) confirms nothing.
-    const Timestamp cur = log_.self_row().get(m);
-    if (!cur.is_delta() && !cur.destroyed()) {
-      in_edge_confirmed_[m] = std::max(in_edge_confirmed_[m], cur.index());
-    }
+    confirm_in_edge(m);
   }
 
   if (!v_current_) {
@@ -787,6 +779,13 @@ void GgdProcess::set_self_entry(ProcessId q, Timestamp ts) {
   if (!(self.get(q) == ts)) {
     self.set(q, ts);
     self_row_changed();
+  }
+}
+
+void GgdProcess::confirm_in_edge(ProcessId m) {
+  const Timestamp cur = log_.self_row().get(m);
+  if (!cur.is_delta() && !cur.destroyed()) {
+    in_edge_confirmed_[m] = std::max(in_edge_confirmed_[m], cur.index());
   }
 }
 

@@ -502,6 +502,11 @@ class GgdProcess {
   /// in slot `q` and, if the entry changed, notes the self row changed.
   void set_self_entry(ProcessId q, Timestamp ts);
 
+  /// `m` holds us right now: its in-edge claim is delivery-confirmed up
+  /// to the slot's present index (unless the slot is a delta or a
+  /// destruction marker).
+  void confirm_in_edge(ProcessId m);
+
   /// After a change to the self row: it is a closure input, so the cached
   /// V is stale, and it is reply content, so the next reply draws a fresh
   /// content stamp.
