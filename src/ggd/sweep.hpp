@@ -26,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -133,6 +134,24 @@ class GenerationTable {
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint64_t> last_scan_round_;
 };
+
+/// Rounds without progress after which a healed sweep loop concludes it
+/// is at fixpoint. Two, because a round's replies can seed the walk that
+/// only concludes in the next; under a finite budget the window also
+/// outlasts the longest generation period, so a cold row's deferred
+/// removal still counts as progress.
+inline constexpr std::size_t idle_round_limit(std::uint64_t budget) {
+  return budget == kUnbounded
+             ? 2
+             : 2 + static_cast<std::size_t>(GenerationTable::kMaxPeriod);
+}
+
+/// Round cap of a seeded run's healed sweep loop (scenario/runner.hpp):
+/// 16 rounds, or 64 under a finite budget, whose idle window alone takes
+/// `idle_round_limit` rounds.
+inline constexpr std::size_t fixpoint_round_cap(std::uint64_t budget) {
+  return budget == kUnbounded ? 16 : 64;
+}
 
 /// Where a process stands in the sweep queue — what `cgc-explain` reports
 /// for an `awaiting_sweep` verdict instead of "wait for the next tick".

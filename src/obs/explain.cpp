@@ -3,7 +3,6 @@
 #include <array>
 #include <variant>
 
-#include "common/rng.hpp"
 #include "wire/batching.hpp"
 #include "wire/messages.hpp"
 
@@ -306,33 +305,12 @@ std::unique_ptr<SeedReplay> replay_trace(const ScenarioSpec& spec,
   auto replay = std::make_unique<SeedReplay>();
   replay->spec = spec;
   replay->ops = ops;
-  replay->scenario = std::make_unique<Scenario>(
-      Scenario::Config{.net = spec.net_config(),
-                       .mode = LogKeepingMode::kRobust,
-                       .num_sites = spec.num_sites});
+  replay->scenario =
+      std::make_unique<Scenario>(ggd_config(spec, LogKeepingMode::kRobust));
   Scenario& s = *replay->scenario;
   s.net().set_trace(&replay->trace);
   s.engine().attach_obs(&replay->registry, &replay->journal);
-  // Pacing mirrors the conformance runner's GGD path op-for-op (same
-  // burst RNG stream) — observability being passive, the wire behaviour
-  // is byte-identical to the unobserved run.
-  Rng burst_rng(spec.seed * 0x2545f4914f6cdd1dULL + 1);
-  for (const MutatorOp& op : ops) {
-    if (s.apply(op)) {
-      ++replay->applied_ops;
-    } else {
-      ++replay->skipped_ops;
-    }
-    if (spec.paced) {
-      s.run();
-    } else {
-      s.sim().run(burst_rng.below(48));
-    }
-  }
-  s.run();
-  s.net().set_drop_rate(0.0);
-  s.net().set_duplicate_rate(0.0);
-  s.run_with_sweeps(16);
+  replay->verdict = drive_ggd(s, spec, ops);
   charge_ctrl_bytes(replay->trace, replay->registry);
   return replay;
 }

@@ -33,6 +33,7 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/reachability_oracle.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "wire/trace.hpp"
 #include "workload/scenario.hpp"
@@ -70,9 +71,9 @@ struct Explanation {
     const Journal& journal, const GgdEngine& engine, ProcessId x, SimTime at,
     const ReachabilityOracle* truth = nullptr);
 
-/// A scenario re-run with full observability attached: the same pacing,
-/// seeds and fault schedule as the conformance runner's GGD path (byte-
-/// identical wire behaviour — observability is passive), plus a journal,
+/// A scenario re-run with full observability attached: the conformance
+/// runner's GGD leg itself (`drive_ggd`, so the same pacing, seeds, fault
+/// schedule and verdict — observability is passive), plus a journal,
 /// metrics registry and recorded WireTrace to interrogate afterwards.
 struct SeedReplay {
   ScenarioSpec spec;
@@ -81,20 +82,20 @@ struct SeedReplay {
   Registry registry;
   wire::WireTrace trace;
   std::unique_ptr<Scenario> scenario;
-  std::size_t applied_ops = 0;
-  std::size_t skipped_ops = 0;
+  /// The run's verdict: removed set, skipped ops, wire accounting and the
+  /// SAFETY / COMPLETENESS lines cgc-fuzz reports for this run.
+  EngineRun verdict;
 
   SeedReplay() = default;
   SeedReplay(const SeedReplay&) = delete;             // engine holds pointers
   SeedReplay& operator=(const SeedReplay&) = delete;  // into journal/registry
 };
 
-/// Replays `ops` under `spec` exactly as the conformance runner's GGD path
-/// does (burst pacing, heal, sweep rounds), observed. Returned by pointer:
-/// the engine keeps pointers into the replay's journal/registry. The
-/// registry also gets the run's per-field control byte ledger,
-/// `ggd.ctrl_bytes.<field>` (one counter per wire::GgdField), read from
-/// the trace.
+/// Runs `ops` under `spec` through `drive_ggd` on a robust-mode Scenario,
+/// observed. Returned by pointer: the engine keeps pointers into the
+/// replay's journal/registry. The registry also gets the run's per-field
+/// control byte ledger, `ggd.ctrl_bytes.<field>` (one counter per
+/// wire::GgdField), read from the trace.
 [[nodiscard]] std::unique_ptr<SeedReplay> replay_trace(
     const ScenarioSpec& spec, const std::vector<MutatorOp>& ops);
 

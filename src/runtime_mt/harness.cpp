@@ -99,18 +99,11 @@ ThreadedRun run_threaded(const ScenarioSpec& spec,
   if (wait_quiescent()) {
     transport.set_fault_rates(0.0, 0.0, 0.0);
     // Phase 3: healed sweep rounds to a removal fixpoint. Progress mirrors
-    // run_with_sweeps: something got removed, or owed destructions were
-    // re-emitted; two idle rounds allow a round's replies to seed a walk
-    // that only concludes in the next.
+    // Scenario::run_with_sweeps: something got removed, or owed
+    // destructions were re-emitted.
     std::size_t idle = 0;
     std::uint64_t removed_before = total_removed(workers);
-    // Under a finite budget the generational filter may defer a cold
-    // row's removal by up to a full period, so the idle window must
-    // outlast it or the fixpoint loop stops before completeness.
-    const std::size_t idle_limit =
-        cfg.sweep_budget == sweep::kUnbounded
-            ? 2
-            : 2 + static_cast<std::size_t>(sweep::GenerationTable::kMaxPeriod);
+    const std::size_t idle_limit = sweep::idle_round_limit(cfg.sweep_budget);
     for (std::size_t r = 0; r < cfg.sweep_rounds && idle < idle_limit; ++r) {
       const bool had_pending = any_pending_destructions(workers);
       for (std::uint64_t s = 0; s < cfg.num_threads; ++s) {
@@ -353,16 +346,6 @@ ReplayVerdict replay_threaded(const std::vector<MutatorOp>& ops,
   }
   verdict.true_garbage = ctx.oracle.true_garbage().size();
   return verdict;
-}
-
-wire::WireTrace run_single_threaded(
-    const Scenario::Config& cfg,
-    const std::function<void(Scenario&)>& workload) {
-  Scenario s(cfg);
-  wire::WireTrace trace;
-  s.net().set_trace(&trace);
-  workload(s);
-  return trace;
 }
 
 }  // namespace cgc::runtime_mt

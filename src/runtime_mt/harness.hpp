@@ -26,15 +26,9 @@
 //
 // Threaded runs are always robust-mode: the scheduler reorders freely,
 // and paper-exact log-keeping's conformance contract excludes reordering.
-//
-// `run_single_threaded` is the passivity anchor: one thread means no
-// scheduler nondeterminism to record, so it routes the workload through
-// the pre-existing simulator stack unchanged — the golden-trace hashes
-// must still match byte-for-byte with the threaded runtime in the tree.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -44,7 +38,6 @@
 #include "scenario/spec.hpp"
 #include "wire/concurrent_trace.hpp"
 #include "workload/ops.hpp"
-#include "workload/scenario.hpp"
 
 namespace cgc::runtime_mt {
 
@@ -117,13 +110,5 @@ struct ReplayVerdict {
 /// Deterministic re-execution of a recorded run (see file comment).
 [[nodiscard]] ReplayVerdict replay_threaded(const std::vector<MutatorOp>& ops,
                                             const ThreadedRun& run);
-
-/// Single-threaded passivity mode: runs `workload` on the pre-existing
-/// simulator stack with a wire trace attached and returns the trace. The
-/// golden-trace hashes pin that this path is byte-identical with and
-/// without the threaded runtime in the tree.
-[[nodiscard]] wire::WireTrace run_single_threaded(
-    const Scenario::Config& cfg,
-    const std::function<void(Scenario&)>& workload);
 
 }  // namespace cgc::runtime_mt

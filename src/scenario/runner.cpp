@@ -2,13 +2,10 @@
 
 #include <sstream>
 
-#include "common/rng.hpp"
-
 #include "baselines/schelvis/schelvis.hpp"
 #include "baselines/tracing/tracing.hpp"
 #include "baselines/wrc/wrc.hpp"
 #include "oracle/reachability_oracle.hpp"
-#include "workload/scenario.hpp"
 
 namespace cgc {
 
@@ -58,23 +55,19 @@ void record_latencies(EngineRun& run, const ReachabilityOracle& oracle,
   }
 }
 
-/// Our GGD through the real Scenario stack: mutation under the spec's
-/// fault profile, then heal + periodic sweeps (the paper's fairness
-/// assumption: faults are transient, delivery is eventually fair).
-EngineRun run_ggd(const ScenarioSpec& spec, const std::vector<MutatorOp>& ops,
-                  LogKeepingMode mode) {
+}  // namespace
+
+Scenario::Config ggd_config(const ScenarioSpec& spec, LogKeepingMode mode) {
+  return Scenario::Config{
+      .net = spec.net_config(), .mode = mode, .num_sites = spec.num_sites};
+}
+
+EngineRun drive_ggd(Scenario& s, const ScenarioSpec& spec,
+                    const std::vector<MutatorOp>& ops, std::uint64_t budget) {
   EngineRun run;
-  run.name = mode == LogKeepingMode::kRobust ? "ggd_robust" : "ggd_paper";
+  run.name = s.mode() == LogKeepingMode::kRobust ? "ggd_robust" : "ggd_paper";
   run.ran = true;
-  Scenario s(Scenario::Config{.net = spec.net_config(),
-                              .mode = mode,
-                              .num_sites = spec.num_sites});
-  // Observability ride-along: passive by contract (the golden-trace test
-  // pins that down), so attaching in the conformance path is free of
-  // divergence risk and gives every report latency/pause percentiles.
-  obs::Registry reg;
-  s.engine().attach_obs(&reg, nullptr);
-  Rng burst_rng(spec.seed * 0x2545f4914f6cdd1dULL + 1);
+  BurstPacer burst(spec);
   for (const MutatorOp& op : ops) {
     if (!s.apply(op)) {
       ++run.skipped_ops;
@@ -85,10 +78,7 @@ EngineRun run_ggd(const ScenarioSpec& spec, const std::vector<MutatorOp>& ops,
         return run;
       }
     } else {
-      // Burst pacing: interleave mutation with bounded partial delivery —
-      // same-tick sends coalesce into shared packets and GGD cascades run
-      // concurrently with the mutator, without ever quiescing.
-      s.sim().run(burst_rng.below(48));
+      s.sim().run(burst.next());
     }
   }
   if (!s.run()) {
@@ -99,7 +89,7 @@ EngineRun run_ggd(const ScenarioSpec& spec, const std::vector<MutatorOp>& ops,
   // delivery, and the periodic sweep is what bounds detection latency.
   s.net().set_drop_rate(0.0);
   s.net().set_duplicate_rate(0.0);
-  if (!s.run_with_sweeps(16)) {
+  if (!s.run_with_sweeps(sweep::fixpoint_round_cap(budget), budget)) {
     run.failures.push_back("simulator did not quiesce during sweeps");
     return run;
   }
@@ -108,7 +98,6 @@ EngineRun run_ggd(const ScenarioSpec& spec, const std::vector<MutatorOp>& ops,
   for (SimTime l : s.reclaim_latencies()) {
     run.latency.record(l);
   }
-  run.sweep_pause = reg.histogram("ggd.sweep_pause_us");
   if (!s.safety_holds()) {
     for (const std::string& v : s.violations()) {
       run.failures.push_back("SAFETY: " + v);
@@ -124,6 +113,21 @@ EngineRun run_ggd(const ScenarioSpec& spec, const std::vector<MutatorOp>& ops,
   }
   return run;
 }
+
+EngineRun run_ggd(const ScenarioSpec& spec, const std::vector<MutatorOp>& ops,
+                  LogKeepingMode mode, std::uint64_t budget) {
+  Scenario s(ggd_config(spec, mode));
+  // Observability ride-along: passive by contract (the golden-trace test
+  // pins that down), so attaching in the conformance path is free of
+  // divergence risk and gives every report latency/pause percentiles.
+  obs::Registry reg;
+  s.engine().attach_obs(&reg, nullptr);
+  EngineRun run = drive_ggd(s, spec, ops, budget);
+  run.sweep_pause = reg.histogram("ggd.sweep_pause_us");
+  return run;
+}
+
+namespace {
 
 /// Replays the trace on a baseline engine, paced (baselines model eager
 /// state at the sender; quiescing between ops is their delivery-fairness

@@ -44,10 +44,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "metrics/message_stats.hpp"
 #include "obs/metrics.hpp"
 #include "runtime_mt/harness.hpp"
 #include "scenario/spec.hpp"
+#include "workload/scenario.hpp"
 
 namespace cgc {
 
@@ -77,6 +79,44 @@ struct EngineRun {
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
+
+/// The Scenario a seeded GGD run of `spec` is built on.
+[[nodiscard]] Scenario::Config ggd_config(const ScenarioSpec& spec,
+                                          LogKeepingMode mode);
+
+/// Burst pacing of an unpaced run: after each op the simulator runs a
+/// number of events drawn from a stream seeded by the spec, so every run
+/// of one seed interleaves mutation and delivery alike — same-tick sends
+/// coalesce into shared packets and GGD cascades run concurrently with
+/// the mutator, without ever quiescing.
+class BurstPacer {
+ public:
+  explicit BurstPacer(const ScenarioSpec& spec)
+      : rng_(spec.seed * 0x2545f4914f6cdd1dULL + 1) {}
+
+  [[nodiscard]] std::uint64_t next() { return rng_.below(48); }
+
+ private:
+  Rng rng_;
+};
+
+/// The one driver of a seeded GGD run, on an already-built Scenario
+/// (callers attach their instruments first): mutation under the spec's
+/// pacing, drain, heal, then sweep rounds to a fixpoint under `budget`
+/// (the paper's fairness assumption: faults are transient, delivery is
+/// eventually fair, §1, §5). Returns the oracle's verdict — SAFETY and
+/// COMPLETENESS failure lines — and stops at the first phase that does
+/// not quiesce.
+[[nodiscard]] EngineRun drive_ggd(Scenario& s, const ScenarioSpec& spec,
+                                  const std::vector<MutatorOp>& ops,
+                                  std::uint64_t budget = sweep::kUnbounded);
+
+/// The conformance runner's GGD leg: builds the Scenario for `spec` and
+/// drives it, recording its sweep pauses.
+[[nodiscard]] EngineRun run_ggd(const ScenarioSpec& spec,
+                                const std::vector<MutatorOp>& ops,
+                                LogKeepingMode mode,
+                                std::uint64_t budget = sweep::kUnbounded);
 
 /// What kind of failure a run reported, and where: the engine (or
 /// "differential") and the verdict kind, the text before a failure

@@ -181,48 +181,17 @@ class Scenario {
   /// Runs to quiescence, then performs up to `rounds` periodic GGD sweeps
   /// (each followed by quiescence) — the steady-state behaviour of a
   /// deployed system, which bounds the paper's "unbounded detection
-  /// latency" in practice. Stops early once a sweep collects nothing new.
+  /// latency" in practice. Each round is a chain of `sweep_slice(budget)`
+  /// calls with the network drained between slices (one slice per round
+  /// when unbounded). Stops early after `sweep::idle_round_limit(budget)`
+  /// rounds that collected nothing new.
   bool run_with_sweeps(std::size_t rounds = 8,
+                       std::uint64_t budget = sweep::kUnbounded,
                        std::uint64_t max_events = 10'000'000) {
     if (!sim_.run(max_events)) {
       return false;
     }
-    std::size_t idle_rounds = 0;
-    for (std::size_t r = 0; r < rounds && idle_rounds < 2; ++r) {
-      const std::size_t before = removed_.size();
-      const bool had_pending = engine_.pending_destruction_count() > 0 ||
-                               engine_.pending_handoff_count() > 0;
-      engine_.periodic_sweep();
-      if (!sim_.run(max_events)) {
-        return false;
-      }
-      // A round is progress if it removed something or had lost
-      // destructions to re-emit. Steady-state verification inquiries do
-      // NOT count — a live structure re-verifies its evidence every
-      // round, which would otherwise defeat the early stop. Two idle
-      // rounds (not one) because a round's replies can seed the walk
-      // that only concludes in the next.
-      const bool progressed = removed_.size() != before || had_pending;
-      idle_rounds = progressed ? 0 : idle_rounds + 1;
-    }
-    return true;
-  }
-
-  /// `run_with_sweeps` under a finite sweep budget: each round is a chain
-  /// of `sweep_slice(budget)` calls with the network drained between
-  /// slices — the deployed cadence of an incremental collector. The idle
-  /// window is stretched past the generation table's longest period so a
-  /// cold row's deferred removal still counts as progress before the loop
-  /// concludes it is at fixpoint.
-  bool run_with_budgeted_sweeps(std::uint64_t budget, std::size_t rounds = 48,
-                                std::uint64_t max_events = 10'000'000) {
-    if (!sim_.run(max_events)) {
-      return false;
-    }
-    const std::size_t idle_limit =
-        budget == sweep::kUnbounded
-            ? 2
-            : 2 + static_cast<std::size_t>(sweep::GenerationTable::kMaxPeriod);
+    const std::size_t idle_limit = sweep::idle_round_limit(budget);
     std::size_t idle_rounds = 0;
     for (std::size_t r = 0; r < rounds && idle_rounds < idle_limit; ++r) {
       const std::size_t before = removed_.size();
@@ -236,6 +205,10 @@ class Scenario {
       if (!sim_.run(max_events)) {
         return false;
       }
+      // A round is progress if it removed something or had lost
+      // destructions to re-emit. Steady-state verification inquiries do
+      // NOT count — a live structure re-verifies its evidence every
+      // round, which would otherwise defeat the early stop.
       const bool progressed = removed_.size() != before || had_pending;
       idle_rounds = progressed ? 0 : idle_rounds + 1;
     }
@@ -316,6 +289,7 @@ class Scenario {
     return oracle_.node_count();
   }
 
+  [[nodiscard]] LogKeepingMode mode() const { return config_.mode; }
   [[nodiscard]] const ReachabilityOracle& oracle() const { return oracle_; }
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] Network& net() { return net_; }

@@ -8,95 +8,22 @@
 // every scenario class several times, migration churn included (the
 // hand-off re-send phase is budget-sliced too).
 //
-// The compat tests pin the other direction: an unbounded budget is not
-// merely equivalent in verdicts but byte-identical on the wire to the
-// historical monolithic sweep — the same property the golden-trace
-// hashes lock against the recorded pre-scheduler constants.
+// The wire output of an unbounded budget is pinned by the golden-trace
+// hashes; the compat test here holds the backlog estimates of a budgeted
+// run to the generation cap.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "ggd/sweep.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "workload/scenario.hpp"
 
 namespace cgc {
 namespace {
-
-struct SweepRun {
-  std::set<ProcessId> removed;
-  std::size_t skipped_ops = 0;
-  std::vector<std::string> failures;
-
-  [[nodiscard]] bool ok() const { return failures.empty(); }
-  [[nodiscard]] std::string summary() const {
-    std::string out;
-    for (const std::string& f : failures) {
-      out += "\n  " + f;
-    }
-    return out;
-  }
-};
-
-/// The conformance harness's GGD leg (mutation under the spec's fault
-/// profile and pacing, then heal), with the sweep phase swapped for the
-/// budgeted scheduler when `budget` is finite.
-SweepRun run_scenario(const ScenarioSpec& spec,
-                      const std::vector<MutatorOp>& ops,
-                      std::uint64_t budget) {
-  SweepRun out;
-  Scenario s(Scenario::Config{.net = spec.net_config(),
-                              .mode = LogKeepingMode::kRobust,
-                              .num_sites = spec.num_sites});
-  Rng burst_rng(spec.seed * 0x2545f4914f6cdd1dULL + 1);
-  for (const MutatorOp& op : ops) {
-    if (!s.apply(op)) {
-      ++out.skipped_ops;
-    }
-    if (spec.paced) {
-      if (!s.run()) {
-        out.failures.push_back("simulator did not quiesce during mutation");
-        return out;
-      }
-    } else {
-      s.sim().run(burst_rng.below(48));
-    }
-  }
-  if (!s.run()) {
-    out.failures.push_back("simulator did not quiesce after mutation");
-    return out;
-  }
-  s.net().set_drop_rate(0.0);
-  s.net().set_duplicate_rate(0.0);
-  const bool swept = budget == sweep::kUnbounded
-                         ? s.run_with_sweeps(16)
-                         : s.run_with_budgeted_sweeps(budget, 64);
-  if (!swept) {
-    out.failures.push_back("simulator did not quiesce during sweeps");
-    return out;
-  }
-  out.removed = s.removed();
-  if (!s.safety_holds()) {
-    for (const std::string& v : s.violations()) {
-      out.failures.push_back("SAFETY: " + v);
-    }
-    for (const std::string& v : s.oracle().safety_violations(s.removed())) {
-      out.failures.push_back("SAFETY: " + v);
-    }
-  }
-  const std::set<ProcessId> residual = s.residual_garbage();
-  if (!residual.empty()) {
-    std::string msg = "COMPLETENESS: residual garbage";
-    for (ProcessId p : residual) {
-      msg += " " + p.str();
-    }
-    out.failures.push_back(std::move(msg));
-  }
-  return out;
-}
 
 std::string ids(const std::set<ProcessId>& s) {
   std::string out = "{";
@@ -104,6 +31,14 @@ std::string ids(const std::set<ProcessId>& s) {
     out += " " + p.str();
   }
   return out + " }";
+}
+
+std::string failures(const EngineRun& run) {
+  std::string out;
+  for (const std::string& f : run.failures) {
+    out += "\n  " + f;
+  }
+  return out;
 }
 
 void differential(std::uint64_t first_seed, std::uint64_t last_seed) {
@@ -114,11 +49,12 @@ void differential(std::uint64_t first_seed, std::uint64_t last_seed) {
     // phase offsets; small enough that every seed needs several slices
     // per round.
     const std::uint64_t budget = 8 + seed % 17;
-    const SweepRun bounded = run_scenario(spec, ops, budget);
+    const EngineRun bounded =
+        run_ggd(spec, ops, LogKeepingMode::kRobust, budget);
     EXPECT_TRUE(bounded.ok()) << "seed " << seed << " budget " << budget
-                              << bounded.summary();
-    const SweepRun unbounded = run_scenario(spec, ops, sweep::kUnbounded);
-    ASSERT_TRUE(unbounded.ok()) << "seed " << seed << unbounded.summary();
+                              << failures(bounded);
+    const EngineRun unbounded = run_ggd(spec, ops, LogKeepingMode::kRobust);
+    ASSERT_TRUE(unbounded.ok()) << "seed " << seed << failures(unbounded);
     // Identical mutation phases, so the applied-op sets must agree; the
     // removed-set equality below is only meaningful when they do.
     EXPECT_EQ(bounded.skipped_ops, unbounded.skipped_ops) << "seed " << seed;
@@ -138,50 +74,15 @@ TEST(SweepBudgetDifferential, Seeds17To32) { differential(17, 32); }
 TEST(SweepBudgetDifferential, Seeds33To48) { differential(33, 48); }
 TEST(SweepBudgetDifferential, Seeds49To64) { differential(49, 64); }
 
-/// An unbounded budget routed through the budgeted entry point must be
-/// byte-identical on the wire to the historical `run_with_sweeps` path —
-/// the slice machinery degenerates to exactly one slice per round.
-TEST(SweepBudgetCompat, UnboundedBudgetMatchesPeriodicSweepOnTheWire) {
-  const ScenarioSpec spec = spec_from_seed(99);
-  const std::vector<MutatorOp> ops = generate_trace(spec);
-  const auto run_traced = [&](bool budgeted) {
-    Scenario s(Scenario::Config{.net = spec.net_config(),
-                                .mode = LogKeepingMode::kRobust,
-                                .num_sites = spec.num_sites});
-    wire::WireTrace trace;
-    s.net().set_trace(&trace);
-    for (const MutatorOp& op : ops) {
-      (void)s.apply(op);
-      EXPECT_TRUE(s.run());
-    }
-    s.net().set_drop_rate(0.0);
-    s.net().set_duplicate_rate(0.0);
-    EXPECT_TRUE(budgeted ? s.run_with_budgeted_sweeps(sweep::kUnbounded, 16)
-                         : s.run_with_sweeps(16));
-    return trace;
-  };
-  const wire::WireTrace periodic = run_traced(false);
-  const wire::WireTrace sliced = run_traced(true);
-  ASSERT_EQ(periodic.size(), sliced.size());
-  EXPECT_EQ(periodic.packets(), sliced.packets());
-}
-
 /// A finite budget must leave the verdict machinery's estimates coherent:
 /// after a budgeted run, every surviving process reports a backlog whose
 /// slice estimate is positive and whose generation is within the cap.
 TEST(SweepBudgetCompat, BacklogReportsStayWithinGenerationCap) {
   const ScenarioSpec spec = spec_from_seed(3);
   const std::vector<MutatorOp> ops = generate_trace(spec);
-  Scenario s(Scenario::Config{.net = spec.net_config(),
-                              .mode = LogKeepingMode::kRobust,
-                              .num_sites = spec.num_sites});
-  for (const MutatorOp& op : ops) {
-    (void)s.apply(op);
-    ASSERT_TRUE(s.run());
-  }
-  s.net().set_drop_rate(0.0);
-  s.net().set_duplicate_rate(0.0);
-  ASSERT_TRUE(s.run_with_budgeted_sweeps(12, 64));
+  Scenario s(ggd_config(spec, LogKeepingMode::kRobust));
+  const EngineRun run = drive_ggd(s, spec, ops, 12);
+  ASSERT_TRUE(run.ok()) << failures(run);
   for (const MutatorOp& op : ops) {
     if (op.kind != MutatorOp::Kind::kAddRoot &&
         op.kind != MutatorOp::Kind::kCreate) {

@@ -17,11 +17,11 @@
 #include <variant>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "ggd/process.hpp"
 #include "reference_closure.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "wire/batching.hpp"
 #include "wire/trace.hpp"
@@ -244,29 +244,27 @@ bool step_and_check(Scenario& s, std::uint64_t limit, std::size_t& events,
 
 /// Drives one generated scenario the way the conformance runner does
 /// (mutation under the spec's faults and pacing, then heal and sweeps),
-/// running `check` after every mutator op and every event. `setup` sees
-/// the scenario before its first op.
+/// running `check` after every mutator op and every event. It steps event
+/// by event, so instead of calling `drive_ggd` it takes that driver's
+/// config and burst stream. `setup` sees the scenario before its first op.
 void run_stepped(std::uint64_t seed, std::size_t& events,
                  const EventCheck& check,
                  const std::function<void(Scenario&)>& setup) {
   const ScenarioSpec spec = spec_from_seed(seed);
   const std::vector<MutatorOp> ops = generate_trace(spec);
   obs::Registry reg;  // outlives the engine, which caches its counters
-  Scenario s(Scenario::Config{.net = spec.net_config(),
-                              .mode = LogKeepingMode::kRobust,
-                              .num_sites = spec.num_sites});
+  Scenario s(ggd_config(spec, LogKeepingMode::kRobust));
   // Observed processes count their closures, which is how a check tells a
   // reused V from a recomputed one.
   s.engine().attach_obs(&reg, nullptr);
   setup(s);
   constexpr std::uint64_t kDrainLimit = 2'000'000;
-  Rng burst_rng(seed * 0x2545f4914f6cdd1dULL + 1);
+  BurstPacer pacer(spec);
   const std::string where = spec.describe();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     (void)s.apply(ops[i]);
     check(s, where + " after op " + std::to_string(i), /*idle=*/false);
-    const std::uint64_t burst =
-        spec.paced ? kDrainLimit : burst_rng.below(48);
+    const std::uint64_t burst = spec.paced ? kDrainLimit : pacer.next();
     const bool drained = step_and_check(s, burst, events, check, where);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
     ASSERT_TRUE(drained || !spec.paced) << where << ": did not quiesce";

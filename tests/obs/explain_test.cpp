@@ -6,14 +6,18 @@
 // collected object explains as already-collected with evidence, roots and
 // live processes get the honest non-answer, and a lossy-network run walks
 // through unconfirmed-destruction → already-collected as the fault heals.
+// A last test pins that an observed replay is the run the conformance
+// runner judges, verdict included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "metrics/message_stats.hpp"
 #include "obs/explain.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "wire/messages.hpp"
 #include "workload/scenario.hpp"
@@ -306,6 +310,32 @@ TEST(ExplainRegression, Seed235) {
       {MutatorOp::Kind::kCreate, P(30), P(29), {}},
       {MutatorOp::Kind::kDrop, P(4), P(7), {}},
   });
+}
+
+// -- cgc-explain replays the run cgc-fuzz judged. -------------------------
+
+/// The observed replay and the conformance runner's robust GGD leg are one
+/// run: they agree on what was removed and skipped, on the wire and on the
+/// verdict. Seeds: paced (1), lossy (3), duplicating (4), burst (5) and
+/// migration churn, burst (6) and paced (20).
+TEST(ExplainReplay, AgreesWithTheConformanceRun) {
+  for (std::uint64_t seed : {1, 3, 4, 5, 6, 20}) {
+    const ScenarioSpec spec = spec_from_seed(seed);
+    const std::vector<MutatorOp> ops = generate_trace(spec);
+    const auto replay = obs::replay_trace(spec, ops);
+    const ConformanceReport report = run_conformance(spec, ops);
+    ASSERT_EQ(report.engines.front().name, "ggd_robust");
+    const EngineRun& judged = report.engines.front();
+    const EngineRun& replayed = replay->verdict;
+    const std::string where = spec.describe();
+    EXPECT_EQ(replayed.removed, judged.removed) << where;
+    EXPECT_EQ(replay->scenario->removed(), judged.removed) << where;
+    EXPECT_EQ(replayed.skipped_ops, judged.skipped_ops) << where;
+    EXPECT_EQ(replayed.control_bytes, judged.control_bytes) << where;
+    EXPECT_EQ(replayed.packets_sent, judged.packets_sent) << where;
+    EXPECT_EQ(replay->trace.size(), judged.packets_sent) << where;
+    EXPECT_EQ(replayed.failures, judged.failures) << where;
+  }
 }
 
 }  // namespace

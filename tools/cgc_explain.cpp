@@ -5,11 +5,12 @@
 //               [--perfetto FILE] [--metrics FILE]
 //               [--trace-out FILE] [--verify-trace FILE]
 //
-// With --proc, prints the causal explanation for that process (at --tick,
-// default: end of run). Without it, prints a run summary and one
-// explanation line per residual-garbage process — the "why is collection
-// stalled" report the fuzz harness previously answered only with a
-// boolean verdict.
+// The run is the conformance runner's GGD leg (`drive_ggd`), so it prints
+// the same verdict cgc-fuzz judged: one line per SAFETY or COMPLETENESS
+// failure, and the exit code is 1 when there is any. With --proc, it then
+// prints the causal explanation for that process (at --tick, default: end
+// of run). Without it, one explanation line per residual-garbage process
+// — the "why is collection stalled" report.
 //
 // --perfetto exports the journal as Chrome-trace JSON (open at
 // https://ui.perfetto.dev), --metrics dumps the registry as JSON,
@@ -97,18 +98,24 @@ int main(int argc, char** argv) {
 
   const std::unique_ptr<obs::SeedReplay> replay = obs::replay_seed(seed);
   Scenario& s = *replay->scenario;
+  const EngineRun& verdict = replay->verdict;
   const SimTime end = s.sim().now();
   const SimTime at = tick == Simulator::kNever ? end : tick;
+  const int status = verdict.ok() ? 0 : 1;
 
   std::cout << "seed " << seed << ": " << replay->spec.describe() << "\n"
-            << "  ops applied/skipped: " << replay->applied_ops << "/"
-            << replay->skipped_ops << ", end tick " << end << "\n"
+            << "  ops applied/skipped: "
+            << replay->ops.size() - verdict.skipped_ops << "/"
+            << verdict.skipped_ops << ", end tick " << end << "\n"
             << "  removed " << s.removed().size() << " of "
             << s.process_count() << " processes, residual garbage "
             << s.residual_garbage().size() << "\n"
             << "  journal records " << replay->journal.recorded()
             << " (kept " << replay->journal.size() << "), wire packets "
             << replay->trace.size() << "\n";
+  for (const std::string& f : verdict.failures) {
+    std::cout << "  [" << verdict.name << "] " << f << "\n";
+  }
 
   if (!verify_trace_path.empty()) {
     std::ifstream in(verify_trace_path, std::ios::binary);
@@ -158,14 +165,14 @@ int main(int argc, char** argv) {
               << "?\n";
     print_explanation(obs::explain_not_collected(
         replay->journal, s.engine(), ProcessId{proc}, at, &s.oracle()));
-    return 0;
+    return status;
   }
 
   const std::set<ProcessId> residual = s.residual_garbage();
   if (residual.empty()) {
     std::cout << "no residual garbage: every unreachable process was "
                  "collected\n";
-    return 0;
+    return status;
   }
   std::cout << "residual garbage at tick " << at << ":\n";
   for (ProcessId p : residual) {
@@ -174,5 +181,5 @@ int main(int argc, char** argv) {
     std::cout << "  " << p.str() << ": [" << obs::to_string(e.cause) << "] "
               << e.answer << "\n";
   }
-  return 0;
+  return status;
 }
