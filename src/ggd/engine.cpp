@@ -274,17 +274,6 @@ void GgdEngine::schedule_flush(ProcessId p) {
   });
 }
 
-void GgdEngine::periodic_sweep() {
-  // One whole round through the scheduler. Under an unbounded budget a
-  // single slice runs the round start-to-finish in the historical order
-  // (the wire-trace goldens pin the byte identity); the loop only spins
-  // when a budgeted caller left a round mid-flight — the first slice then
-  // finishes that round and the contract "one call = reaching a round
-  // boundary" still holds.
-  while (!sweep_slice(sweep::kUnbounded)) {
-  }
-}
-
 bool GgdEngine::sweep_slice(std::uint64_t budget_units) {
   if (core_.sweep_idle()) {
     // Round prologue: the flush backoff window restarts, and the host

@@ -100,18 +100,14 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
   /// mapping in runtime/runtime.hpp).
   void local_acquire(ProcessId j, ProcessId k);
 
-  /// One round of the periodic GGD sweep a deployed system runs alongside
-  /// local garbage collection: every live non-root process re-evaluates
-  /// its garbage decision with inquiry rate limits reset, so stale
-  /// verdicts left behind by quiesced cascades are re-verified. Message
-  /// cost stays proportional to unresolved structures. Unacknowledged
-  /// migration snapshots and undelivered destructions are re-emitted
-  /// (loss costs latency, not comprehensiveness).
+  /// The periodic GGD sweep a deployed system runs alongside local
+  /// garbage collection: every live non-root process re-evaluates its
+  /// garbage decision with inquiry rate limits reset, so stale verdicts
+  /// left behind by quiesced cascades are re-verified. Message cost stays
+  /// proportional to unresolved structures. Unacknowledged migration
+  /// snapshots and undelivered destructions are re-emitted (loss costs
+  /// latency, not comprehensiveness).
   ///
-  /// Loops `sweep_slice` with an unbounded budget: one whole round in the
-  /// historical order (wire-golden byte identity).
-  void periodic_sweep();
-
   /// Performs at most `budget` units of sweep work (one unit per table
   /// entry visited: pending-destruction re-emissions, stub TTL checks,
   /// hand-off re-sends, per-process row scans) and remembers where it

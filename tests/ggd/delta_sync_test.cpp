@@ -18,6 +18,7 @@
 
 #include "ggd/engine.hpp"
 #include "ggd/process.hpp"
+#include "ggd/sweep.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -633,7 +634,7 @@ TEST(DeltaSync, CollectsAcrossAMigrationBounce) {
   eng.drop_ref(P(1), P(2));  // the cycle is now garbage
   ASSERT_TRUE(sim.run());
   for (int r = 0; r < 8 && eng.removed().size() < 2; ++r) {
-    eng.periodic_sweep();
+    ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
     ASSERT_TRUE(sim.run());
   }
   const std::set<ProcessId> removed(eng.removed().begin(),
@@ -665,7 +666,7 @@ TEST(DeltaSync, CollectsAfterTotalLossViaInquiries) {
   // must still be collected.
   net.set_drop_rate(0.0);
   for (int r = 0; r < 10 && eng.removed().size() < 2; ++r) {
-    eng.periodic_sweep();
+    ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
     ASSERT_TRUE(sim.run());
   }
   const std::set<ProcessId> removed(eng.removed().begin(),

@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "ggd/engine.hpp"
+#include "ggd/sweep.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "wire/messages.hpp"
@@ -135,7 +136,7 @@ TEST(Migration, LostSnapshotIsReemittedByTheSweep) {
   EXPECT_EQ(eng.pending_handoff_count(), 1u);
 
   net.set_drop_rate(0.0);  // heal, then recover via the sweep
-  eng.periodic_sweep();
+  ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
   ASSERT_TRUE(sim.run());
   EXPECT_FALSE(eng.migrating(P(2)));
   EXPECT_EQ(eng.site_of(P(2)), S(5));
@@ -164,7 +165,7 @@ TEST(Migration, DuplicatedSnapshotInstallsExactlyOnce) {
   // structure still collects when cut loose.
   eng.drop_ref(P(1), P(2));
   ASSERT_TRUE(sim.run());
-  eng.periodic_sweep();
+  ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
   ASSERT_TRUE(sim.run());
   EXPECT_EQ(eng.removed().size(), 1u);
   EXPECT_EQ(eng.removed().front(), P(2));

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ggd/process.hpp"
+#include "ggd/sweep.hpp"
 #include "reference_closure.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
 #include "obs/metrics.hpp"
@@ -274,7 +275,7 @@ void run_stepped(std::uint64_t seed, std::size_t& events,
   s.net().set_drop_rate(0.0);
   s.net().set_duplicate_rate(0.0);
   for (int round = 0; round < 4; ++round) {
-    s.engine().periodic_sweep();
+    ASSERT_TRUE(s.engine().sweep_slice(sweep::kUnbounded));
     check(s, where + " after a sweep", /*idle=*/false);
     ASSERT_TRUE(step_and_check(s, kDrainLimit, events, check, where));
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
