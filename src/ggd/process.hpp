@@ -84,7 +84,10 @@ struct GgdMessage {
   /// comparison): without relaying, every member must inquire every other
   /// member's row — O(k^2) messages. Only rows new or changed since the
   /// receiver's frontier ship (O(changed), not O(population), bytes per
-  /// forward).
+  /// forward). Only messages that travel along edges relay rows: vector
+  /// forwards, announces and destruction bundles. Inquiries and replies
+  /// carry none; a walk that lacks a row inquires its subject, whose reply
+  /// carries it as `self_row`.
   FlatMap<ProcessId, DependencyVector> rows;
   /// Sender-local revision stamps, one per entry of `rows` (same keys).
   /// Revisions are drawn from a per-process monotone counter and bumped
@@ -278,6 +281,8 @@ class GgdProcess {
   /// inquirer already holds them (a `current` reply), vouchers and death
   /// knowledge, flagged as a reply so the inquirer does not mistake it for
   /// an edge fact, plus the deferred on-behalf rows stamped past the echo.
+  /// It is this process's own account and relays no `rows`: it leaves the
+  /// inquirer's sent watermark where it was.
   [[nodiscard]] GgdMessage make_reply(const GgdMessage& inquiry);
 
   /// The site's answer to `inquiry`. A live process first adjudicates the

@@ -1,6 +1,7 @@
 // Delta row-relay: the per-peer sent watermark, its reset on migration
 // (fenced by a revision counter the mover keeps) and on a peer's death,
-// and recovery from lost rows through inquiries. Also the reply's
+// replies that relay no rows, and recovery from lost rows through
+// inquiries. Also the reply's
 // on-behalf frontier: stamped deferred rows and the inquirer's confirmed
 // echo.
 //
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "ggd/engine.hpp"
 #include "ggd/process.hpp"
@@ -160,6 +162,36 @@ TEST(DeltaSync, ACollectedPeerKeepsNoWatermarkAndIsShippedNoRows) {
   const GgdMessage live = p.make_announce(P(6));
   ASSERT_TRUE(live.rows.contains(P(2)));
   EXPECT_EQ(live.row_revs.at(P(2)), rev);
+}
+
+TEST(DeltaSync, AReplyRelaysNoRowsAndTheNextForwardShipsThem) {
+  GgdProcess p(P(3), /*is_root=*/true);  // roots never decide
+  p.add_acquaintance(P(5));
+  teach_row(p, 1);
+  (void)p.take_forwards();
+  const std::uint64_t sent = p.peer_sent_rev(P(5));
+  ASSERT_GT(sent, 0u);
+
+  // The row moves on, so 5 holds a stale copy when it inquires. The reply
+  // is 3's own account: no relayed rows, and the watermark stays put.
+  const std::uint64_t rev = teach_row(p, 2);
+  ASSERT_GT(rev, sent);
+  GgdMessage inq;
+  inq.from = P(5);
+  inq.to = P(3);
+  inq.inquiry = true;
+  const GgdMessage reply = p.answer(inq);
+  EXPECT_TRUE(reply.reply);
+  EXPECT_TRUE(reply.rows.empty()) << "a reply relays no rows";
+  EXPECT_TRUE(reply.row_revs.empty());
+  EXPECT_EQ(p.peer_sent_rev(P(5)), sent);
+
+  // The next vector forward to 5 ships the row the reply left out.
+  const std::vector<GgdMessage> forwards = p.take_forwards();
+  ASSERT_EQ(forwards.size(), 1u);
+  ASSERT_TRUE(forwards.front().rows.contains(P(2)));
+  EXPECT_EQ(forwards.front().row_revs.at(P(2)), rev);
+  EXPECT_GE(p.peer_sent_rev(P(5)), rev);
 }
 
 // ---------------------------------------------------------------------------

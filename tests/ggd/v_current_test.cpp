@@ -7,6 +7,7 @@
 // reply, a current one included, to what a full reply would leave.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -25,7 +26,9 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "wire/batching.hpp"
+#include "wire/mailbox.hpp"
 #include "wire/trace.hpp"
+#include "workload/ops.hpp"
 #include "workload/scenario.hpp"
 
 namespace cgc {
@@ -247,10 +250,13 @@ bool step_and_check(Scenario& s, std::uint64_t limit, std::size_t& events,
 /// (mutation under the spec's faults and pacing, then heal and sweeps),
 /// running `check` after every mutator op and every event. It steps event
 /// by event, so instead of calling `drive_ggd` it takes that driver's
-/// config and burst stream. `setup` sees the scenario before its first op.
+/// config and burst stream. `setup` sees the scenario and its ops before
+/// the first op runs.
 void run_stepped(std::uint64_t seed, std::size_t& events,
                  const EventCheck& check,
-                 const std::function<void(Scenario&)>& setup) {
+                 const std::function<void(Scenario&,
+                                          const std::vector<MutatorOp>&)>&
+                     setup) {
   const ScenarioSpec spec = spec_from_seed(seed);
   const std::vector<MutatorOp> ops = generate_trace(spec);
   obs::Registry reg;  // outlives the engine, which caches its counters
@@ -258,7 +264,7 @@ void run_stepped(std::uint64_t seed, std::size_t& events,
   // Observed processes count their closures, which is how a check tells a
   // reused V from a recomputed one.
   s.engine().attach_obs(&reg, nullptr);
-  setup(s);
+  setup(s, ops);
   constexpr std::uint64_t kDrainLimit = 2'000'000;
   BurstPacer pacer(spec);
   const std::string where = spec.describe();
@@ -288,7 +294,7 @@ void run_differential(std::uint64_t seed, DifferentialStats& st) {
       [&st](Scenario& s, const std::string& where, bool) {
         check_every_process(s.engine(), st, where);
       },
-      [](Scenario&) {});
+      [](Scenario&, const std::vector<MutatorOp>&) {});
 }
 
 /// The seeds both differentials step through.
@@ -338,7 +344,7 @@ BehalfRows behalf_rows_of(const GgdProcess& p) {
 
 /// A reply seen on the wire, awaiting its delivery at `site`: the rows
 /// its replier held when it built the reply (the one to its inquirer left
-/// out), and the V and self row a full reply would have carried.
+/// out) and, unless it is current, the V and self row it carried.
 struct SentReply {
   SimTime delivered_at = 0;
   SiteId site;
@@ -352,39 +358,65 @@ struct SentReply {
 
 struct FrontierStats {
   std::size_t replies = 0;        // delivered replies checked
-  std::size_t current = 0;        // of them, current replies
+  std::size_t current = 0;        // current replies checked as built
   std::size_t rows_checked = 0;   // rows held to the inquirer's overlay
   std::size_t echo_rows = 0;      // rows under a live echo, checked
 };
 
-/// Holds the delta rule to the full-ship rule after every event:
+/// Holds the delta rule to the full-ship rule:
+///   * each delivered full reply left its inquirer's history() row and
+///     known_row() of the replier as merging its V and self row would;
+///   * each current reply is held, as its replier builds it, to the V and
+///     self row the replier has at that instant: its inquirer must hold
+///     both already. The check stands in front of the engine's mailbox at
+///     every site, and a copy of the replier answers each inquiry just
+///     before the replier does, so nothing the replier does after
+///     building the reply reaches the check. An inquirer merged what its
+///     echo covers before it inquired, and merging never loses an entry,
+///     so a reply current here leaves at delivery what a full one would;
 ///   * each delivered reply left its inquirer's known_behalf() covering
-///     every row its replier held when it built the reply, and its
-///     history() row and known_row() of the replier as merging the
-///     replier's V and self row would leave them: a current reply, which
-///     carries neither, is held to the V and self row its replier had;
+///     every row its replier held when it built the reply;
 ///   * every row a replier stamped at or under an inquirer's current echo
 ///     is already covered there, so leaving it out of the next reply
 ///     loses nothing. An echo of an earlier incarnation of the replier
 ///     lies below every stamp the current one drew, so it passes no row.
 /// A reply's build-time rows are read from the replier before the event
-/// that built it: within an event a log row only grows (a reference
-/// arrives), so those rows are a lower bound of what the reply held. A
-/// current reply's V and self row are read from the replier after that
-/// event, as compute_v() and its self row: nothing the event does after
-/// building the reply reaches the replier unless the same packet carries
-/// it a later message. Such a message could make the check flag a sound
-/// reply; on the seeds below it flags none.
-class FrontierCheck {
+/// that flushed it: within an event a log row only grows (a reference
+/// arrives), so those rows are a lower bound of what the reply held.
+class FrontierCheck : public wire::Mailbox {
  public:
   explicit FrontierCheck(FrontierStats& st) : st_(st) {}
 
-  void attach(Scenario& s) {
+  void attach(Scenario& s, const std::vector<MutatorOp>& ops) {
+    engine_ = &s.engine();
     s.net().set_trace(&trace_);
+    // A process's site never exceeds its id, and a migration names its
+    // destination: registered first, this check is every site's mailbox.
+    std::uint64_t last_site = 0;
+    for (const MutatorOp& op : ops) {
+      for (std::uint64_t id : {op.a.value(), op.b.value(), op.c.value(),
+                               op.site.value()}) {
+        if (id != SiteId::kInvalid) {
+          last_site = std::max(last_site, id);
+        }
+      }
+    }
+    for (std::uint64_t site = 0; site <= last_site; ++site) {
+      s.net().register_mailbox(SiteId{site}, *this);
+    }
     snapshot(s.engine());
   }
 
+  void deliver(SiteId from, SiteId to, const wire::WireMessage& msg) override {
+    const auto* c = std::get_if<wire::GgdControl>(&msg.body);
+    if (c != nullptr && c->msg.inquiry) {
+      check_as_built(to, c->msg);
+    }
+    engine_->deliver(from, to, msg);
+  }
+
   void operator()(Scenario& s, const std::string& where, bool idle) {
+    where_ = where;
     GgdEngine& engine = s.engine();
     const wire::WireTrace& trace = trace_;
     for (; seen_ < trace.size(); ++seen_) {
@@ -407,11 +439,6 @@ class FrontierCheck {
             SentReply sent{rec.delivered_at.front(), rec.to, r.to, r.from,
                            r.current, held->second, r.v, r.self_row};
             sent.rows.erase(r.to);
-            if (r.current) {
-              const GgdProcess& replier = engine.process(r.from);
-              sent.v = replier.compute_v();
-              sent.self_row = replier.log().self_row();
-            }
             pending_.push_back(std::move(sent));
           });
     }
@@ -428,11 +455,10 @@ class FrontierCheck {
         continue;  // not merged on delivery: redirected after a hand-off
       }
       ++st_.replies;
-      st_.current += sent.current ? 1 : 0;
-      if (!i.dead().contains(sent.replier)) {
+      if (!sent.current && !i.dead().contains(sent.replier)) {
         // A full reply from a process known dead merges its V into a
         // history row no one reads again, and adopts no row: skipped.
-        check_content(i, sent, where);
+        check_content(i, sent.replier, sent.v, sent.self_row, "delivered");
         if (::testing::Test::HasFatalFailure()) {
           return;
         }
@@ -454,6 +480,27 @@ class FrontierCheck {
   }
 
  private:
+  /// Runs as `inquiry` reaches `site`, before the engine answers it.
+  void check_as_built(SiteId site, const GgdMessage& inquiry) {
+    const GgdEngine& engine = *engine_;
+    const ProcessId r = inquiry.to;
+    if (engine.migrating(r) || engine.site_of(r) != site ||
+        engine.process(r).removed()) {
+      return;  // held, redirected or answered posthumously: no reply
+    }
+    GgdProcess replier = engine.process(r);
+    if (!replier.answer(inquiry).current) {
+      return;
+    }
+    const GgdProcess& i = engine.process(inquiry.from);
+    if (i.removed() || i.dead().contains(r)) {
+      return;
+    }
+    ++st_.current;
+    check_content(i, r, replier.compute_v(),
+                  std::as_const(replier).log().self_row(), "current");
+  }
+
   static bool covers(const RowTable::RowView& known,
                      const DependencyVector& row) {
     for (const auto& [p, ts] : row.entries()) {
@@ -477,19 +524,19 @@ class FrontierCheck {
     return incoming < stored || (incoming == stored && covers(known, row));
   }
 
-  /// The inquirer's history row and known row of the replier are what
-  /// merging the reply's full content would leave.
-  void check_content(const GgdProcess& i, const SentReply& sent,
-                     const std::string& where) {
-    const ProcessId r = sent.replier;
-    ASSERT_TRUE(i.row_certified(r) && covers(i.history().row(r), sent.v))
-        << where << ": process " << i.id().str() << "'s history of "
-        << r.str() << " lacks the V " << sent.v.str() << " of a delivered "
-        << (sent.current ? "current" : "full") << " reply";
-    ASSERT_TRUE(adopts_nothing(i.known_row(r), r, sent.self_row))
-        << where << ": process " << i.id().str() << "'s row of " << r.str()
-        << " lacks the self row " << sent.self_row.str() << " of a delivered "
-        << (sent.current ? "current" : "full") << " reply";
+  /// The inquirer's history row and known row of replier `r` are what
+  /// merging `v` and `self_row`, a reply's full content, would leave.
+  void check_content(const GgdProcess& i, ProcessId r,
+                     const DependencyVector& v,
+                     const DependencyVector& self_row, const char* reply) {
+    ASSERT_TRUE(i.row_certified(r) && covers(i.history().row(r), v))
+        << where_ << ": process " << i.id().str() << "'s history of "
+        << r.str() << " lacks the V " << v.str() << " of a " << reply
+        << " reply";
+    ASSERT_TRUE(adopts_nothing(i.known_row(r), r, self_row))
+        << where_ << ": process " << i.id().str() << "'s row of " << r.str()
+        << " lacks the self row " << self_row.str() << " of a " << reply
+        << " reply";
   }
 
   void check_echoes(GgdEngine& engine, const std::string& where) {
@@ -531,6 +578,8 @@ class FrontierCheck {
   }
 
   FrontierStats& st_;
+  GgdEngine* engine_ = nullptr;
+  std::string where_;
   wire::WireTrace trace_;
   std::size_t seen_ = 0;
   FlatMap<ProcessId, BehalfRows> before_;
@@ -547,7 +596,9 @@ TEST(ReplyFrontier, EveryDeliveredReplyLeavesWhatAFullReplyWould) {
         [&check](Scenario& s, const std::string& where, bool idle) {
           check(s, where, idle);
         },
-        [&check](Scenario& s) { check.attach(s); });
+        [&check](Scenario& s, const std::vector<MutatorOp>& ops) {
+          check.attach(s, ops);
+        });
     ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
   }
   std::printf(
@@ -646,7 +697,7 @@ TEST(RelayStamps, EveryKnownRowChangeDrawsALargerStamp) {
         [&check](Scenario& s, const std::string& where, bool) {
           check(s, where);
         },
-        [](Scenario&) {});
+        [](Scenario&, const std::vector<MutatorOp>&) {});
     ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
   }
   std::printf("rows_checked=%zu changes=%zu events=%zu\n", st.rows_checked,
