@@ -997,9 +997,9 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   msg.holds_receiver = acquaintances_.contains(to);
   // No relayed rows: a reply answers a walk that inquires every subject
   // its verdict rests on, and each of those subjects ships its own row as
-  // `self_row`; most rows a reply used to relay the inquirer already
-  // held. Rows owed to this peer wait for the next edge message to it, so
-  // the sent watermark stays where it was.
+  // `self_row`, so relayed rows would mostly be ones the inquirer already
+  // holds. Rows owed to this peer wait for the next edge message to it,
+  // and the sent watermark stays where it was.
   return msg;
 }
 

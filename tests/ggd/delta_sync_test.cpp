@@ -1,9 +1,8 @@
 // Delta row-relay: the per-peer sent watermark, its reset on migration
 // (fenced by a revision counter the mover keeps) and on a peer's death,
 // replies that relay no rows, and recovery from lost rows through
-// inquiries. Also the reply's
-// on-behalf frontier: stamped deferred rows and the inquirer's confirmed
-// echo.
+// inquiries. Also the reply's on-behalf frontier: stamped deferred rows
+// and the inquirer's confirmed echo.
 //
 // The protocol contract under test: the delta relay may defer when a row
 // travels, never whether the receiver eventually holds it. The unit tests

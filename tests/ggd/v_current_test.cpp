@@ -381,7 +381,7 @@ struct FrontierStats {
 ///     loses nothing. An echo of an earlier incarnation of the replier
 ///     lies below every stamp the current one drew, so it passes no row.
 /// A reply's build-time rows are read from the replier before the event
-/// that flushed it: within an event a log row only grows (a reference
+/// that built it: within an event a log row only grows (a reference
 /// arrives), so those rows are a lower bound of what the reply held.
 class FrontierCheck : public wire::Mailbox {
  public:
