@@ -631,6 +631,7 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   // at q) before its reply can certify an all-dead in-edge row.
   inq.behalf = std::as_const(log_).row(q);
   inq.echo = echo(q);
+  inq.need_rows = why == InquiryReason::kBlocked;
   out.push_back(std::move(inq));
   if (observed_) {
     ++walk_obs_.inquiries[static_cast<std::size_t>(why)];
@@ -995,11 +996,14 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   msg.dead = dead_;
   msg.reply = true;
   msg.holds_receiver = acquaintances_.contains(to);
-  // No relayed rows: a reply answers a walk that inquires every subject
-  // its verdict rests on, and each of those subjects ships its own row as
-  // `self_row`, so relayed rows would mostly be ones the inquirer already
-  // holds. Rows owed to this peer wait for the next edge message to it,
-  // and the sent watermark stays where it was.
+  // Relayed rows only for a blocked walk: any other inquirer inquires
+  // every subject its verdict rests on, and each of those subjects ships
+  // its own row as `self_row`, so relayed rows would mostly be ones the
+  // inquirer already holds. Rows owed to such a peer wait for the next
+  // edge message to it, and the sent watermark stays where it was.
+  if (inquiry.need_rows) {
+    attach_sync(msg);
+  }
   return msg;
 }
 

@@ -84,10 +84,12 @@ struct GgdMessage {
   /// comparison): without relaying, every member must inquire every other
   /// member's row — O(k^2) messages. Only rows new or changed since the
   /// receiver's frontier ship (O(changed), not O(population), bytes per
-  /// forward). Only messages that travel along edges relay rows: vector
-  /// forwards, announces and destruction bundles. Inquiries and replies
-  /// carry none; a walk that lacks a row inquires its subject, whose reply
-  /// carries it as `self_row`.
+  /// forward). Messages that travel along edges relay rows: vector
+  /// forwards, announces and destruction bundles. Inquiries carry none,
+  /// and a reply carries them only when its inquiry is `need_rows`; every
+  /// other reply is its sender's own account, since the walk that asked
+  /// inquires each subject its verdict rests on and gets that subject's
+  /// row as `self_row`.
   FlatMap<ProcessId, DependencyVector> rows;
   /// Sender-local revision stamps, one per entry of `rows` (same keys).
   /// Revisions are drawn from a per-process monotone counter and bumped
@@ -127,6 +129,13 @@ struct GgdMessage {
   /// claimed edge responder -> inquirer (and also heals a lost destruction
   /// message).
   bool holds_receiver = false;
+  /// On an inquiry: the sender's walk is blocked on a row it does not
+  /// hold, so the reply relays the rows past the sender's watermark, as
+  /// an edge message would. Asking the subjects one by one costs a round
+  /// trip per hop of the walk, and under loss a lost hop stalls the walk
+  /// until the next sweep round; the relayed rows usually carry the next
+  /// hops too.
+  bool need_rows = false;
   /// Condemned set of a confirmed unreachable verdict, carried on the
   /// destruction messages of its removal cascade (empty elsewhere). The
   /// finalising walker's consulted rows were each confirmed fresh and
@@ -281,8 +290,10 @@ class GgdProcess {
   /// inquirer already holds them (a `current` reply), vouchers and death
   /// knowledge, flagged as a reply so the inquirer does not mistake it for
   /// an edge fact, plus the deferred on-behalf rows stamped past the echo.
-  /// It is this process's own account and relays no `rows`: it leaves the
-  /// inquirer's sent watermark where it was.
+  /// It is this process's own account and relays no `rows`, leaving the
+  /// inquirer's sent watermark where it was, unless the inquiry is
+  /// `need_rows`: then it relays the rows past that watermark, as an edge
+  /// message does.
   [[nodiscard]] GgdMessage make_reply(const GgdMessage& inquiry);
 
   /// The site's answer to `inquiry`. A live process first adjudicates the

@@ -34,14 +34,14 @@ ObjectRefTransfer decode_object_ref_transfer(Decoder& dec) {
   return t;
 }
 
-/// Bits of a control body's presence mask: the four flags, and one bit
+/// Bits of a control body's presence mask: the five flags, and one bit
 /// per field that is written only when non-empty (a stamp: non-zero).
 /// The mask is a varint, so only the low seven bits fit its first byte.
 /// They go to what the commonest messages set: a bare inquiry, an
-/// inquiry that echoes its reply frontier or flushes acks, and a current
-/// reply whose sender neither holds nor owes grants to its receiver and
-/// relays no rows all take a one-byte mask. A full reply's stamp and a
-/// reply that ships deferred rows take the high bits.
+/// inquiry that echoes its reply frontier or asks for rows, and a current
+/// reply whose sender neither holds nor owes grants to its receiver all
+/// take a one-byte mask. A full reply's stamp, a reply that ships
+/// deferred or relayed rows, and the never-filled acks take the high bits.
 enum MaskBit : std::uint64_t {
   kInquiry = 1 << 0,
   kReply = 1 << 1,
@@ -49,7 +49,7 @@ enum MaskBit : std::uint64_t {
   kV = 1 << 3,
   kSelfRow = 1 << 4,
   kEcho = 1 << 5,
-  kRowAcks = 1 << 6,
+  kNeedRows = 1 << 6,
   kHoldsReceiver = 1 << 7,
   kBehalf = 1 << 8,
   kRows = 1 << 9,
@@ -57,7 +57,8 @@ enum MaskBit : std::uint64_t {
   kCondemned = 1 << 11,
   kBehalfRows = 1 << 12,
   kReplyStamp = 1 << 13,
-  kKnownBits = (1 << 14) - 1,
+  kRowAcks = 1 << 14,
+  kKnownBits = (1 << 15) - 1,
 };
 
 std::uint64_t presence_mask(const GgdMessage& m) {
@@ -71,6 +72,7 @@ std::uint64_t presence_mask(const GgdMessage& m) {
   set(m.reply, kReply);
   set(m.current, kCurrent);
   set(m.holds_receiver, kHoldsReceiver);
+  set(m.need_rows, kNeedRows);
   set(!m.v.empty(), kV);
   set(!m.self_row.empty(), kSelfRow);
   set(!m.dead.empty(), kDead);
@@ -147,7 +149,8 @@ void encode_body(Encoder& enc, const GgdControl& c) {
 /// message's. A present field that decodes empty is rejected: the encoder
 /// never marks one, so accepting it would give the message a second
 /// encoding. So is `current` on anything but a reply that leaves out `v`
-/// and `self_row`, which no sender builds.
+/// and `self_row`, and `need_rows` on anything but an inquiry: no sender
+/// builds either.
 void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
                         RowPool& rows_pool) {
   GgdMessage& m = c.msg;
@@ -164,10 +167,14 @@ void decode_ggd_control(Decoder& dec, GgdControl& c, RowPool& behalf_pool,
   if (has(kCurrent) && (!has(kReply) || has(kV) || has(kSelfRow))) {
     dec.reject();
   }
+  if (has(kNeedRows) && !has(kInquiry)) {
+    dec.reject();
+  }
   m.inquiry = has(kInquiry);
   m.reply = has(kReply);
   m.current = has(kCurrent);
   m.holds_receiver = has(kHoldsReceiver);
+  m.need_rows = has(kNeedRows);
   m.from = dec.process_id();
   m.to = dec.process_id();
   for (auto [field, bit] :

@@ -1,8 +1,8 @@
 // Delta row-relay: the per-peer sent watermark, its reset on migration
 // (fenced by a revision counter the mover keeps) and on a peer's death,
-// replies that relay no rows, and recovery from lost rows through
-// inquiries. Also the reply's on-behalf frontier: stamped deferred rows
-// and the inquirer's confirmed echo.
+// replies that relay no rows unless a blocked walk asks for them, and
+// recovery from lost rows through inquiries. Also the reply's on-behalf
+// frontier: stamped deferred rows and the inquirer's confirmed echo.
 //
 // The protocol contract under test: the delta relay may defer when a row
 // travels, never whether the receiver eventually holds it. The unit tests
@@ -191,6 +191,62 @@ TEST(DeltaSync, AReplyRelaysNoRowsAndTheNextForwardShipsThem) {
   ASSERT_TRUE(forwards.front().rows.contains(P(2)));
   EXPECT_EQ(forwards.front().row_revs.at(P(2)), rev);
   EXPECT_GE(p.peer_sent_rev(P(5)), rev);
+}
+
+TEST(DeltaSync, AReplyToABlockedWalkRelaysRowsPastTheWatermark) {
+  GgdProcess p(P(3), /*is_root=*/true);
+  p.add_acquaintance(P(5));
+  teach_row(p, 1);
+  (void)p.take_forwards();
+  const std::uint64_t sent = p.peer_sent_rev(P(5));
+  const std::uint64_t rev = teach_row(p, 2);
+  ASSERT_GT(rev, sent);
+
+  // A blocked walk asks for rows: its reply relays what 5 was not sent,
+  // as an edge message would, and advances the watermark past it.
+  GgdMessage inq;
+  inq.from = P(5);
+  inq.to = P(3);
+  inq.inquiry = true;
+  inq.need_rows = true;
+  const GgdMessage reply = p.answer(inq);
+  EXPECT_TRUE(reply.reply);
+  ASSERT_TRUE(reply.rows.contains(P(2)));
+  EXPECT_EQ(reply.row_revs.at(P(2)), rev);
+  EXPECT_GE(p.peer_sent_rev(P(5)), rev);
+
+  // The next vector forward to 5 does not ship the row again.
+  const std::vector<GgdMessage> forwards = p.take_forwards();
+  ASSERT_EQ(forwards.size(), 1u);
+  EXPECT_FALSE(forwards.front().rows.contains(P(2)));
+}
+
+TEST(DeltaSync, OnlyABlockedWalkAsksForRows) {
+  // 3 is held by 4, which is held by 5, whose row 3 does not have: the
+  // walk blocks on 5, and that inquiry asks for rows.
+  GgdProcess p(P(3), false);
+  DependencyVector row4;
+  row4.set(P(4), Timestamp::creation(1));
+  row4.set(P(5), Timestamp::creation(1));
+  (void)p.receive(vector_msg(P(4), P(3), row4, row4), roots({1}));
+  const std::vector<GgdMessage> blocked =
+      p.decide(roots({1}), /*allow_inquiry=*/true, /*now=*/1);
+  const auto to_5 = std::ranges::find_if(
+      blocked, [](const GgdMessage& m) { return m.to == P(5); });
+  ASSERT_NE(to_5, blocked.end());
+  EXPECT_TRUE(to_5->inquiry);
+  EXPECT_TRUE(to_5->need_rows);
+
+  // 5 answers that nothing holds it: the walk finds no root and confirms
+  // its consulted rows, and those inquiries ask for no rows.
+  GgdProcess q(P(5), false);
+  const std::vector<GgdMessage> confirm =
+      p.receive(q.answer(*to_5), roots({1}), /*now=*/2);
+  ASSERT_FALSE(confirm.empty());
+  for (const GgdMessage& m : confirm) {
+    EXPECT_TRUE(m.inquiry);
+    EXPECT_FALSE(m.need_rows) << "inquiry to " << m.to.value();
+  }
 }
 
 // ---------------------------------------------------------------------------

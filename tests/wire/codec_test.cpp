@@ -65,6 +65,7 @@ GgdMessage random_ggd_message(Rng& rng) {
   m.inquiry = rng.chance(0.2);
   m.reply = rng.chance(0.2);
   m.holds_receiver = m.reply && rng.chance(0.5);
+  m.need_rows = m.inquiry && rng.chance(0.5);
   if (m.reply && rng.chance(0.3)) {
     m.current = true;
     m.v.clear();
@@ -301,6 +302,8 @@ const std::vector<Presence>& presences() {
        [](M& m) { m.current = false; }, {}, nullptr},
       {"holds_receiver", [](M& m, Rng&) { m.holds_receiver = true; },
        [](M& m) { m.holds_receiver = false; }, {}, nullptr},
+      {"need_rows", [](M& m, Rng&) { m.need_rows = true; },
+       [](M& m) { m.need_rows = false; }, {}, nullptr},
       {"v", [](M& m, Rng& r) { m.v = nonempty_dv(r); },
        [](M& m) { m.v.clear(); }, F::kV,
        [](E& e, const M& m) { e.dependency_vector(m.v); }},
@@ -367,9 +370,10 @@ std::uint64_t every_presence() {
 }
 
 /// Whether a message is one a sender can build: `current` only on a reply
-/// that leaves out `v` and `self_row`.
+/// that leaves out `v` and `self_row`, `need_rows` only on an inquiry.
 bool well_formed(const GgdMessage& m) {
-  return !m.current || (m.reply && m.v.empty() && m.self_row.empty());
+  return (!m.current || (m.reply && m.v.empty() && m.self_row.empty())) &&
+         (!m.need_rows || m.inquiry);
 }
 
 std::vector<std::uint8_t> encode_control(const GgdMessage& m) {
@@ -391,7 +395,7 @@ std::size_t sum(const wire::GgdFieldBytes& parts) {
 TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
   Rng rng(2020);
   const std::uint64_t combos = std::uint64_t{1} << presences().size();
-  ASSERT_EQ(combos, std::uint64_t{1} << 14) << "four flags, ten fields";
+  ASSERT_EQ(combos, std::uint64_t{1} << 15) << "five flags, ten fields";
   std::size_t rejected = 0;
   for (std::uint64_t combo = 0; combo < combos; ++combo) {
     const GgdMessage m = message_with(combo, rng);
@@ -429,8 +433,11 @@ TEST(WireCodec, EveryPresenceMaskCombinationRoundTrips) {
     }
   }
   // `current` is set in half the combinations; an eighth of those are on
-  // a reply without `v` and `self_row`.
-  EXPECT_EQ(rejected, combos / 2 - combos / 16);
+  // a reply without `v` and `self_row`. `need_rows` is set in half, and
+  // half of those are off an inquiry. The two are independent.
+  const std::uint64_t bad_current = combos / 2 - combos / 16;
+  const std::uint64_t bad_need_rows = combos / 4;
+  EXPECT_EQ(rejected, bad_current + bad_need_rows - bad_current / 4);
 }
 
 TEST(WireCodec, CurrentIsRejectedOffAReplyAndBesideVOrSelfRow) {
@@ -508,7 +515,7 @@ TEST(WireCodec, UnknownMaskBitsAreRejected) {
   const std::uint64_t known =
       mask_of(encode_control(message_with(every_presence(), rng)));
   ASSERT_EQ(known, every_presence()) << "the known bits are the low ones";
-  // Every bit above them is rejected, 14 and 15 included.
+  // Every bit above them is rejected, 15 and 16 included.
   for (int bit = std::popcount(known); bit < 64; ++bit) {
     const std::uint64_t b = std::uint64_t{1} << bit;
     for (const std::uint64_t mask : {b, b | 1}) {
@@ -518,6 +525,31 @@ TEST(WireCodec, UnknownMaskBitsAreRejected) {
       EXPECT_EQ(dec.error(), wire::Decoder::Error::kMalformed) << "bit " << bit;
     }
   }
+}
+
+TEST(WireCodec, NeedRowsIsRejectedOffAnInquiry) {
+  GgdMessage inquiry;
+  inquiry.from = P(4);
+  inquiry.to = P(7);
+  inquiry.inquiry = true;
+  inquiry.need_rows = true;
+  inquiry.echo = 3;
+  const auto decodes = [](const GgdMessage& m) {
+    const std::vector<std::uint8_t> buf = encode_control(m);
+    wire::Decoder dec(buf);
+    return wire::decode_message(dec).has_value();
+  };
+  EXPECT_TRUE(decodes(inquiry));
+  EXPECT_LT(mask_of(encode_control(inquiry)), 0x80u)
+      << "a blocked walk's inquiry keeps a one-byte mask";
+  GgdMessage reply = inquiry;
+  reply.inquiry = false;
+  reply.reply = true;
+  EXPECT_FALSE(decodes(reply)) << "need_rows on a reply";
+  GgdMessage forward = inquiry;
+  forward.inquiry = false;
+  forward.v.set(P(4), Timestamp::creation(2));
+  EXPECT_FALSE(decodes(forward)) << "need_rows on a vector message";
 }
 
 TEST(WireCodec, PresentButEmptyFieldsAreRejected) {

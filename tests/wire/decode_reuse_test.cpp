@@ -70,6 +70,7 @@ GgdMessage random_control(Rng& rng, bool large) {
   m.inquiry = rng.chance(0.3);
   m.reply = !m.inquiry && rng.chance(0.4);
   m.holds_receiver = m.reply && rng.chance(0.5);
+  m.need_rows = m.inquiry && rng.chance(0.5);
   if (m.reply && rng.chance(0.5)) {
     // A current reply: the inquirer already holds v and the self row.
     m.current = true;
@@ -162,9 +163,11 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
   // decoder can empty what the first message left in its storage.
   using Clear = void (*)(GgdMessage&);
   const std::vector<std::pair<const char*, Clear>> fields = {
-      {"inquiry", [](GgdMessage& m) { m.inquiry = false; }},
+      // `need_rows` exists only on an inquiry.
+      {"inquiry", [](GgdMessage& m) { m.inquiry = m.need_rows = false; }},
       {"reply", [](GgdMessage& m) { m.reply = false; }},
       {"holds_receiver", [](GgdMessage& m) { m.holds_receiver = false; }},
+      {"need_rows", [](GgdMessage& m) { m.need_rows = false; }},
       {"v", [](GgdMessage& m) { m.v.clear(); }},
       {"self_row", [](GgdMessage& m) { m.self_row.clear(); }},
       {"behalf", [](GgdMessage& m) { m.behalf.clear(); }},
@@ -187,7 +190,7 @@ TEST(DecodeReuse, WarmDecoderClearsEachAbsentField) {
          full.row_acks.empty() || full.dead.empty()) {
     full = random_control(rng, /*large=*/true);
   }
-  full.inquiry = full.reply = full.holds_receiver = true;
+  full.inquiry = full.reply = full.holds_receiver = full.need_rows = true;
   full.current = false;
   full.reply_stamp = 9;
   full.echo = 5;
