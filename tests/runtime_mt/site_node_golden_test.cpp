@@ -160,14 +160,14 @@ struct Golden {
 // its subject hot (the simulator host does, this host does not): most
 // scans of a cold row emit nothing either way.
 constexpr Golden kGoldens[] = {
-    {1, 0xfb20bef13d3fe1cbULL, 0x405b5649066fd9bdULL},
-    {2, 0x2005a41096538126ULL, 0xcd91fdb6d47400ceULL},
-    {3, 0xb75c90006b69ec43ULL, 0x470c60a9e6a14022ULL},
-    {4, 0xdaf94993adfb54acULL, 0xf5e61cc876910eacULL},
-    {5, 0x789b35d9d1b93be8ULL, 0x6fe5cbf4b6754bc6ULL},
-    {7, 0xfc508f7517c4e2e9ULL, 0xd6514c5faee0516aULL},
-    {8, 0x8b0586319467b3deULL, 0xfa51f480c1d8911fULL},
-    {12, 0x07ded766944fa7dbULL, 0xdfee23ef2c45247dULL},
+    {1, 0xdb6e27452948a1c2ULL, 0x66457a7d06a0218bULL},
+    {2, 0x5777753224d4d7aeULL, 0x1b4d3906cf330228ULL},
+    {3, 0x44a64d95de7f1a41ULL, 0xdd65e490334af2c2ULL},
+    {4, 0x36c7bf446f94dc72ULL, 0x1fc7dfa8d2e5ef74ULL},
+    {5, 0xaf04b12ed133d710ULL, 0x8f899d8a5d7ef2b7ULL},
+    {7, 0x8749d715234571c7ULL, 0x067abed539627e0eULL},
+    {8, 0x9aa5e73eea8063c0ULL, 0xdd012a218768cdd0ULL},
+    {12, 0x983b00cfb6d78d88ULL, 0x308013132397bac0ULL},
 };
 
 TEST(SiteNodeGolden, UnboundedSweepsAreByteIdentical) {

@@ -114,6 +114,7 @@ std::uint64_t hash_control(std::uint64_t h, const GgdMessage& m) {
   h = hash_map(h, m.row_acks, u64);
   h = hash_set(h, m.dead);
   h = fnv(h, m.inquiry ? 1 : 0);
+  h = fnv(h, m.need_rows ? 1 : 0);
   h = fnv(h, m.reply ? 1 : 0);
   h = fnv(h, m.reply ? 1 : 0);
   h = fnv(h, m.reply && m.holds_receiver ? 1 : 0);
@@ -234,30 +235,30 @@ void run_and_check(const Golden& golden, bool observed = false) {
 }
 
 TEST(TraceGolden, FaultyRunMatchesPreRefactorRecording) {
-  run_and_check({99, 0.10, 892, 6, 0x7f2b26fd2892dd21ULL,
-                 0x685df159df50ef6dULL});
+  run_and_check({99, 0.10, 989, 6, 0x35378da964580adeULL,
+                 0x0a63d5dbbcaa2de4ULL});
 }
 
 TEST(TraceGolden, FaultFreeRunMatchesPreRefactorRecording) {
-  run_and_check({7, 0.0, 713, 6, 0xd20abbc800066434ULL,
-                 0xb2dab5a128065276ULL});
+  run_and_check({7, 0.0, 703, 6, 0x1f11dba99abd2736ULL,
+                 0x96af56edae714ae1ULL});
 }
 
 TEST(TraceGolden, LowFaultRunMatchesPreRefactorRecording) {
-  run_and_check({123456, 0.05, 943, 6, 0x7274aca7c02141f9ULL,
-                 0x4746f3c522a0aa0fULL});
+  run_and_check({123456, 0.05, 992, 6, 0xa44c286fe07abb6dULL,
+                 0x48bc276a09c84b0aULL});
 }
 
 // Satellite guard for the observability PR: enabling the event journal
 // and the metrics registry must not perturb a single wire byte, packet
 // fate, or delivery time on any golden workload.
 TEST(TraceGolden, JournalAndMetricsArePassive) {
-  run_and_check({99, 0.10, 892, 6, 0x7f2b26fd2892dd21ULL,
-                 0x685df159df50ef6dULL}, /*observed=*/true);
-  run_and_check({7, 0.0, 713, 6, 0xd20abbc800066434ULL,
-                 0xb2dab5a128065276ULL}, /*observed=*/true);
-  run_and_check({123456, 0.05, 943, 6, 0x7274aca7c02141f9ULL,
-                 0x4746f3c522a0aa0fULL},
+  run_and_check({99, 0.10, 989, 6, 0x35378da964580adeULL,
+                 0x0a63d5dbbcaa2de4ULL}, /*observed=*/true);
+  run_and_check({7, 0.0, 703, 6, 0x1f11dba99abd2736ULL,
+                 0x96af56edae714ae1ULL}, /*observed=*/true);
+  run_and_check({123456, 0.05, 992, 6, 0xa44c286fe07abb6dULL,
+                 0x48bc276a09c84b0aULL},
                 /*observed=*/true);
 }
 
