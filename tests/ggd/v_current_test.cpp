@@ -374,6 +374,9 @@ struct FrontierStats {
 ///     building the reply reaches the check. An inquirer merged what its
 ///     echo covers before it inquired, and merging never loses an entry,
 ///     so a reply current here leaves at delivery what a full one would;
+///   * every current reply on the wire, per (replier, inquirer), is one
+///     the check saw built, so a site whose mailbox is not the check fails
+///     the test instead of leaving its replies unchecked;
 ///   * each delivered reply left its inquirer's known_behalf() covering
 ///     every row its replier held when it built the reply;
 ///   * every row a replier stamped at or under an inquirer's current echo
@@ -421,9 +424,6 @@ class FrontierCheck : public wire::Mailbox {
     const wire::WireTrace& trace = trace_;
     for (; seen_ < trace.size(); ++seen_) {
       const wire::PacketRecord& rec = trace.packets()[seen_];
-      if (rec.delivered_at.empty()) {
-        continue;  // dropped
-      }
       wire::read_packet(
           rec.bytes, [](const wire::PacketHeader&) {},
           [&](const wire::WireMessage& msg, std::size_t) {
@@ -432,6 +432,19 @@ class FrontierCheck : public wire::Mailbox {
               return;
             }
             const GgdMessage& r = c->msg;
+            if (r.current) {
+              // Every current reply on the wire, delivered or dropped, was
+              // built by an answer check_as_built saw first.
+              std::size_t& built = built_current_[{r.from, r.to}];
+              ASSERT_GT(built, 0u)
+                  << where << ": a current reply from " << r.from.str()
+                  << " to " << r.to.str()
+                  << " whose inquiry the check did not see";
+              --built;
+            }
+            if (rec.delivered_at.empty()) {
+              return;  // dropped
+            }
             auto held = before_.find(r.from);
             if (held == before_.end()) {
               return;
@@ -441,6 +454,9 @@ class FrontierCheck : public wire::Mailbox {
             sent.rows.erase(r.to);
             pending_.push_back(std::move(sent));
           });
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
     const SimTime now = s.sim().now();
     std::vector<SentReply> later;
@@ -492,6 +508,7 @@ class FrontierCheck : public wire::Mailbox {
     if (!replier.answer(inquiry).current) {
       return;
     }
+    ++built_current_[{r, inquiry.from}];
     const GgdProcess& i = engine.process(inquiry.from);
     if (i.removed() || i.dead().contains(r)) {
       return;
@@ -584,6 +601,9 @@ class FrontierCheck : public wire::Mailbox {
   std::size_t seen_ = 0;
   FlatMap<ProcessId, BehalfRows> before_;
   std::vector<SentReply> pending_;
+  /// Current replies check_as_built saw built and the trace has not yet
+  /// shown, per (replier, inquirer).
+  std::map<std::pair<ProcessId, ProcessId>, std::size_t> built_current_;
 };
 
 TEST(ReplyFrontier, EveryDeliveredReplyLeavesWhatAFullReplyWould) {
