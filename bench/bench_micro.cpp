@@ -1,13 +1,17 @@
 // Microbenchmarks for the per-message hot paths of a GGD process: the
 // vector-time closure (ComputeV), the edge-precise reachability walk and
 // the decoding of a control message. These bound the CPU cost a site pays
-// per GGD message as structures grow.
+// per GGD message as structures grow. The RowTable kernels price the row
+// tables' span policy (exact first spans for rows written whole).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "ggd/process.hpp"
 #include "logkeeping/lazy_logkeeping.hpp"
+#include "vclock/row_table.hpp"
 #include "wire/messages.hpp"
 
 namespace cgc {
@@ -246,6 +250,74 @@ void BM_VectorMerge(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_VectorMerge)->Range(8, 512)->Complexity();
+
+/// `n` entries for each of kTableRows rows: the content a table of
+/// overlay or history rows receives.
+constexpr std::uint64_t kTableRows = 256;
+
+DependencyVector row_content(std::uint64_t n) {
+  DependencyVector v;
+  for (std::uint64_t e = 0; e < n; ++e) {
+    v.set(P(1000 + 7 * e), Timestamp::creation(e + 1));
+  }
+  return v;
+}
+
+/// Reports the column slots a table held per live entry (1.0: no slack).
+void count_slots(benchmark::State& state, const RowTable& t) {
+  state.counters["slots_per_entry"] =
+      static_cast<double>(t.column_slots()) /
+      static_cast<double>(t.entry_count());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kTableRows));
+}
+
+// A pooled table's life with rows written whole (a reply's overlay row,
+// a certified history): each row is assigned, so its first span is exact.
+void BM_RowTableAssign(benchmark::State& state) {
+  const DependencyVector content =
+      row_content(static_cast<std::uint64_t>(state.range(0)));
+  const auto fill = [&content](RowTable& t) {
+    for (std::uint64_t q = 1; q <= kTableRows; ++q) {
+      t.row(P(q)) = content;
+    }
+  };
+  Pool pool;
+  for (auto _ : state) {
+    RowTable t(&pool);
+    fill(t);
+    benchmark::DoNotOptimize(t.entry_count());
+  }
+  RowTable t;
+  fill(t);
+  count_slots(state, t);
+}
+BENCHMARK(BM_RowTableAssign)->Arg(1)->Arg(2)->Arg(8)->Arg(32);
+
+// The same table with each row grown one entry at a time (a log row
+// written by log-keeping): a 4-slot first span, doubled on relocation.
+void BM_RowTableGrow(benchmark::State& state) {
+  const DependencyVector content =
+      row_content(static_cast<std::uint64_t>(state.range(0)));
+  const auto fill = [&content](RowTable& t) {
+    for (std::uint64_t q = 1; q <= kTableRows; ++q) {
+      auto row = t.row(P(q));
+      for (const auto& [p, ts] : content.entries()) {
+        row.set(p, ts);
+      }
+    }
+  };
+  Pool pool;
+  for (auto _ : state) {
+    RowTable t(&pool);
+    fill(t);
+    benchmark::DoNotOptimize(t.entry_count());
+  }
+  RowTable t;
+  fill(t);
+  count_slots(state, t);
+}
+BENCHMARK(BM_RowTableGrow)->Arg(1)->Arg(2)->Arg(8)->Arg(32);
 
 }  // namespace
 }  // namespace cgc

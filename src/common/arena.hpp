@@ -1,6 +1,7 @@
 // Bulk-owned memory for the hot-path storage layers: a bump-pointer
-// Arena, a size-classed Pool with free-list reuse on top of it, and a
-// std-compatible PoolAllocator<T> handle.
+// Arena, a size-classed Pool with free-list reuse on top of it, a
+// std-compatible PoolAllocator<T> handle, and PoolArray<T>, a growable
+// array whose owner holds the Pool* for it.
 //
 // Why: the detector's footprint is dominated by many small, long-lived
 // heap blocks — one per dependency-vector row, one per FlatMap, one per
@@ -32,6 +33,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -357,6 +359,99 @@ class PoolAllocator {
 
  private:
   Pool* pool_ = nullptr;
+};
+
+/// A growable array of trivially copyable T that does not store its Pool:
+/// 16 bytes (data, size, capacity) against a pooled std::vector's 32. The
+/// owner keeps one Pool* for all of its arrays and passes it to every call
+/// that allocates or frees (null: the global heap, as with PoolAllocator),
+/// and frees the array with release() before it goes away. Growth follows
+/// libstdc++'s vector (to max(2·size, request)); shrink_to_fit is exact.
+template <typename T>
+class PoolArray {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(alignof(T) <= Arena::kAlign,
+                "pooled types must not be over-aligned");
+
+ public:
+  PoolArray() = default;
+  PoolArray(const PoolArray&) = delete;
+  PoolArray& operator=(const PoolArray&) = delete;
+  PoolArray(PoolArray&& o) noexcept
+      : data_(std::exchange(o.data_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        cap_(std::exchange(o.cap_, 0)) {}
+  /// Only onto a released array: this one has no pool to free into.
+  PoolArray& operator=(PoolArray&& o) noexcept {
+    CGC_CHECK_MSG(data_ == nullptr, "PoolArray moved onto without release()");
+    data_ = std::exchange(o.data_, nullptr);
+    size_ = std::exchange(o.size_, 0);
+    cap_ = std::exchange(o.cap_, 0);
+    return *this;
+  }
+  ~PoolArray() {
+    CGC_CHECK_MSG(data_ == nullptr, "PoolArray destroyed without release()");
+  }
+
+  [[nodiscard]] const T* data() const { return data_; }
+  [[nodiscard]] std::uint32_t size() const { return size_; }
+  [[nodiscard]] std::uint32_t capacity() const { return cap_; }
+  [[nodiscard]] T& operator[](std::size_t i) { return data_[i]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return data_[i]; }
+  [[nodiscard]] T* begin() { return data_; }
+  [[nodiscard]] const T* begin() const { return data_; }
+
+  /// Grows or shrinks to `n` elements; new ones are value-initialized.
+  void resize(Pool* pool, std::uint32_t n) {
+    if (n > cap_) {
+      reallocate(pool, std::max(n, 2 * size_));
+    }
+    if (n > size_) {
+      std::fill(data_ + size_, data_ + n, T{});
+    }
+    size_ = n;
+  }
+  void clear() { size_ = 0; }
+  void shrink_to_fit(Pool* pool) {
+    if (cap_ != size_) {
+      reallocate(pool, size_);
+    }
+  }
+  /// Frees the block: size and capacity read 0.
+  void release(Pool* pool) {
+    free_block(pool, data_, cap_);
+    data_ = nullptr;
+    size_ = cap_ = 0;
+  }
+  /// Replaces the content with a copy of `o`'s, allocated exactly.
+  void assign(Pool* pool, const PoolArray& o) {
+    release(pool);
+    reallocate(pool, o.size_);
+    std::copy(o.data_, o.data_ + o.size_, data_);
+    size_ = o.size_;
+  }
+  /// Moves the block to one of exactly `cap` elements (cap >= size).
+  void reallocate(Pool* pool, std::uint32_t cap) {
+    T* fresh = cap == 0 ? nullptr : alloc_block(pool, cap);
+    std::copy(data_, data_ + size_, fresh);
+    free_block(pool, data_, cap_);
+    data_ = fresh;
+    cap_ = cap;
+  }
+
+  static T* alloc_block(Pool* pool, std::uint32_t n) {
+    return PoolAllocator<T>(pool).allocate(n);
+  }
+  static void free_block(Pool* pool, T* p, std::uint32_t n) {
+    if (p != nullptr) {
+      PoolAllocator<T>(pool).deallocate(p, n);
+    }
+  }
+
+ private:
+  T* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = 0;
 };
 
 }  // namespace cgc

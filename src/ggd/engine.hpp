@@ -211,7 +211,9 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
 
   /// Byte attribution of all hosted process state, split live vs
   /// tombstone (removed processes are kept for posthumous answers; this
-  /// is how much that courtesy costs).
+  /// is how much that courtesy costs). Each process counts its object
+  /// (`object_bytes`) and the heap blocks it owns; the site's pool
+  /// reserves more than that (`pool().bytes_reserved()`).
   struct EngineFootprint {
     GgdProcess::StorageFootprint live;
     GgdProcess::StorageFootprint tombstone;

@@ -411,8 +411,8 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     Scratch& s = scratch();
     const ScratchUse use(s.v_ids, s.v_ts);
     close_v(id_, std::as_const(log_).self_row(), history_, dead_, s);
-    if (observed_) {
-      ++v_closures_;
+    if (obs_ != nullptr) {
+      ++obs_->v_closures;
     }
     const bool changed = !equals_v(last_v_, s);
     if (changed) {
@@ -488,14 +488,14 @@ std::vector<GgdMessage> GgdProcess::decide(RootPredicate is_root,
   FlatSet<ProcessId>& consulted = s.consulted;
   const WalkResult res = walk_to_root(is_root, missing, root_evidence,
                                       consulted);
-  if (observed_) {
-    walk_obs_.result = res;
-    walk_obs_.consulted = static_cast<std::uint32_t>(consulted.size());
-    walk_obs_.missing = static_cast<std::uint32_t>(missing.size());
-    walk_obs_.first_missing =
-        missing.empty() ? ProcessId{} : *missing.begin();
-    walk_obs_.inquiries = {};
-    walk_obs_.valid = true;
+  if (obs_ != nullptr) {
+    WalkObservation& w = obs_->walk;
+    w.result = res;
+    w.consulted = static_cast<std::uint32_t>(consulted.size());
+    w.missing = static_cast<std::uint32_t>(missing.size());
+    w.first_missing = missing.empty() ? ProcessId{} : *missing.begin();
+    w.inquiries = {};
+    w.valid = true;
   }
   if (!allow_inquiry && res != WalkResult::kUnreachable) {
     return out;
@@ -633,8 +633,8 @@ void GgdProcess::emit_inquiry(std::vector<GgdMessage>& out, ProcessId q,
   inq.echo = echo(q);
   inq.need_rows = why == InquiryReason::kBlocked;
   out.push_back(std::move(inq));
-  if (observed_) {
-    ++walk_obs_.inquiries[static_cast<std::size_t>(why)];
+  if (obs_ != nullptr) {
+    ++obs_->walk.inquiries[static_cast<std::size_t>(why)];
   }
 }
 
@@ -896,8 +896,8 @@ DependencyVector GgdProcess::compute_v() const {
   Scratch& s = scratch();
   const ScratchUse use(s.v_ids, s.v_ts);
   close_v(id_, log_.self_row(), history_, dead_, s);
-  if (observed_) {
-    ++v_closures_;
+  if (obs_ != nullptr) {
+    ++obs_->v_closures;
   }
   DependencyVector v;
   assign_v(v, s);
@@ -1143,6 +1143,7 @@ void GgdProcess::retire_tombstone() {
 
 GgdProcess::StorageFootprint GgdProcess::storage_footprint() const {
   StorageFootprint f;
+  f.object_bytes = sizeof(GgdProcess);
   f.log_bytes = log_.footprint_bytes();
   f.history_bytes = history_.footprint_bytes();
   f.known_bytes = known_rows_.footprint_bytes();

@@ -353,7 +353,7 @@ class GgdProcess {
   static constexpr std::size_t kInquiryReasons = 4;
 
   /// Shape of the most recent decision walk, captured only when the
-  /// engine has observability attached (`set_observed(true)`). Strictly
+  /// engine has observability attached (`set_observer`). Strictly
   /// diagnostic: never consulted by protocol code and deliberately NOT
   /// part of GgdProcessSnapshot — a migrated process starts with no
   /// recorded walk at its destination.
@@ -367,22 +367,33 @@ class GgdProcess {
     bool valid = false;
   };
 
-  /// Enables capture of walk observations in decide(). Off by default so
-  /// unobserved runs pay nothing (not even the copies into walk_obs_).
-  void set_observed(bool on) { observed_ = on; }
+  /// Where an observed process records its diagnostics: the last
+  /// decide() walk and the ComputeV closures run since they were last
+  /// taken (a V reused because its inputs had not changed is not a
+  /// closure). The host owns it and may share one among the processes it
+  /// drives one at a time, taking each process's record right after the
+  /// call that made it.
+  struct Observation {
+    WalkObservation walk;
+    std::uint32_t v_closures = 0;
+  };
 
-  /// Returns and invalidates the observation of the last decide() walk.
+  /// Records diagnostics into `sink` (null: unobserved, the default, so
+  /// unobserved runs pay nothing). `sink` must outlive its use here.
+  void set_observer(Observation* sink) { obs_ = sink; }
+
+  /// Returns and invalidates the observation of the last decide() walk
+  /// (invalid when unobserved).
   [[nodiscard]] WalkObservation take_last_walk() {
-    WalkObservation out = walk_obs_;
-    walk_obs_.valid = false;
-    return out;
+    if (obs_ == nullptr) {
+      return {};
+    }
+    return std::exchange(obs_->walk, WalkObservation{});
   }
 
-  /// Returns and resets the number of ComputeV closures run since the
-  /// last call, counted only while observed (a V reused because its
-  /// inputs had not changed is not a closure).
+  /// Returns and resets the closure count (0 when unobserved).
   [[nodiscard]] std::uint32_t take_v_closures() {
-    return std::exchange(v_closures_, 0);
+    return obs_ == nullptr ? 0 : std::exchange(obs_->v_closures, 0);
   }
 
   /// Walks the replicated in-edge rows from this process's live incoming
@@ -448,9 +459,13 @@ class GgdProcess {
 
   /// Where this process's bytes actually live — capacity-based, so the
   /// numbers add up to what the allocators hold, not just what is
-  /// filled. The memory diet steers by this attribution (summed across
-  /// the engine by GgdEngine::storage_footprint).
+  /// filled: the heap blocks each member owns, plus the GgdProcess
+  /// object itself. Allocator headers and pool size-class rounding are
+  /// not counted, so RSS reads somewhat higher. The memory diet steers by
+  /// this attribution (summed across the engine by
+  /// GgdEngine::storage_footprint).
   struct StorageFootprint {
+    std::size_t object_bytes = 0;   ///< sizeof(GgdProcess)
     std::size_t log_bytes = 0;      ///< DvLog: self + on-behalf rows
     std::size_t history_bytes = 0;  ///< certified peer histories
     std::size_t known_bytes = 0;    ///< replica rows of peers
@@ -458,10 +473,11 @@ class GgdProcess {
     std::size_t relay_bytes = 0;    ///< relay watermarks, echoes, `dead`
     std::size_t gate_bytes = 0;     ///< verdict-gating side tables
     [[nodiscard]] std::size_t total() const {
-      return log_bytes + history_bytes + known_bytes + behalf_bytes +
-             relay_bytes + gate_bytes;
+      return object_bytes + log_bytes + history_bytes + known_bytes +
+             behalf_bytes + relay_bytes + gate_bytes;
     }
     StorageFootprint& operator+=(const StorageFootprint& o) {
+      object_bytes += o.object_bytes;
       log_bytes += o.log_bytes;
       history_bytes += o.history_bytes;
       known_bytes += o.known_bytes;
@@ -618,9 +634,9 @@ class GgdProcess {
   /// was last re-verified by inquiry. A stale replica claiming a live root
   /// edge is refreshed at most once per version.
   FlatMap<ProcessId, std::uint64_t> inquired_version_;
-  /// Observability capture (see WalkObservation). Not serialized.
-  bool observed_ = false;
-  WalkObservation walk_obs_;
+  /// Diagnostics sink (see Observation); null when unobserved. Not
+  /// serialized.
+  Observation* obs_ = nullptr;
   /// Per subject: the sim time of the last direct reply from the subject
   /// itself. An unreachable verdict may rest on a live subject's replica
   /// row only when that reply arrived AFTER the verdict began pending
@@ -661,8 +677,6 @@ class GgdProcess {
   /// self row changes or receive() assigns a changed last_v_, drawn from
   /// the revision counter by the next reply (0: not drawn since).
   std::uint64_t content_stamp_ = 0;
-  /// Closures run while observed (see take_v_closures). Not serialized.
-  mutable std::uint32_t v_closures_ = 0;
   DependencyVector last_v_;
   FlatSet<ProcessId> acquaintances_;
   bool removed_ = false;

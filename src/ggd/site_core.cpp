@@ -12,7 +12,7 @@ GgdProcess& SiteCore::add(ProcessId id, bool is_root) {
   procs_.emplace_back(id, is_root, &pool_);
   generations_.add();  // newborns start hot: scanned by the next round
   proc_order_.insert(id);
-  procs_.back().set_observed(obs_attached_);
+  procs_.back().set_observer(obs_attached_ ? &obs_ : nullptr);
   return procs_.back();
 }
 
@@ -44,8 +44,9 @@ void SiteCore::attach_obs(obs::Registry* registry, obs::Journal* journal) {
     metrics_ = DetectorMetrics{};
   }
   obs_attached_ = registry != nullptr || journal != nullptr;
+  obs_ = GgdProcess::Observation{};
   for (GgdProcess& p : procs_) {
-    p.set_observed(obs_attached_);
+    p.set_observer(obs_attached_ ? &obs_ : nullptr);
   }
   logkeeping_.attach_obs(registry);
 }

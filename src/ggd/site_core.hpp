@@ -200,11 +200,11 @@ class SiteCore {
   /// verdict the set carries.
   void note_condemned(ProcessId p, ProcessId from);
   /// Records the decision walk `p` just ran (metrics and verdict record)
-  /// and the closures it ran since it was last observed.
+  /// and the closures run since the sink was last read.
   void observe_walk(GgdProcess& p, SimTime now);
-  /// Adds the closures `p` ran since it was last observed to
-  /// ggd.v_closures. An announce's closure is counted at the process's
-  /// next delivery or scan.
+  /// Adds the closures run since the sink was last read to
+  /// ggd.v_closures. An announce's closure is counted at the next
+  /// delivery or scan of any process here.
   void observe_closures(GgdProcess& p);
 
   SiteHost& host_;
@@ -213,6 +213,10 @@ class SiteCore {
   /// Declared before `procs_`, so the processes release their rows before
   /// the pool dies. The deque keeps process addresses stable.
   Pool pool_;
+  /// The one diagnostics sink of every process here while observability
+  /// is attached: processes run one at a time, and each call's record is
+  /// taken right after it.
+  GgdProcess::Observation obs_;
   IdInterner<ProcessId> ids_;
   std::deque<GgdProcess> procs_;
   FlatSet<ProcessId> proc_order_;

@@ -13,7 +13,15 @@
 // 8 bytes instead of 16) — with a per-row (offset, len, cap) span. Cost
 // per entry drops from 24+ bytes across ~R heap blocks to a flat 16
 // bytes across 2, and the columns can live in a caller-supplied Pool so
-// a whole process's tables share bulk-owned memory. Erasing a row marks
+// a whole process's tables share bulk-owned memory. The table holds that
+// Pool* once, not once per column (PoolArray), because a process keeps
+// four tables and there are tens of thousands of processes.
+//
+// A row's first span is exactly its size when the row is built whole
+// (assigned, or merged into while empty): most rows are written once —
+// an overlay or a history row per reply — and a fixed first span would
+// be mostly slack. A row grown entry by entry starts at 4 slots; any
+// relocation doubles the span, so growth stays amortized. Erasing a row marks
 // its span dead; when dead slots pass a threshold the columns are
 // compacted in place (spans moved down in increasing-offset order), so
 // the table actually shrinks — unlike the free-slot recycling it
@@ -54,12 +62,48 @@ class RowTable {
  public:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  explicit RowTable(Pool* pool = nullptr)
-      : spans_(SpanAlloc(pool)),
-        free_slots_(SlotAlloc(pool)),
-        ids_(IdAlloc(pool)),
-        ts_(TsAlloc(pool)),
-        stamps_(TsAlloc(pool)) {}
+  explicit RowTable(Pool* pool = nullptr) : pool_(pool) {}
+
+  /// A copy shares the source's pool and holds no slack beyond the
+  /// source's column slots; assignment keeps this table's own pool (as a
+  /// pooled std::vector's non-propagating allocator did).
+  RowTable(const RowTable& o) : pool_(o.pool_) { copy_contents(o); }
+  RowTable(RowTable&& o) noexcept
+      : index_(std::move(o.index_)),
+        pool_(o.pool_),
+        spans_(std::move(o.spans_)),
+        stamps_(std::exchange(o.stamps_, nullptr)),
+        ids_(std::move(o.ids_)),
+        ts_(std::move(o.ts_)),
+        free_head_(std::exchange(o.free_head_, kNoSlot)),
+        dead_(std::exchange(o.dead_, 0)),
+        total_entries_(std::exchange(o.total_entries_, 0)) {}
+  RowTable& operator=(const RowTable& o) {
+    if (this != &o) {
+      release();
+      copy_contents(o);
+    }
+    return *this;
+  }
+  RowTable& operator=(RowTable&& o) noexcept {
+    if (this == &o) {
+      return *this;
+    }
+    if (pool_ != o.pool_) {
+      return *this = std::as_const(o);
+    }
+    release();
+    index_ = std::move(o.index_);
+    spans_ = std::move(o.spans_);
+    stamps_ = std::exchange(o.stamps_, nullptr);
+    ids_ = std::move(o.ids_);
+    ts_ = std::move(o.ts_);
+    free_head_ = std::exchange(o.free_head_, kNoSlot);
+    dead_ = std::exchange(o.dead_, 0);
+    total_entries_ = std::exchange(o.total_entries_, 0);
+    return *this;
+  }
+  ~RowTable() { release(); }
 
   // -- packed timestamps ----------------------------------------------------
 
@@ -120,7 +164,7 @@ class RowTable {
     /// The row's revision stamp (RowRef::set_stamp); 0 for a row never
     /// stamped since it was created, and for an absent row.
     [[nodiscard]] std::uint64_t stamp() const {
-      return exists() && slot_ < t_->stamps_.size() ? t_->stamps_[slot_] : 0;
+      return exists() && t_->stamps_ != nullptr ? t_->stamps_[slot_] : 0;
     }
 
     [[nodiscard]] Timestamp get(ProcessId p) const {
@@ -222,8 +266,9 @@ class RowTable {
     /// Content writes leave the stamp alone: the owner stamps the rows
     /// whose changes it versions.
     void set_stamp(std::uint64_t stamp) {
-      if (slot_ >= t_->stamps_.size()) {
-        t_->stamps_.resize(t_->spans_.size());
+      if (t_->stamps_ == nullptr) {
+        t_->stamps_ = StampArray::alloc_block(t_->pool_, t_->spans_.capacity());
+        std::fill_n(t_->stamps_, t_->spans_.capacity(), std::uint64_t{0});
       }
       t_->stamps_[slot_] = stamp;
     }
@@ -304,13 +349,14 @@ class RowTable {
     maybe_compact();
   }
 
+  /// Drops every row; the columns keep their capacity. A slot made
+  /// afterwards reads unstamped.
   void clear() {
     index_.clear();
     spans_.clear();
-    free_slots_.clear();
     ids_.clear();
     ts_.clear();
-    stamps_.clear();
+    free_head_ = kNoSlot;
     dead_ = 0;
     total_entries_ = 0;
   }
@@ -319,11 +365,11 @@ class RowTable {
   /// sheds a table it will never read again.
   void release() {
     index_.release();
-    shrink_vec(spans_);
-    shrink_vec(free_slots_);
-    shrink_vec(ids_);
-    shrink_vec(ts_);
-    shrink_vec(stamps_);
+    release_stamps();
+    spans_.release(pool_);
+    ids_.release(pool_);
+    ts_.release(pool_);
+    free_head_ = kNoSlot;
     dead_ = 0;
     total_entries_ = 0;
   }
@@ -331,16 +377,17 @@ class RowTable {
   /// Drops the stamp column and returns its bytes: every row reads
   /// unstamped until its next set_stamp. For a table whose stamps will
   /// never be read again.
-  void release_stamps() { shrink_vec(stamps_); }
+  void release_stamps() {
+    StampArray::free_block(pool_, std::exchange(stamps_, nullptr),
+                           spans_.capacity());
+  }
 
-  /// Compacts the columns AND trims every bookkeeping vector to size —
-  /// the tight-pack applied to state that must stay readable (a
+  /// Compacts the columns AND trims the span and index bookkeeping to
+  /// size — the tight-pack applied to state that must stay readable (a
   /// tombstone's wire-live remainder) but will mutate rarely if ever.
   void shrink_to_fit() {
     compact();
-    spans_.shrink_to_fit();
-    free_slots_.shrink_to_fit();
-    stamps_.shrink_to_fit();
+    set_slot_capacity(spans_.size());
     index_.shrink_to_fit();
   }
 
@@ -410,13 +457,13 @@ class RowTable {
   }
   /// Bytes the stamp column occupies (0 for a table that never stamped).
   [[nodiscard]] std::size_t stamp_bytes() const {
-    return stamps_.capacity() * sizeof(std::uint64_t);
+    return stamps_ == nullptr ? 0
+                              : spans_.capacity() * sizeof(std::uint64_t);
   }
-  /// Everything this table holds: columns plus span/index/free-slot/stamp
-  /// bookkeeping — the number that actually shows up in RSS.
+  /// Every heap byte this table holds: columns plus span/index/stamp
+  /// bookkeeping. The RowTable object itself is its owner's to count.
   [[nodiscard]] std::size_t footprint_bytes() const {
     return column_bytes() + spans_.capacity() * sizeof(Span) +
-           free_slots_.capacity() * sizeof(std::uint32_t) +
            stamp_bytes() +
            index_.capacity() * sizeof(std::pair<ProcessId, std::uint32_t>);
   }
@@ -450,10 +497,10 @@ class RowTable {
       s.cap = s.len;  // tight pack; the next insert re-grows geometrically
       write += s.len;
     }
-    ids_.resize(write);
-    ts_.resize(write);
-    ids_.shrink_to_fit();
-    ts_.shrink_to_fit();
+    ids_.resize(pool_, write);
+    ts_.resize(pool_, write);
+    ids_.shrink_to_fit(pool_);
+    ts_.shrink_to_fit(pool_);
     dead_ = 0;
   }
 
@@ -461,26 +508,21 @@ class RowTable {
   friend class RowView;
   friend class RowRef;
 
-  template <typename V>
-  static void shrink_vec(V& v) {
-    v.clear();
-    v.shrink_to_fit();
-  }
-
+  /// A row's region of the columns. A free slot (len and cap 0) keeps
+  /// the next free slot in `off`: the free list threads through spans_.
   struct Span {
     std::uint32_t off = 0;
     std::uint32_t len = 0;
     std::uint32_t cap = 0;
   };
 
-  using SpanAlloc = PoolAllocator<Span>;
-  using SlotAlloc = PoolAllocator<std::uint32_t>;
-  using IdAlloc = PoolAllocator<ProcessId>;
-  using TsAlloc = PoolAllocator<std::uint64_t>;
+  using StampArray = PoolArray<std::uint64_t>;
 
   static constexpr std::uint32_t kNotFound = ~std::uint32_t{0};
   /// Mirrors FlatMap's linear-scan cutoff: rows are usually tiny.
   static constexpr std::uint32_t kLinearScanMax = 8;
+  /// First span of a row grown entry by entry (set_entry).
+  static constexpr std::uint32_t kFirstSpan = 4;
   /// Compaction trigger: at least this many dead slots AND dead ≥ half of
   /// the columns. Amortizes the O(live) slide against real savings.
   static constexpr std::uint32_t kCompactMinDead = 64;
@@ -517,18 +559,22 @@ class RowTable {
     return static_cast<std::uint32_t>(it - ids_.begin());
   }
 
+  /// The most recently freed slot, else a new one; it starts unstamped.
   [[nodiscard]] std::uint32_t new_slot() {
-    if (!free_slots_.empty()) {
-      const std::uint32_t slot = free_slots_.back();
-      free_slots_.pop_back();
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+      free_head_ = spans_[slot].off;
       spans_[slot] = Span{};
-      if (slot < stamps_.size()) {
-        stamps_[slot] = 0;  // a reused slot starts unstamped
+    } else {
+      slot = spans_.size();
+      if (slot == spans_.capacity()) {
+        set_slot_capacity(std::max<std::uint32_t>(1, 2 * slot));
       }
-      return slot;
+      spans_.resize(pool_, slot + 1);
     }
-    const auto slot = static_cast<std::uint32_t>(spans_.size());
-    spans_.emplace_back();
+    if (stamps_ != nullptr) {
+      stamps_[slot] = 0;
+    }
     return slot;
   }
 
@@ -537,7 +583,25 @@ class RowTable {
     total_entries_ -= s.len;
     dead_ += s.cap;
     s = Span{};
-    free_slots_.push_back(slot);
+    s.off = free_head_;
+    free_head_ = slot;
+  }
+
+  /// Moves spans_ (and the stamp column, which spans_'s capacity sizes)
+  /// to blocks of exactly `cap` slots, cap >= spans_.size().
+  void set_slot_capacity(std::uint32_t cap) {
+    const std::uint32_t old_cap = spans_.capacity();
+    if (cap == old_cap) {
+      return;
+    }
+    if (stamps_ != nullptr) {
+      std::uint64_t* fresh =
+          cap == 0 ? nullptr : StampArray::alloc_block(pool_, cap);
+      std::copy_n(stamps_, spans_.size(), fresh);
+      StampArray::free_block(pool_, stamps_, old_cap);
+      stamps_ = fresh;
+    }
+    spans_.reallocate(pool_, cap);
   }
 
   void maybe_compact() {
@@ -547,8 +611,10 @@ class RowTable {
   }
 
   /// Ensures the row can hold at least `need` entries, relocating it to
-  /// the column tail if its current region is too small.
-  void reserve_row(std::uint32_t slot, std::uint32_t need) {
+  /// the column tail if its current region is too small. A row's first
+  /// span is `need` exactly when the caller writes the row `whole`, else
+  /// kFirstSpan; a relocation at least doubles the span.
+  void reserve_row(std::uint32_t slot, std::uint32_t need, bool whole) {
     if (need <= spans_[slot].cap) {
       return;
     }
@@ -557,11 +623,11 @@ class RowTable {
     // to hand the caller.
     maybe_compact();
     Span& s = spans_[slot];
-    std::uint32_t cap = s.cap == 0 ? 4 : s.cap * 2;
+    std::uint32_t cap = s.cap != 0 ? s.cap * 2 : whole ? need : kFirstSpan;
     cap = std::max(cap, need);
-    const auto off = static_cast<std::uint32_t>(ids_.size());
-    ids_.resize(ids_.size() + cap);
-    ts_.resize(ts_.size() + cap);
+    const std::uint32_t off = ids_.size();
+    ids_.resize(pool_, off + cap);
+    ts_.resize(pool_, off + cap);
     Span& s2 = spans_[slot];  // resize above does not move spans_
     if (s2.len > 0) {
       std::copy(ids_.begin() + s2.off, ids_.begin() + s2.off + s2.len,
@@ -593,7 +659,7 @@ class RowTable {
       ts_[pos] = pack(ts);
       return;
     }
-    reserve_row(slot, spans_[slot].len + 1);
+    reserve_row(slot, spans_[slot].len + 1, /*whole=*/false);
     Span& s = spans_[slot];
     const std::uint32_t ins = lower_pos(slot, p);
     std::copy_backward(ids_.begin() + ins, ids_.begin() + s.off + s.len,
@@ -610,7 +676,7 @@ class RowTable {
     Span* s = &spans_[slot];
     total_entries_ -= s->len;
     s->len = 0;
-    reserve_row(slot, static_cast<std::uint32_t>(m.size()));
+    reserve_row(slot, static_cast<std::uint32_t>(m.size()), /*whole=*/true);
     s = &spans_[slot];  // reserve_row may compact / relocate
     std::uint32_t w = s->off;
     for (const auto& [p, ts] : m) {
@@ -647,7 +713,8 @@ class RowTable {
       }
     }
     if (extra > 0) {
-      reserve_row(slot, spans_[slot].len + extra);
+      reserve_row(slot, spans_[slot].len + extra,
+                  /*whole=*/spans_[slot].len == 0);
     }
     Span& s = spans_[slot];
     // Backward merge: read cursors at the ends of both inputs, write
@@ -684,19 +751,37 @@ class RowTable {
     return changed || extra > 0;
   }
 
+  /// Allocates exactly `o`'s column slots; `this` holds nothing yet.
+  void copy_contents(const RowTable& o) {
+    index_ = o.index_;
+    spans_.assign(pool_, o.spans_);
+    if (o.stamps_ != nullptr && spans_.capacity() != 0) {
+      stamps_ = StampArray::alloc_block(pool_, spans_.capacity());
+      std::copy_n(o.stamps_, spans_.size(), stamps_);
+    }
+    ids_.assign(pool_, o.ids_);
+    ts_.assign(pool_, o.ts_);
+    free_head_ = o.free_head_;
+    dead_ = o.dead_;
+    total_entries_ = o.total_entries_;
+  }
+
   /// Sorted index: row key → slot. Slots are stable across interning and
   /// compaction; only erase recycles them.
   FlatMap<ProcessId, std::uint32_t> index_;
-  std::vector<Span, SpanAlloc> spans_;
-  std::vector<std::uint32_t, SlotAlloc> free_slots_;
-  /// The shared entry columns all rows slice into.
-  std::vector<ProcessId, IdAlloc> ids_;
-  std::vector<std::uint64_t, TsAlloc> ts_;
-  /// Revision stamp per slot, grown on the first set_stamp; slots past
-  /// its end read 0.
-  std::vector<std::uint64_t, TsAlloc> stamps_;
+  /// Backs spans_, the stamp column and both entry columns.
+  Pool* pool_ = nullptr;
+  PoolArray<Span> spans_;
+  /// Revision stamp per slot, spans_.capacity() long; null until the
+  /// first set_stamp, so a table that never stamps holds no column.
+  std::uint64_t* stamps_ = nullptr;
+  /// The shared entry columns all rows slice into (always the same size).
+  PoolArray<ProcessId> ids_;
+  PoolArray<std::uint64_t> ts_;
+  /// Head of the free-slot list threaded through spans_ (kNoSlot: empty).
+  std::uint32_t free_head_ = kNoSlot;
   std::uint32_t dead_ = 0;
-  std::size_t total_entries_ = 0;
+  std::uint32_t total_entries_ = 0;
 };
 
 }  // namespace cgc

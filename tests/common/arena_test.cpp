@@ -378,5 +378,70 @@ TEST(RowTable, PooledTableSurvivesHeavyChurnUnderPoolReuse) {
   EXPECT_GT(pool.reuse_count(), 0u);
 }
 
+TEST(PoolArray, GrowsLikeAVectorAndShrinksExactly) {
+  Pool pool;
+  PoolArray<std::uint64_t> a;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    a.resize(&pool, i + 1);
+    a[i] = i;
+  }
+  EXPECT_EQ(a.size(), 5u);
+  EXPECT_EQ(a.capacity(), 8u);  // 1, 2, 4, 8
+  a.resize(&pool, 9);           // max(9, 2 * 5)
+  EXPECT_EQ(a.capacity(), 10u);
+  EXPECT_EQ(a[8], 0u) << "new elements are value-initialized";
+  EXPECT_EQ(a[4], 4u);
+  a.resize(&pool, 3);
+  a.shrink_to_fit(&pool);
+  EXPECT_EQ(a.capacity(), 3u);
+  EXPECT_EQ(a[2], 2u);
+  PoolArray<std::uint64_t> b;
+  b.assign(&pool, a);
+  EXPECT_EQ(b.capacity(), 3u);
+  EXPECT_EQ(b[1], 1u);
+  a.release(&pool);
+  b.release(&pool);
+  EXPECT_EQ(pool.bytes_live(), 0u);
+}
+
+// A pooled table hands back every byte it took — columns, spans, stamps —
+// through growth, copies, moves, compaction, shrink and stamp release: a
+// block freed under a size other than the one it was allocated with would
+// leave bytes_live off zero.
+TEST(RowTable, PooledTablesReturnEveryByte) {
+  Pool pool;
+  {
+    RowTable t(&pool);
+    Rng rng(77);
+    for (int step = 0; step < 3000; ++step) {
+      const ProcessId q = P(1 + rng.below(40));
+      if (rng.below(10) == 0) {
+        t.erase(q);
+      } else if (rng.below(3) == 0) {
+        DependencyVector v;
+        v.set(P(1 + rng.below(30)), Timestamp::creation(1 + rng.below(9)));
+        t.row(q) = v;
+      } else {
+        t.row(q).set(P(1 + rng.below(30)), Timestamp::creation(step + 1));
+      }
+      if (rng.below(5) == 0) {
+        t.row(q).set_stamp(static_cast<std::uint64_t>(step) + 1);
+      }
+      if (step % 700 == 0) {
+        RowTable copy = t;
+        RowTable moved = std::move(copy);
+        moved.shrink_to_fit();
+        t = moved;
+      }
+    }
+    t.compact();
+    t.shrink_to_fit();
+    t.release_stamps();
+    t.row(P(3)).set_stamp(1);
+    EXPECT_GT(pool.bytes_live(), 0u);
+  }
+  EXPECT_EQ(pool.bytes_live(), 0u);
+}
+
 }  // namespace
 }  // namespace cgc

@@ -345,6 +345,32 @@ TEST(GgdProcess, ComputeVClosesOverHistories) {
   EXPECT_FALSE(v.get(P(3)).is_delta());
 }
 
+// Every hosted process, tombstones included, is one GgdProcess object: at
+// big_heap's ~21.5k processes each 100 B is 2 MB of RSS. The object holds
+// four RowTables, so a per-column Pool* or a stamp column per table costs
+// 4x; the walk diagnostics live in the host's sink.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+TEST(GgdProcess, ObjectFitsItsByteBudget) {
+  EXPECT_LE(sizeof(GgdProcess), 1024u);
+  EXPECT_LE(sizeof(RowTable), 112u);
+}
+#endif
+
+// The footprint counts the object itself next to the blocks it owns, live
+// or retired, so summed over an engine it is comparable with RSS.
+TEST(GgdProcess, FootprintCountsTheProcessObject) {
+  GgdProcess p(P(2), false);
+  EXPECT_EQ(p.storage_footprint().object_bytes, sizeof(GgdProcess));
+  EXPECT_GE(p.storage_footprint().total(), sizeof(GgdProcess));
+  LazyLogKeeping lk;
+  lk.on_send_own_ref(p, P(1));
+  const GgdProcess::StorageFootprint f = p.storage_footprint();
+  EXPECT_EQ(f.total(), f.object_bytes + f.log_bytes + f.history_bytes +
+                           f.known_bytes + f.behalf_bytes + f.relay_bytes +
+                           f.gate_bytes);
+  EXPECT_GT(f.log_bytes, 0u);
+}
+
 TEST(GgdProcess, TombstoneRetirementShedsWalkStateKeepsPosthumousWire) {
   GgdProcess p(P(2), false);
   LazyLogKeeping lk;
@@ -378,6 +404,8 @@ TEST(GgdProcess, TombstoneRetirementShedsWalkStateKeepsPosthumousWire) {
                                         "posthumously";
   EXPECT_EQ(after.behalf_bytes, 0u) << "deferred behalf rows die with us";
   EXPECT_EQ(after.gate_bytes, 0u) << "inquiry gates are walk-only state";
+  EXPECT_EQ(after.object_bytes, sizeof(GgdProcess))
+      << "a tombstone still occupies its object";
 
   // The posthumous answer survives the shed: the re-issued death
   // certificate still carries the dead set and ships the retained replica

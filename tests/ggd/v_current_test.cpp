@@ -39,10 +39,10 @@ ProcessId P(std::uint64_t v) { return ProcessId{v}; }
 constexpr auto all_roots = [](ProcessId) { return true; };
 
 /// A root (roots never decide, so receive() only merges and closes V)
-/// whose closures are counted.
-GgdProcess observed_root(std::uint64_t id) {
+/// whose closures are counted in `sink`.
+GgdProcess observed_root(std::uint64_t id, GgdProcess::Observation& sink) {
   GgdProcess p(P(id), /*is_root=*/true);
-  p.set_observed(true);
+  p.set_observer(&sink);
   return p;
 }
 
@@ -94,7 +94,8 @@ void expect_recomputed(GgdProcess& p) {
 }
 
 TEST(VCurrent, NoOpReceiveAndReplyReuseTheClosure) {
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   p.log().self_row().set(P(3), C(1));
   const GgdMessage msg = reply_from(3, 1, dv({{4, C(1)}}));
   (void)p.receive(msg, all_roots);
@@ -112,7 +113,8 @@ TEST(VCurrent, NoOpReceiveAndReplyReuseTheClosure) {
 }
 
 TEST(VCurrent, MutatorWriteThroughLogInvalidates) {
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   // P(5)'s certified history is known, but nothing reaches us from P(5)
   // yet, so V leaves it unexpanded.
   (void)p.receive(reply_from(5, 1, dv({{6, C(2)}})), all_roots);
@@ -124,7 +126,8 @@ TEST(VCurrent, MutatorWriteThroughLogInvalidates) {
 }
 
 TEST(VCurrent, AbsorbedRegrantInvalidates) {
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   (void)p.receive(vector_from(3, 1, dv({{3, C(2)}, {4, C(1)}})), all_roots);
   (void)p.receive(vector_from(3, 1, dv({{3, E(3)}})), all_roots);
   expect_reused(p);
@@ -142,7 +145,8 @@ TEST(VCurrent, AbsorbedRegrantInvalidates) {
 }
 
 TEST(VCurrent, DecertifiedRowInvalidates) {
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   (void)p.receive(vector_from(3, 1, dv({{3, C(1)}, {4, C(1)}})), all_roots);
   expect_reused(p);
   p.decertify_row(P(3));
@@ -151,7 +155,8 @@ TEST(VCurrent, DecertifiedRowInvalidates) {
 }
 
 TEST(VCurrent, ImportedStateInvalidates) {
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   (void)p.receive(vector_from(3, 1, dv({{3, C(1)}, {4, C(1)}})), all_roots);
   expect_reused(p);
   // The wire's snapshot carries a self row the snapshot's V predates.
@@ -163,7 +168,8 @@ TEST(VCurrent, ImportedStateInvalidates) {
 }
 
 TEST(VCurrent, DeathLearnedFromTheDeadSetAloneInvalidates) {
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   p.log().self_row().set(P(3), C(1));
   (void)p.receive(reply_from(3, 1, dv({{4, C(1)}, {5, C(1)}})), all_roots);
   expect_reused(p);
@@ -179,7 +185,8 @@ TEST(VCurrent, DeathLearnedFromTheDeadSetAloneInvalidates) {
 TEST(VCurrent, HistoryMergeThatChangesTheRowInvalidates) {
   // A reply: the row merges into P(3)'s history, the self row is
   // untouched.
-  GgdProcess p = observed_root(1);
+  GgdProcess::Observation sink;
+  GgdProcess p = observed_root(1, sink);
   p.log().self_row().set(P(3), C(1));
   (void)p.receive(reply_from(3, 1, dv({{4, C(1)}})), all_roots);
   (void)p.take_v_closures();
@@ -189,7 +196,8 @@ TEST(VCurrent, HistoryMergeThatChangesTheRowInvalidates) {
   EXPECT_EQ(p.compute_v().get(P(4)), C(2));
 
   // A vector forward whose own slot is unchanged: only the history moves.
-  GgdProcess q = observed_root(1);
+  GgdProcess::Observation q_sink;
+  GgdProcess q = observed_root(1, q_sink);
   (void)q.receive(vector_from(3, 1, dv({{3, C(1)}, {4, C(1)}})), all_roots);
   (void)q.take_v_closures();
   (void)q.receive(vector_from(3, 1, dv({{3, C(1)}, {4, C(2)}})), all_roots);

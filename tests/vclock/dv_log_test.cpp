@@ -194,6 +194,123 @@ TEST(RowTable, ReleasedStampsFreeTheColumnAndKeepTheRows) {
   EXPECT_EQ(ct.row(P(3)).stamp(), 9u);
 }
 
+// ---- span policy: a row pays for its entries, not for slack -------------
+
+DependencyVector entries_from(std::uint64_t first, std::uint64_t n) {
+  DependencyVector v;
+  for (std::uint64_t q = first; q < first + n; ++q) {
+    v.set(P(q), Timestamp::creation(q));
+  }
+  return v;
+}
+
+// A row written whole (assigned, or merged into while empty) gets a first
+// span of exactly its size: most overlay and history rows are written
+// once, with one or two entries, and never grow.
+TEST(RowTable, RowsBuiltWholeHoldExactlyTheirEntries) {
+  RowTable t;
+  t.row(P(1)) = entries_from(10, 1);
+  t.row(P(2)) = entries_from(10, 5);
+  (void)t.row(P(3)).merge(entries_from(20, 1));
+  (void)t.row(P(4)).merge(entries_from(20, 3));
+  EXPECT_EQ(t.entry_count(), 10u);
+  EXPECT_EQ(t.column_slots(), t.entry_count());
+  EXPECT_EQ(t.dead_slots(), 0u);
+  // Re-assigning a row within its span moves nothing.
+  t.row(P(2)) = entries_from(30, 4);
+  EXPECT_EQ(t.column_slots(), 10u);
+  EXPECT_EQ(std::as_const(t).row(P(2)).to_dv(), entries_from(30, 4));
+}
+
+// A row grown entry by entry starts at 4 slots and doubles each time it
+// relocates, so a long row costs amortized O(1) copies per entry.
+TEST(RowTable, RowsGrownByEntryStartAtFourSlotsAndDouble) {
+  RowTable t;
+  auto row = t.row(P(1));
+  row.set(P(100), Timestamp::creation(1));
+  EXPECT_EQ(t.column_slots(), 4u);
+  for (std::uint64_t q = 101; q < 104; ++q) {
+    row.set(P(q), Timestamp::creation(1));
+  }
+  EXPECT_EQ(t.column_slots(), 4u);
+  row.set(P(104), Timestamp::creation(1));  // relocates to a span of 8
+  EXPECT_EQ(t.column_slots(), 4u + 8u);
+  EXPECT_EQ(t.dead_slots(), 4u);
+  for (std::uint64_t q = 105; q < 109; ++q) {
+    row.set(P(q), Timestamp::creation(1));
+  }
+  EXPECT_EQ(t.column_slots(), 4u + 8u + 16u);
+  EXPECT_EQ(t.dead_slots(), 12u);
+  EXPECT_EQ(t.entry_count(), 9u);
+
+  // A row that began whole doubles too once it outgrows its exact span.
+  t.row(P(2)) = entries_from(10, 3);
+  const std::size_t before = t.column_slots();
+  t.row(P(2)).set(P(50), Timestamp::creation(1));
+  EXPECT_EQ(t.column_slots(), before + 6u);
+  (void)t.row(P(2)).merge(entries_from(60, 3));  // 7 entries: 6 -> 12
+  EXPECT_EQ(t.column_slots(), before + 6u + 12u);
+  EXPECT_EQ(std::as_const(t).row(P(2)).size(), 7u);
+}
+
+// compact() tight-packs every span whatever policy sized it, and the next
+// insert into a packed row grows it geometrically again.
+TEST(RowTable, CompactTightPacksEverySpan) {
+  RowTable t;
+  for (std::uint64_t q = 1; q <= 8; ++q) {
+    auto row = t.row(P(q));
+    for (std::uint64_t e = 0; e < q; ++e) {
+      row.set(P(100 + e), Timestamp::creation(q));
+    }
+  }
+  t.row(P(9)) = entries_from(10, 5);
+  ASSERT_GT(t.column_slots(), t.entry_count());
+  t.compact();
+  EXPECT_EQ(t.column_slots(), t.entry_count());
+  EXPECT_EQ(t.dead_slots(), 0u);
+  for (std::uint64_t q = 1; q <= 8; ++q) {
+    EXPECT_EQ(std::as_const(t).row(P(q)).size(), q);
+  }
+  t.row(P(3)).set(P(1), Timestamp::creation(1));  // 3 -> a span of 6
+  EXPECT_EQ(t.column_slots(), t.entry_count() - 1 + 6);
+}
+
+// Copies and moves carry rows, stamps and free slots; a copy holds no
+// slack beyond the source's columns.
+TEST(RowTable, CopiesAndMovesKeepRowsStampsAndFreeSlots) {
+  Pool pool;
+  RowTable t(&pool);
+  for (std::uint64_t q = 1; q <= 12; ++q) {
+    t.row(P(q)) = entries_from(100, q % 4 + 1);
+    t.row(P(q)).set_stamp(q);
+  }
+  t.erase(P(5));
+  t.erase(P(6));
+  RowTable copy = t;
+  RowTable assigned;
+  assigned = copy;
+  for (const RowTable* c : {&copy, &assigned}) {
+    EXPECT_EQ(c->entry_count(), t.entry_count());
+    EXPECT_EQ(c->column_slots(), t.column_slots());
+    for (std::uint64_t q = 1; q <= 12; ++q) {
+      EXPECT_EQ(c->row(P(q)).exists(), q != 5 && q != 6) << q;
+      EXPECT_EQ(c->row(P(q)).stamp(), q == 5 || q == 6 ? 0 : q) << q;
+      EXPECT_EQ(c->row(P(q)).to_dv(), t.row(P(q)).to_dv()) << q;
+    }
+  }
+  // The freed slots are reused, newest first, and read unstamped.
+  copy.row(P(40)).set(P(1), Timestamp::creation(1));
+  EXPECT_EQ(std::as_const(copy).row(P(40)).stamp(), 0u);
+  RowTable moved = std::move(copy);
+  EXPECT_EQ(moved.entry_count(), t.entry_count() + 1);
+  EXPECT_EQ(std::as_const(moved).row(P(12)).stamp(), 12u);
+  EXPECT_EQ(copy.footprint_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  RowTable heap;  // another pool: a move becomes a copy
+  heap = std::move(moved);
+  EXPECT_EQ(std::as_const(heap).row(P(12)).stamp(), 12u);
+  EXPECT_EQ(heap.entry_count(), t.entry_count() + 1);
+}
+
 TEST(DvLog, FixedUniverseRendering) {
   DvLog log(P(2));
   log.self_row().set(P(1), Timestamp::destruction(1));
