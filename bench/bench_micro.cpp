@@ -88,7 +88,7 @@ GgdProcess make_dense_process(std::size_t n) {
   }
   (void)p.receive(death, [](ProcessId) { return true; });
   for (std::size_t j = 0; j < 3; ++j) {
-    p.log().self_row().set(pool(j * 3), Timestamp::creation(1));
+    p.log().row(p.id()).set(pool(j * 3), Timestamp::creation(1));
   }
   return p;
 }

@@ -168,7 +168,7 @@ ScaleResult run_scale(const ScaleConfig& cfg) {
   // a consistent lower bound on the true latency, comparable across PRs.
   // Refresh time is accumulated separately and excluded from the wall
   // clock, so events/sec keeps measuring the engine, not the bench.
-  constexpr SimTime kNoOnset = Simulator::kNever;
+  constexpr SimTime kNoOnset = UINT64_MAX;
   std::vector<SimTime> since;  // indexed by ProcessId value
   obs::TickHistogram latency;
   std::chrono::steady_clock::duration oracle_wall{};

@@ -23,7 +23,7 @@ void print_logs(const GgdEngine& engine, const std::vector<ProcessId>& all) {
               << (proc.is_root() ? " (actual root)" : "")
               << (proc.removed() ? " [REMOVED]" : "") << "\n";
     std::cout << "    DV[" << p.str() << "] (self) = "
-              << proc.log().self_row().str(all) << "\n";
+              << proc.self_row().str(all) << "\n";
     for (const auto& [q, row] : proc.log().rows()) {
       if (q != p && !row.empty()) {
         std::cout << "    DV[" << q.str() << "] (on behalf) = "

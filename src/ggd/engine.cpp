@@ -100,7 +100,7 @@ void GgdEngine::on_ggd_message(const GgdMessage& msg) {
   // Participation: the hosting site handles every inquiry (collected
   // targets are answered posthumously) and every message to a live target.
   if (msg.inquiry || !process(msg.to).removed()) {
-    ++participating_sites_[site_of(msg.to)];
+    participating_sites_.insert(site_of(msg.to));
   }
   core_.deliver(msg);
 }
@@ -143,23 +143,8 @@ void GgdEngine::redirect(SiteId at, ProcessId target,
     }
     return;
   }
-  ForwardStub& stub = it->second;
-  if (stub.armed && stub.ttl == 0) {
-    // An armed stub out of redirects is expired (reachable via
-    // set_redirect_ttl(0): "serves zero more redirects after the ack").
-    stubs_.erase(it);
-    ++migration_stats_.bounced;
-    if (obs::Journal* journal = core_.journal()) {
-      journal->record(now(), at, obs::EventKind::kMigrateBounce, target);
-    }
-    return;
-  }
   ++migration_stats_.forwarded;
-  const SiteId next = stub.next;
-  if (stub.armed && --stub.ttl == 0) {
-    stubs_.erase(it);
-  }
-  net_.send(at, next, msg);
+  net_.send(at, it->second.next, msg);
 }
 
 bool GgdEngine::migrate(ProcessId p, SiteId dst) {
@@ -175,8 +160,7 @@ bool GgdEngine::migrate(ProcessId p, SiteId dst) {
   ms.dst = dst;
   ms.snap = process(p).export_state();
   in_transit_.emplace(p, TransitRecord{ms.migration_id, src, dst});
-  stubs_[{src, p}] =
-      ForwardStub{dst, redirect_ttl_, /*armed=*/false, /*sweeps_survived=*/0};
+  stubs_[{src, p}] = ForwardStub{dst, /*armed=*/false, /*sweeps_survived=*/0};
   pending_handoffs_.emplace(ms.migration_id, ms);
   ++migration_stats_.started;
   if (obs::Journal* journal = core_.journal()) {
@@ -188,9 +172,12 @@ bool GgdEngine::migrate(ProcessId p, SiteId dst) {
 }
 
 void GgdEngine::on_migrate_state(const wire::MigrateState& ms) {
-  if (!applied_migrations_.insert(ms.migration_id)) {
-    // Duplicated or re-emitted snapshot after the original landed: only
-    // the acknowledgement was lost — re-confirm.
+  auto transit = in_transit_.find(ms.proc);
+  if (transit == in_transit_.end() ||
+      transit->second.migration_id != ms.migration_id) {
+    // Duplicated or re-emitted snapshot after the original landed (the
+    // mover may be in a later hand-off by now): only the acknowledgement
+    // was lost — re-confirm.
     net_.send(ms.dst, ms.src,
               wire::WireMessage{MessageKind::kMigration,
                                 wire::MigrateAck{ms.migration_id, ms.proc,
@@ -205,7 +192,7 @@ void GgdEngine::on_migrate_state(const wire::MigrateState& ms) {
   proc.import_state(ms.snap);
   site_by_idx_[idx] = ms.dst;
   core_.mark_touched(ms.proc);
-  in_transit_.erase(ms.proc);
+  in_transit_.erase(transit);
   ++migration_stats_.completed;
   if (obs::Journal* journal = core_.journal()) {
     journal->record(now(), ms.dst, obs::EventKind::kMigrateDeliver, ms.proc,
@@ -240,7 +227,7 @@ void GgdEngine::on_migrate_state(const wire::MigrateState& ms) {
 
 void GgdEngine::on_migrate_ack(SiteId at, const wire::MigrateAck& ack) {
   pending_handoffs_.erase(ack.migration_id);
-  // Arm the vacated site's stub: from here it serves TTL more redirects.
+  // Arm the vacated site's stub: from here the sweep counts it down.
   // (`at` is the site the ack was addressed to — the hand-off source.)
   auto it = stubs_.find({at, ack.proc});
   if (it != stubs_.end() && it->second.next == ack.dst) {
@@ -287,9 +274,9 @@ bool GgdEngine::sweep_slice(std::uint64_t budget_units) {
 bool GgdEngine::sweep_host_phases(sweep::Budget& budget) {
   HostSweepCursor& cur = host_cursor_;
   if (!cur.handoffs) {
-    // Reclaim forwarding stubs stale traffic will never expire: a
-    // collected mover needs no redirects, and an armed stub two sweep
-    // rounds old has outlived any packet the sweeps cannot re-emit.
+    // Reclaim forwarding stubs: a collected mover needs no redirects, and
+    // an armed stub two sweep rounds old has outlived any packet the
+    // sweeps cannot re-emit.
     auto it = cur.have_stub_key ? stubs_.upper_bound(cur.stub_key)
                                 : stubs_.begin();
     while (it != stubs_.end()) {

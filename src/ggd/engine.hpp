@@ -109,8 +109,8 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
   /// latency, not comprehensiveness).
   ///
   /// Performs at most `budget` units of sweep work (one unit per table
-  /// entry visited: pending-destruction re-emissions, stub TTL checks,
-  /// hand-off re-sends, per-process row scans) and remembers where it
+  /// entry visited: pending-destruction re-emissions, stub reclamation
+  /// checks, hand-off re-sends, per-process row scans) and remembers where it
   /// stopped. Returns true when this slice completed the round — the
   /// next call starts a fresh one. Under a finite budget, generation
   /// tags skip cold rows (recently-touched rows are scanned every round,
@@ -159,17 +159,12 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
     std::uint64_t started = 0;    // hand-offs initiated
     std::uint64_t completed = 0;  // snapshots installed at the destination
     std::uint64_t forwarded = 0;  // stale-addressed messages redirected
-    std::uint64_t bounced = 0;    // stale-addressed messages past the TTL
+    std::uint64_t bounced = 0;    // stale-addressed messages with no stub
     std::uint64_t reemitted = 0;  // snapshots re-sent by the sweep
   };
   [[nodiscard]] const MigrationStats& migration_stats() const {
     return migration_stats_;
   }
-
-  /// Redirects a forwarding stub serves after its migration is
-  /// acknowledged, before it expires (stale packets then bounce and rely
-  /// on sweep re-emission). Tests shrink this to exercise the bounce path.
-  void set_redirect_ttl(std::uint32_t ttl) { redirect_ttl_ = ttl; }
 
   /// Hook invoked when a hand-off completes (the snapshot was installed):
   /// arguments are (process, old site, new site). Oracles key their
@@ -292,8 +287,8 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
   bool reroute_if_stale(SiteId at, ProcessId target,
                         const wire::WireMessage& msg);
   /// Redirect via the forwarding stub installed at `at` — one real wire
-  /// send to the stub's next hop, consuming TTL once armed. Without a
-  /// live stub the packet bounces (dropped; sweeps re-emit what matters).
+  /// send to the stub's next hop. Without a live stub the packet bounces
+  /// (dropped; sweeps re-emit what matters).
   void redirect(SiteId at, ProcessId target, const wire::WireMessage& msg);
   void on_migrate_state(const wire::MigrateState& ms);
   void on_migrate_ack(SiteId at, const wire::MigrateAck& ack);
@@ -313,7 +308,7 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
   std::vector<std::uint8_t> root_by_idx_;
   RootFlags root_flags_{this};
   SiteCore core_;
-  DenseMap<SiteId, std::uint64_t> participating_sites_;
+  DenseSet<SiteId> participating_sites_;
   DenseSet<ProcessId> flush_scheduled_;
   DenseMap<ProcessId, SimTime> flush_delay_;
   std::uint64_t transfer_counter_ = 0;
@@ -326,21 +321,20 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
     SiteId src;
     SiteId dst;
   };
-  /// Forwarding stub left at a vacated site. Unarmed stubs (hand-off not
-  /// yet acknowledged) forward unconditionally — the snapshot may still
-  /// be in flight; the ack arms the TTL countdown, after which the stub
-  /// serves `ttl` more redirects and dies. The periodic sweep reclaims
-  /// what stale traffic never expires: stubs of collected processes at
-  /// once, armed stubs after two full sweep rounds (any packet still
+  /// Forwarding stub left at a vacated site: it redirects every packet
+  /// that reaches it until the periodic sweep reclaims it — a collected
+  /// mover's stub in the next round, any other once the hand-off's ack
+  /// has armed it and two sweep rounds have passed (a packet still
   /// stale-addressed by then bounces, which the sweep's re-emission
-  /// machinery already recovers) — without this, stubs_ grows with every
-  /// migration ever performed.
+  /// machinery already recovers). Without reclamation stubs_ would grow
+  /// with every migration ever performed.
   struct ForwardStub {
     SiteId next;
-    std::uint32_t ttl = 0;
     bool armed = false;
     std::uint8_t sweeps_survived = 0;
   };
+  /// Also the one record of which snapshot is still to be installed: a
+  /// copy whose migration id is not its mover's entry here has landed.
   FlatMap<ProcessId, TransitRecord> in_transit_;
   FlatMap<std::pair<SiteId, ProcessId>, ForwardStub> stubs_;
   /// Messages that reached the hand-off destination before the snapshot:
@@ -350,11 +344,7 @@ class GgdEngine final : public wire::Mailbox, private SiteHost {
   /// mover is frozen, so the stored copy stays authoritative). Sorted by
   /// migration id: re-emission order is wire-observable.
   FlatMap<std::uint64_t, wire::MigrateState> pending_handoffs_;
-  /// Snapshots are installed exactly once per migration id: duplicated or
-  /// re-emitted copies only re-acknowledge.
-  DenseSet<std::uint64_t> applied_migrations_;
   std::uint64_t migration_counter_ = 0;
-  std::uint32_t redirect_ttl_ = 16;
   MigrationStats migration_stats_;
   std::function<void(ProcessId, SiteId, SiteId)> on_migrated_;
 

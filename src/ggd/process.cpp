@@ -33,19 +33,8 @@ std::optional<RowTable::RowRef> adopt_row(RowTable& rows, ProcessId subject,
   }
   if (incoming == stored) {
     // Same version: merge conservatively (a destruction marker at equal
-    // index wins inside Timestamp::merge). Change detection is per entry —
-    // the merge only ever upgrades entries, so comparing each merged entry
-    // against its stored value is exactly the old whole-row comparison.
-    bool changed = false;
-    for (const auto& [p, ts] : row.entries()) {
-      const Timestamp old = stored_row.get(p);
-      const Timestamp merged = Timestamp::merge(old, ts);
-      if (!(merged == old)) {
-        stored_row.set(p, merged);
-        changed = true;
-      }
-    }
-    return changed ? std::optional(stored_row) : std::nullopt;
+    // index wins inside Timestamp::merge).
+    return stored_row.merge(row) ? std::optional(stored_row) : std::nullopt;
   }
   return std::nullopt;
 }
@@ -309,7 +298,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     advance_echo(msg);
   }
 
-  const Timestamp known_m = log_.self_row().get(m);
+  const Timestamp known_m = log_.row(id_).get(m);
   if (msg.reply) {
     // An inquiry answer: certifies the sender's history and row without
     // implying any edge m -> i. The row adopted above (or, on a current
@@ -324,7 +313,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
       // The responder vouches that it currently holds us.
       confirm_in_edge(m);
     } else {
-      const Timestamp cur = log_.self_row().get(m);
+      const Timestamp cur = log_.row(id_).get(m);
       if (!cur.is_delta()) {
         // Fresh refutation: the responder does not hold an edge to us, so
         // the live claim for slot m — resurrected or left over from a lost
@@ -355,7 +344,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // slot of `msg.v` legitimately describes an incoming edge of this
     // process. The marker masks every creation entry for `m` with index
     // <= its own.
-    set_self_entry(id_, Timestamp::creation(log_.own_timestamp().index() + 1));
+    set_self_entry(id_, Timestamp::creation(own_timestamp().index() + 1));
     set_self_entry(m, Timestamp::merge(known_m, vm));
     resurrected_.erase(m);
     merge_edge_facts(msg.v, /*skip=*/m);
@@ -390,7 +379,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // left in the slot, the edge is gone — death is stable. Without this,
     // a live slot raced above the corpse's final event index blocks the
     // walk on the same dead subject for ever.
-    const Timestamp cur = log_.self_row().get(m);
+    const Timestamp cur = log_.row(id_).get(m);
     if (!cur.is_delta()) {
       set_self_entry(m, Timestamp::destruction(cur.index()));
       resurrected_.erase(m);
@@ -410,7 +399,7 @@ std::vector<GgdMessage> GgdProcess::receive(const GgdMessage& msg,
     // would come out equal to last_v_ and there is nothing to circulate.
     Scratch& s = scratch();
     const ScratchUse use(s.v_ids, s.v_ts);
-    close_v(id_, std::as_const(log_).self_row(), history_, dead_, s);
+    close_v(id_, self_row(), history_, dead_, s);
     if (obs_ != nullptr) {
       ++obs_->v_closures;
     }
@@ -465,7 +454,7 @@ std::vector<GgdMessage> GgdProcess::take_forwards() {
     fwd.from = id_;
     fwd.to = k;
     fwd.v = last_v_;
-    fwd.self_row = std::as_const(log_).self_row();
+    fwd.self_row = self_row();
     fwd.behalf = std::as_const(log_).row(k);
     fwd.dead = dead_;
     attach_sync(fwd);
@@ -523,7 +512,7 @@ std::vector<GgdMessage> GgdProcess::decide(RootPredicate is_root,
       const RowTable::RowView stored = std::as_const(known_rows_).row(q);
       const std::uint64_t version =
           !stored.exists()
-              ? std::max<std::uint64_t>(1, log_.self_row().get(q).index())
+              ? std::max<std::uint64_t>(1, log_.row(id_).get(q).index())
               : stored.get(q).index();
       auto [vit, fresh] = inquired_version_.emplace(q, version);
       if (fresh || vit->second < version) {
@@ -604,7 +593,7 @@ std::vector<GgdMessage> GgdProcess::decide(RootPredicate is_root,
     // above finds a genuine root path THROUGH it and would pin this
     // process alive for ever; the holder's reply either vouches for the
     // edge (confirming the lease) or refutes it (masking the slot).
-    for (const auto& [q, ts] : log_.self_row().entries()) {
+    for (const auto& [q, ts] : log_.row(id_).entries()) {
       if (q == id_ || ts.is_delta() || ts.destroyed() || dead_.contains(q)) {
         continue;
       }
@@ -716,7 +705,7 @@ void GgdProcess::merge_edge_facts(const DependencyVector& facts,
       // would then re-arrive and loop the resurrect/refute cycle).
       continue;
     }
-    const Timestamp cur = log_.self_row().get(q);
+    const Timestamp cur = log_.row(id_).get(q);
     if (cur.destroyed() && cur.index() >= ts.index()) {
       auto ceiling = refuted_fact_ceiling_.find(q);
       if (ceiling != refuted_fact_ceiling_.end() &&
@@ -769,14 +758,14 @@ void GgdProcess::merge_log_entry(ProcessId row, ProcessId slot,
 }
 
 void GgdProcess::erase_log_row(ProcessId row) {
-  log_.erase_row(row);
+  log_.erase(row);
   if (row == id_) {
     self_row_changed();
   }
 }
 
 void GgdProcess::set_self_entry(ProcessId q, Timestamp ts) {
-  RowTable::RowRef self = log_.self_row();
+  RowTable::RowRef self = log_.row(id_);
   if (!(self.get(q) == ts)) {
     self.set(q, ts);
     self_row_changed();
@@ -784,7 +773,7 @@ void GgdProcess::set_self_entry(ProcessId q, Timestamp ts) {
 }
 
 void GgdProcess::confirm_in_edge(ProcessId m) {
-  const Timestamp cur = log_.self_row().get(m);
+  const Timestamp cur = log_.row(id_).get(m);
   if (!cur.is_delta() && !cur.destroyed()) {
     in_edge_confirmed_[m] = std::max(in_edge_confirmed_[m], cur.index());
   }
@@ -823,7 +812,7 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     }
     stack.emplace_back(q, source);
   };
-  for (const auto& [q, ts] : log_.self_row()) {
+  for (const auto& [q, ts] : self_row()) {
     push_live_slot(q, ts, ProcessId{});
   }
   while (!stack.empty()) {
@@ -834,7 +823,7 @@ GgdProcess::WalkResult GgdProcess::walk_to_root(
     }
     if (is_root(q)) {
       reachable = true;
-      const Timestamp own = log_.self_row().get(q);
+      const Timestamp own = self_row().get(q);
       const auto confirmed_it = in_edge_confirmed_.find(q);
       const bool delivery_confirmed =
           confirmed_it != in_edge_confirmed_.end() &&
@@ -895,7 +884,7 @@ DependencyVector GgdProcess::compute_v() const {
   }
   Scratch& s = scratch();
   const ScratchUse use(s.v_ids, s.v_ts);
-  close_v(id_, log_.self_row(), history_, dead_, s);
+  close_v(id_, self_row(), history_, dead_, s);
   if (obs_ != nullptr) {
     ++obs_->v_closures;
   }
@@ -916,8 +905,8 @@ GgdMessage GgdProcess::make_destruction_message(
   msg.from = id_;
   msg.to = to;
   msg.v = std::as_const(log_).row(to);
-  msg.v.set(id_, Timestamp::destruction(log_.own_timestamp().index()));
-  msg.self_row = std::as_const(log_).self_row();
+  msg.v.set(id_, Timestamp::destruction(own_timestamp().index()));
+  msg.self_row = self_row();
   msg.dead = dead_;
   if (condemned.contains(to)) {
     msg.condemned = condemned;
@@ -935,7 +924,7 @@ GgdMessage GgdProcess::make_announce(ProcessId to) {
   // stale, and an announce whose vector lacks a live slot for its own
   // sender tells the target nothing.
   msg.v = compute_v();
-  msg.self_row = std::as_const(log_).self_row();
+  msg.self_row = self_row();
   msg.behalf = std::as_const(log_).row(to);
   msg.dead = dead_;
   attach_sync(msg);
@@ -988,7 +977,7 @@ GgdMessage GgdProcess::make_reply(const GgdMessage& inquiry) {
   const std::uint64_t content = stamp_reply_content(v);
   if (content > inquiry.echo) {
     msg.v = v_current_ ? last_v_ : std::move(v);
-    msg.self_row = std::as_const(log_).self_row();
+    msg.self_row = self_row();
     msg.reply_stamp = std::max(msg.reply_stamp, content);
   } else {
     msg.current = true;
@@ -1054,7 +1043,7 @@ GgdProcessSnapshot GgdProcess::export_state() const {
 void GgdProcess::import_state(const GgdProcessSnapshot& snap) {
   CGC_CHECK(snap.id == id_);
   CGC_CHECK(!removed_);
-  log_ = DvLog(id_);
+  log_.release();
   for (const auto& [q, row] : snap.log_rows) {
     log_.row(q) = row;
   }

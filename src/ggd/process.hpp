@@ -2,7 +2,8 @@
 // keeps and the paper's algorithm (Fig. 6) over it.
 //
 // A GgdProcess owns:
-//   * the two-dimensional log DV_i (DvLog),
+//   * the two-dimensional log DV_i (a RowTable keyed by process; the
+//     self row is the row kept for this process's own id),
 //   * its acquaintance set (targets of its outgoing edges in the global
 //     root graph — the "remote successors" Fig. 6 forwards vectors to),
 //   * its root flag (actual roots are never collected by GGD),
@@ -25,7 +26,6 @@
 #include "common/function_ref.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
-#include "vclock/dv_log.hpp"
 #include "vclock/row_table.hpp"
 
 namespace cgc {
@@ -162,13 +162,14 @@ struct GgdMessage {
 /// stay answerable, and dropping the gates instead was measured to
 /// re-trigger a full re-verification burst per hand-off — under
 /// migration churn those bursts compound into row-map bloat and a
-/// quadratic message storm. A reply that bounces past the stub's TTL
-/// leaves its gate stuck only until the next periodic sweep, which
-/// clears every gate anyway (that is the sweep's existing recovery job).
+/// quadratic message storm. A reply that bounces once the sweep has
+/// reclaimed the stub leaves its gate stuck only until the next periodic
+/// sweep, which clears every gate anyway (that is the sweep's existing
+/// recovery job).
 struct GgdProcessSnapshot {
   ProcessId id;
   bool is_root = false;
-  /// Every DvLog row (self row included), increasing ProcessId order.
+  /// Every log row (self row included), increasing ProcessId order.
   FlatMap<ProcessId, DependencyVector> log_rows;
   FlatSet<ProcessId> acquaintances;
   FlatMap<ProcessId, DependencyVector> history;
@@ -209,7 +210,7 @@ class GgdProcess {
   GgdProcess(ProcessId id, bool is_root, Pool* pool = nullptr)
       : id_(id),
         is_root_(is_root),
-        log_(id, pool),
+        log_(pool),
         history_(pool),
         known_rows_(pool),
         known_behalf_(pool) {}
@@ -223,12 +224,20 @@ class GgdProcess {
   /// changed and has the next reply re-stamp every on-behalf row (each
   /// inquirer then receives them all again). The mutator side writes through the
   /// log writers below instead.
-  [[nodiscard]] DvLog& log() {
+  [[nodiscard]] RowTable& log() {
     self_row_changed();
     log_stamps_stale_ = true;
     return log_;
   }
-  [[nodiscard]] const DvLog& log() const { return log_; }
+  [[nodiscard]] const RowTable& log() const { return log_; }
+
+  /// The self row: slot q is the latest known state of edge q -> this
+  /// process. Reads as empty until the first write.
+  [[nodiscard]] RowTable::RowView self_row() const { return log_.row(id_); }
+  /// This process's own latest event index.
+  [[nodiscard]] Timestamp own_timestamp() const {
+    return self_row().get(id_);
+  }
 
   /// The log writers lazy log-keeping (§3.4) uses: entry `slot` of the
   /// row kept for `row` (the self row when `row` is this process). A
@@ -466,7 +475,7 @@ class GgdProcess {
   /// GgdEngine::storage_footprint).
   struct StorageFootprint {
     std::size_t object_bytes = 0;   ///< sizeof(GgdProcess)
-    std::size_t log_bytes = 0;      ///< DvLog: self + on-behalf rows
+    std::size_t log_bytes = 0;      ///< log: self + on-behalf rows
     std::size_t history_bytes = 0;  ///< certified peer histories
     std::size_t known_bytes = 0;    ///< replica rows of peers
     std::size_t behalf_bytes = 0;   ///< forwarded on-behalf rows
@@ -598,9 +607,10 @@ class GgdProcess {
   /// mark: a lost reply leaves the echo, so the next reply ships the same
   /// rows again and the inquirer's overlay (known_behalf_) always equals
   /// what shipping every row would give.
-  DvLog log_;
-  /// SoA row tables (shared entry columns, optionally pool-backed): the
-  /// three big per-process maps that dominate footprint at scale.
+  RowTable log_;
+  /// The other three SoA row tables (shared entry columns, optionally
+  /// pool-backed): the big per-process maps that dominate footprint at
+  /// scale.
   RowTable history_;
   RowTable known_rows_;
   RowTable known_behalf_;

@@ -8,9 +8,9 @@
 // scheduler model here follows the timelimit/generation shape of
 // mhconfig's collector (SNIPPETS.md 1–2): each call performs at most
 // `budget` accounted units of work (one unit per table entry visited —
-// re-emission scans, stub TTL checks, frontier-maintenance row scans) and
-// resumes exactly where it left off, so a sweep *round* becomes a chain
-// of bounded *slices*.
+// re-emission scans, stub reclamation checks, frontier-maintenance row
+// scans) and resumes exactly where it left off, so a sweep *round*
+// becomes a chain of bounded *slices*.
 //
 // Two invariants every user of these types preserves:
 //

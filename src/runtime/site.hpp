@@ -53,7 +53,6 @@ class Site {
 
   // Local roots.
   void add_local_root(ObjectId id) { local_roots_.insert(id); }
-  void remove_local_root(ObjectId id) { local_roots_.erase(id); }
   [[nodiscard]] const std::set<ObjectId>& local_roots() const {
     return local_roots_;
   }

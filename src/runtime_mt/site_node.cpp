@@ -15,11 +15,6 @@ SiteNode::SiteNode(SiteId site, const Placement& placement,
       roots_{&placement},
       core_(*this, roots_, mode) {}
 
-bool SiteNode::holds(ProcessId holder, ProcessId target) const {
-  auto it = held_.find(holder);
-  return it != held_.end() && it->second.contains(target);
-}
-
 bool SiteNode::apply(const MutatorOp& op) {
   ++clock_;
   CGC_CHECK_MSG(placement_.site_for(op.a) == site_, "op routed to wrong site");
@@ -59,7 +54,6 @@ bool SiteNode::apply(const MutatorOp& op) {
       if (!core_.live(op.a) || !holds(op.a, op.b)) {
         return false;
       }
-      held_[op.a].erase(op.b);
       core_.drop(op.a, op.b);
       return true;
     case MutatorOp::Kind::kMigrate:
@@ -84,9 +78,7 @@ void SiteNode::deliver_packet(const std::vector<std::uint8_t>& bytes) {
           stats_->on_deliver(msg.kind, framed);
         }
         if (const auto* transfer = std::get_if<wire::RefTransfer>(&msg.body)) {
-          if (core_.apply_transfer(*transfer)) {
-            held_[transfer->recipient].insert(transfer->subject);
-          }
+          core_.apply_transfer(*transfer);
         } else if (const auto* control =
                        std::get_if<wire::GgdControl>(&msg.body)) {
           core_.deliver(control->msg);

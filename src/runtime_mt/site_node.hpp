@@ -14,15 +14,15 @@
 //   * root and site queries answer from the immutable Placement: no shared
 //     routing tables, no migration, no extra sweep phases.
 //
-// The node itself keeps site-local op preconditions (its own processes
-// and delivered-refs view; it cannot evaluate global reachability the way
-// Scenario::apply does, so a garbage-but-uncollected actor's op is
-// applied rather than skipped — the replay's oracle sees the same ops)
-// and site-prefixed transfer ids. Unlike the engine it does not re-mark
-// a delivered transfer's subject or a new object's creator hot, and a
-// remote delivery never clears a destruction's retransmission obligation:
-// the dropper's site re-emits each sweep until a local regrant or the
-// local target's removal clears it.
+// The node itself checks site-local op preconditions (its own processes
+// and the references they hold; it cannot evaluate global reachability
+// the way Scenario::apply does, so a garbage-but-uncollected actor's op
+// is applied rather than skipped — the replay's oracle sees the same
+// ops) and draws site-prefixed transfer ids. Unlike the engine it does
+// not re-mark a delivered transfer's subject or a new object's creator
+// hot, and a remote delivery never clears a destruction's retransmission
+// obligation: the dropper's site re-emits each sweep until a local
+// regrant or the local target's removal clears it.
 //
 // Determinism contract: a SiteNode is a pure function of its input
 // sequence (ops, packets, sweep slices, in order), and everything it
@@ -36,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "ggd/site_core.hpp"
 #include "ggd/sweep.hpp"
@@ -116,9 +115,13 @@ class SiteNode final : private SiteHost {
     return placement_.site_for(p);
   }
 
-  /// Delivered-refs view of a hosted process: the references that actually
-  /// arrived (minus drops) — the forwarder/dropper preconditions.
-  [[nodiscard]] bool holds(ProcessId holder, ProcessId target) const;
+  /// Whether hosted `holder` holds a reference to `target`: its
+  /// acquaintance set, which gains an entry when a transfer is first
+  /// applied here and loses one when a drop is — the forwarder/dropper
+  /// preconditions.
+  [[nodiscard]] bool holds(ProcessId holder, ProcessId target) const {
+    return core_.process(holder).acquaintances().contains(target);
+  }
   [[nodiscard]] std::uint64_t next_transfer_id() {
     return (site_.value() << 40) | ++transfer_counter_;
   }
@@ -139,9 +142,6 @@ class SiteNode final : private SiteHost {
   /// start/join happens-before is what keeps TSan quiet (no cross-thread
   /// alloc/free ever touches the core's pool).
   SiteCore core_;
-  /// Delivered-refs view per hosted process (every update is a local
-  /// event: a transfer delivered here, or a drop applied here).
-  FlatMap<ProcessId, FlatSet<ProcessId>> held_;
   std::uint64_t transfer_counter_ = 0;
   /// Logical time: one tick per consumed input. Monotone per site, which
   /// is all GgdProcess's confirm-time gating needs.

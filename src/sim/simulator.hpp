@@ -92,29 +92,6 @@ class Simulator {
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// next_time() when no event is pending.
-  static constexpr SimTime kNever = UINT64_MAX;
-
-  /// Virtual time of the earliest pending event (kNever when drained).
-  [[nodiscard]] SimTime next_time() const {
-    return heap_.empty() ? kNever : heap_.front().when;
-  }
-
-  /// Runs every event scheduled at or before `t` (events may reentrantly
-  /// schedule further work inside the window; it runs too). The clock is
-  /// NOT advanced past the last executed event — pausing a replay mid-run
-  /// must leave `now()` exactly where the history stands. Returns true iff
-  /// nothing at or before `t` remains pending.
-  bool run_until(SimTime t, std::uint64_t max_events = UINT64_MAX) {
-    for (std::uint64_t i = 0; i < max_events; ++i) {
-      if (next_time() > t) {
-        return true;
-      }
-      step();
-    }
-    return next_time() > t;
-  }
-
  private:
   struct Event {
     SimTime when = 0;

@@ -250,7 +250,7 @@ class RowTable {
     std::uint32_t slot_ = kNoSlot;
   };
 
-  /// Mutable row proxy. Unlike the reference DvLog used to return, the
+  /// Mutable row proxy. Unlike a reference into a map of rows, the
   /// handle stays valid across interning of other rows (slots are stable;
   /// only erasing THIS row invalidates it).
   class RowRef {

@@ -45,7 +45,6 @@ class BatchingChannel {
   }
 
   [[nodiscard]] bool empty() const { return kinds_.empty(); }
-  [[nodiscard]] std::size_t pending_messages() const { return kinds_.size(); }
 
   struct Packet {
     std::vector<std::uint8_t> bytes;   // full framing, header included

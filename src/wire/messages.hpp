@@ -121,9 +121,10 @@ struct MigrateState {
 
 /// Cross-site hand-off, message 2 of 2: the destination's confirmation
 /// that the snapshot was installed. Receipt releases the source's
-/// re-emission obligation and arms the forwarding stub's redirect TTL
-/// countdown (before the ack, the stub forwards unconditionally — the
-/// snapshot itself may still be in flight).
+/// re-emission obligation and arms the forwarding stub, which the sweep
+/// then reclaims two rounds later (before the ack the stub is kept for
+/// as long as its mover lives — the snapshot itself may still be in
+/// flight).
 struct MigrateAck {
   std::uint64_t migration_id = 0;
   ProcessId proc;

@@ -59,7 +59,7 @@ class Scenario {
           }
         }
         violations_.push_back("proc " + p.str() + " removed while reachable" +
-                              " self=" + gp.log().self_row().str() +
+                              " self=" + gp.self_row().str() +
                               " V=" + gp.compute_v().str() + " holders:" +
                               holders);
       }

@@ -317,7 +317,7 @@ struct BehalfFixture {
 TEST(BehalfFrontier, ALostReplyIsReshippedAndTheWalkSeesTheGrant) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));  // grant 6 -> 5
-  const DvLog& log = std::as_const(f.replier).log();
+  const RowTable& log = std::as_const(f.replier).log();
   ASSERT_GT(log.row(P(5)).stamp(), 0u);
 
   // The fixture's reply left an echo of 2's content, below the row.
@@ -478,7 +478,7 @@ TEST(BehalfFrontier, ARetiredTombstoneKeepsNoLogStamps) {
   BehalfFixture f;
   f.lk.on_send_third_party_ref(f.replier, P(5), P(6));
   f.lk.on_send_third_party_ref(f.replier, P(8), P(9));
-  const DvLog& log = std::as_const(f.replier).log();
+  const RowTable& log = std::as_const(f.replier).log();
   ASSERT_GT(log.stamp_bytes(), 0u);
   const DependencyVector row5 = log.row(P(5));
   // Only make_reply reads the stamps, and a tombstone never replies.

@@ -1,7 +1,7 @@
 // Cross-site process hand-off: the MigrateState/MigrateAck protocol, the
-// forwarding stub's redirect TTL, loss recovery through sweep
-// re-emission, and the snapshot codec round-trip the "delivered bytes are
-// authoritative" rule rests on.
+// forwarding stub's lifetime, loss recovery through sweep re-emission, and
+// the snapshot codec round-trip the "delivered bytes are authoritative"
+// rule rests on.
 #include <gtest/gtest.h>
 
 #include <variant>
@@ -9,6 +9,7 @@
 #include "ggd/engine.hpp"
 #include "ggd/sweep.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "wire/messages.hpp"
 #include "workload/scenario.hpp"
@@ -84,41 +85,95 @@ TEST(Migration, HandOffFlipsSiteOfRecordAndAcks) {
   ASSERT_TRUE(sim.run());
 }
 
-TEST(Migration, StubForwardsUntilTtlThenBounces) {
+// A forwarding stub has one lifetime: it redirects every stale packet
+// until the sweep reclaims it — two rounds after the ack for a live mover,
+// the next round for a collected one — and a stale packet then bounces.
+TEST(Migration, StubRedirectsUntilTheSweepReclaimsIt) {
   Simulator sim;
   Network net(sim, quiet_net());
   GgdEngine eng(net);
-  eng.set_redirect_ttl(1);
+  obs::Registry registry;
+  eng.attach_obs(&registry, nullptr);
+  const obs::Counter& reclaimed = registry.counter("ggd.stubs_reclaimed");
   eng.add_process(P(1), S(1), /*is_root=*/true);
   eng.create_object(P(1), P(2), S(2));
   ASSERT_TRUE(sim.run());
   ASSERT_TRUE(eng.migrate(P(2), S(5)));
-  ASSERT_TRUE(sim.run());  // hand-off complete, stub at S(2) armed, ttl=1
+  ASSERT_TRUE(sim.run());  // hand-off complete, stub at S(2) armed
 
-  // Two packets addressed to the vacated site, as an in-flight sender
-  // with a stale locator would produce them.
-  const wire::WireMessage stale{
-      MessageKind::kReferencePass, wire::RefTransfer{900001, P(2), P(1)}};
-  eng.deliver(S(1), S(2), stale);  // redirect 1: consumes the TTL
+  // Packets addressed to the vacated site, as an in-flight sender with a
+  // stale locator would produce them.
+  std::uint64_t transfer_id = 900000;
+  auto stale_at = [&](SiteId site) {
+    const wire::RefTransfer transfer{++transfer_id, P(2), P(1)};
+    eng.deliver(S(1), site,
+                wire::WireMessage{MessageKind::kReferencePass, transfer});
+    return sim.run();
+  };
+  ASSERT_TRUE(stale_at(S(2)));
+  ASSERT_TRUE(stale_at(S(2)));
+  EXPECT_EQ(eng.migration_stats().forwarded, 2u) << "an armed stub redirects";
+
+  ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
   ASSERT_TRUE(sim.run());
-  EXPECT_EQ(eng.migration_stats().forwarded, 1u);
-  const wire::WireMessage stale2{
-      MessageKind::kReferencePass, wire::RefTransfer{900002, P(2), P(1)}};
-  eng.deliver(S(1), S(2), stale2);  // stub gone: bounces
+  EXPECT_EQ(reclaimed.value(), 0u) << "one round after the ack";
+  ASSERT_TRUE(stale_at(S(2)));
+  EXPECT_EQ(eng.migration_stats().forwarded, 3u);
+
+  ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
   ASSERT_TRUE(sim.run());
+  EXPECT_EQ(reclaimed.value(), 1u) << "two rounds after the ack";
+  ASSERT_TRUE(stale_at(S(2)));
+  EXPECT_EQ(eng.migration_stats().forwarded, 3u);
   EXPECT_EQ(eng.migration_stats().bounced, 1u);
 
-  // TTL 0: the armed stub serves zero redirects — the first stale packet
-  // after the ack bounces (and must not underflow into immortality).
-  eng.set_redirect_ttl(0);
+  // A collected mover needs no redirects: its stub goes in the next round,
+  // though its ack is not two rounds old.
+  eng.create_object(P(1), P(3), S(3));
+  ASSERT_TRUE(sim.run());
+  ASSERT_TRUE(eng.migrate(P(3), S(6)));
+  ASSERT_TRUE(sim.run());
+  eng.drop_ref(P(1), P(3));
+  ASSERT_TRUE(sim.run());
+  ASSERT_TRUE(eng.process(P(3)).removed());
+  ASSERT_TRUE(eng.sweep_slice(sweep::kUnbounded));
+  ASSERT_TRUE(sim.run());
+  EXPECT_EQ(reclaimed.value(), 2u);
+}
+
+// Hand-off 1's snapshot, re-emitted or duplicated, can arrive after the
+// mover has landed and left again. Only the snapshot the mover is in
+// transit with installs: the stale copy is re-acknowledged and nothing
+// else, so the mover is neither rolled back nor unfrozen.
+TEST(Migration, StaleSnapshotOfAnEarlierHandOffOnlyReacknowledges) {
+  Simulator sim;
+  Network net(sim, quiet_net());
+  GgdEngine eng(net);
+  eng.add_process(P(1), S(1), /*is_root=*/true);
+  eng.create_object(P(1), P(2), S(2));
+  ASSERT_TRUE(sim.run());
+
+  const wire::MigrateState first{1, P(2), S(2), S(5),
+                                 eng.process(P(2)).export_state()};
+  ASSERT_TRUE(eng.migrate(P(2), S(5)));
+  ASSERT_TRUE(sim.run());
+  ASSERT_EQ(eng.migration_stats().completed, 1u);
+  eng.send_own_ref(P(2), P(1));  // state the first snapshot lacks
+  ASSERT_TRUE(sim.run());
+  const Timestamp own = eng.process(P(2)).own_timestamp();
+  ASSERT_NE(own, first.snap.log_rows.at(P(2)).get(P(2)));
+
   ASSERT_TRUE(eng.migrate(P(2), S(6)));
+  eng.deliver(S(2), S(5),
+              wire::WireMessage{MessageKind::kMigration, first});
+  EXPECT_EQ(eng.migration_stats().completed, 1u);
+  EXPECT_TRUE(eng.migrating(P(2))) << "hand-off 2 is still in flight";
+  EXPECT_EQ(eng.process(P(2)).own_timestamp(), own) << "rolled back";
+
   ASSERT_TRUE(sim.run());
-  const wire::WireMessage stale3{
-      MessageKind::kReferencePass, wire::RefTransfer{900003, P(2), P(1)}};
-  eng.deliver(S(1), S(5), stale3);
-  ASSERT_TRUE(sim.run());
-  EXPECT_EQ(eng.migration_stats().bounced, 2u);
-  EXPECT_EQ(eng.migration_stats().forwarded, 1u);
+  EXPECT_EQ(eng.migration_stats().completed, 2u);
+  EXPECT_EQ(eng.site_of(P(2)), S(6));
+  EXPECT_EQ(eng.process(P(2)).own_timestamp(), own);
 }
 
 TEST(Migration, LostSnapshotIsReemittedByTheSweep) {

@@ -47,7 +47,7 @@ class PaperExampleTest : public ::testing::Test {
   }
 
   Timestamp ts(ProcessId owner, ProcessId slot) {
-    return engine_.process(owner).log().self_row().get(slot);
+    return engine_.process(owner).self_row().get(slot);
   }
 
   Simulator sim_;
@@ -147,7 +147,7 @@ TEST_F(PaperExampleTest, EdgeDestructionEventAtTwoMatchesFigure5) {
     // Step one event at a time and stop right after 2's first Receive:
     // its own-counter moving to 3 is the observable effect of e2,3.
     sim_.step();
-    if (engine_.process(P(2)).log().own_timestamp().index() >= 3) {
+    if (engine_.process(P(2)).own_timestamp().index() >= 3) {
       break;
     }
   }

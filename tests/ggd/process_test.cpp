@@ -44,8 +44,8 @@ TEST(GgdProcess, DestructionBranchCreatesLocalEvent) {
   DependencyVector v;
   v.set(P(1), Timestamp::destruction(1));
   auto out = p.receive(vector_msg(P(1), P(2), v), roots({1}));
-  EXPECT_EQ(p.log().own_timestamp(), Timestamp::creation(2));
-  EXPECT_TRUE(p.log().self_row().get(P(1)).destroyed());
+  EXPECT_EQ(p.own_timestamp(), Timestamp::creation(2));
+  EXPECT_TRUE(p.self_row().get(P(1)).destroyed());
   // No acquaintances: the removal cascade is empty, but the process is
   // removed (no live in-edges remain).
   EXPECT_TRUE(p.removed());
@@ -61,7 +61,7 @@ TEST(GgdProcess, StaleDestructionIsIgnored) {
   DependencyVector v;
   v.set(P(1), Timestamp::destruction(1));  // older than the live edge
   (void)p.receive(vector_msg(P(1), P(2), v), roots({1}));
-  EXPECT_FALSE(p.log().self_row().get(P(1)).destroyed());
+  EXPECT_FALSE(p.self_row().get(P(1)).destroyed());
   EXPECT_FALSE(p.removed());
 }
 
@@ -74,7 +74,7 @@ TEST(GgdProcess, VectorMessageImpliesEdgeFromSender) {
   row.set(P(1), Timestamp::creation(1));
   row.set(P(2), Timestamp::creation(5));
   (void)p.receive(vector_msg(P(2), P(3), v, row), roots({1}));
-  EXPECT_EQ(p.log().self_row().get(P(2)), Timestamp::creation(5));
+  EXPECT_EQ(p.self_row().get(P(2)), Timestamp::creation(5));
   EXPECT_TRUE(p.row_certified(P(2)));
   EXPECT_FALSE(p.removed()) << "live root in the sender's account";
 }
@@ -86,7 +86,7 @@ TEST(GgdProcess, ReplyDoesNotImplyAnEdge) {
   GgdMessage m = vector_msg(P(2), P(3), v);
   m.reply = true;
   (void)p.receive(m, roots({1}));
-  EXPECT_TRUE(p.log().self_row().get(P(2)).is_delta())
+  EXPECT_TRUE(p.self_row().get(P(2)).is_delta())
       << "a reply must not create a self-row edge fact";
   EXPECT_TRUE(p.row_certified(P(2)));
 }
@@ -94,8 +94,8 @@ TEST(GgdProcess, ReplyDoesNotImplyAnEdge) {
 TEST(GgdProcess, WalkBlocksOnUnknownPredecessor) {
   GgdProcess p(P(3), false);
   LazyLogKeeping lk;
-  lk.on_receive_ref(p, P(9));           // outgoing edge, irrelevant
-  p.log().self_row().increment(P(7));   // live in-edge from unknown 7
+  lk.on_receive_ref(p, P(9));            // outgoing edge, irrelevant
+  p.log().row(p.id()).increment(P(7));  // live in-edge from unknown 7
   FlatSet<ProcessId> missing, evidence, consulted;
   EXPECT_EQ(p.walk_to_root(roots({1}), missing, evidence, consulted),
             GgdProcess::WalkResult::kBlocked);
@@ -104,7 +104,7 @@ TEST(GgdProcess, WalkBlocksOnUnknownPredecessor) {
 
 TEST(GgdProcess, WalkFollowsKnownRowsToRoot) {
   GgdProcess p(P(3), false);
-  p.log().self_row().increment(P(2));  // edge 2 -> 3
+  p.log().row(p.id()).increment(P(2));  // edge 2 -> 3
   // 2's row arrives: 2 has a live in-edge from root 1.
   DependencyVector v2;
   v2.set(P(1), Timestamp::creation(1));
@@ -123,7 +123,7 @@ TEST(GgdProcess, MultiEdgeMaskingIsPerEdge) {
   // edge 1 -> 3 must not hide the other edge of process 1 living in a
   // replica row.
   GgdProcess p(P(3), false);
-  p.log().self_row().increment(P(2));  // edge 2 -> 3 (live)
+  p.log().row(p.id()).increment(P(2));  // edge 2 -> 3 (live)
   // 2's account: 2 is held by root 1 (1's other edge).
   DependencyVector v2;
   v2.set(P(1), Timestamp::creation(1));
@@ -151,10 +151,10 @@ TEST(GgdProcess, DuplicateMessagesAreIdempotent) {
   v.set(P(1), Timestamp::destruction(2));
   const GgdMessage msg = vector_msg(P(1), P(2), v);
   auto out1 = p.receive(msg, roots({1}));
-  const DependencyVector snapshot = p.log().self_row();
+  const DependencyVector snapshot = p.self_row();
   const bool removed1 = p.removed();
   auto out2 = p.receive(msg, roots({1}));
-  EXPECT_EQ(p.log().self_row(), snapshot);
+  EXPECT_EQ(p.self_row(), snapshot);
   EXPECT_EQ(p.removed(), removed1);
   EXPECT_TRUE(out2.empty() || p.removed());
 }
@@ -186,8 +186,8 @@ TEST(GgdProcess, RemoveSelfSendsDestructionToEveryAcquaintance) {
 GgdProcess list_member() {
   GgdProcess p(P(3), false);
   LazyLogKeeping lk;
-  p.log().self_row().increment(P(2));
-  p.log().self_row().increment(P(4));
+  p.log().row(p.id()).increment(P(2));
+  p.log().row(p.id()).increment(P(4));
   lk.on_receive_ref(p, P(2));
   lk.on_receive_ref(p, P(4));
   lk.on_receive_ref(p, P(9));
@@ -236,7 +236,7 @@ TEST(GgdProcess, CondemnedDestructionRemovesAMemberWithoutInquiries) {
 
 TEST(GgdProcess, RootOrCollectedProcessNamedInACondemnedSetIsUntouched) {
   GgdProcess root(P(1), true);
-  root.log().self_row().increment(P(2));
+  root.log().row(root.id()).increment(P(2));
   const auto root_out =
       root.receive(cascade_from_2(P(1), {P(1), P(4)}), roots({1}));
   EXPECT_FALSE(root.removed());
@@ -254,7 +254,7 @@ TEST(GgdProcess, ReceiverOutsideTheCondemnedSetDecidesAsBefore) {
   const auto lone_holder = [] {
     GgdProcess p(P(3), false);
     LazyLogKeeping lk;
-    p.log().self_row().increment(P(2));
+    p.log().row(p.id()).increment(P(2));
     lk.on_receive_ref(p, P(4));
     return p;
   };
@@ -278,7 +278,7 @@ TEST(GgdProcess, FinalisingWalkerShipsItsConsultedSet) {
   // reply that postdates the suspicion, and condemns 2 in its cascade.
   GgdProcess p(P(3), false);
   LazyLogKeeping lk;
-  p.log().self_row().increment(P(2));
+  p.log().row(p.id()).increment(P(2));
   lk.on_receive_ref(p, P(2));
   const auto reply_from_2 = [] {
     GgdMessage r;
@@ -303,7 +303,7 @@ TEST(GgdProcess, FinalisingWalkerShipsItsConsultedSet) {
 
 TEST(GgdProcess, DeadHoldersFinalBundleCompletesTheRemoval) {
   GgdProcess p(P(3), false);
-  p.log().self_row().increment(P(2));  // live in-edge from 2
+  p.log().row(p.id()).increment(P(2));  // live in-edge from 2
   GgdMessage death;
   death.from = P(9);
   death.to = P(3);
@@ -334,7 +334,7 @@ TEST(GgdProcess, DeadHoldersFinalBundleCompletesTheRemoval) {
 
 TEST(GgdProcess, ComputeVClosesOverHistories) {
   GgdProcess p(P(4), false);
-  p.log().self_row().increment(P(3));
+  p.log().row(p.id()).increment(P(3));
   DependencyVector v3;
   v3.set(P(2), Timestamp::creation(1));
   v3.set(P(3), Timestamp::creation(1));
@@ -432,7 +432,7 @@ TEST(GgdProcess, AnsweringAnInquiryInternsNoLogRow) {
   LazyLogKeeping lk;
   lk.on_send_own_ref(p, P(1));             // self row: live slot 1
   lk.on_send_third_party_ref(p, P(5), P(6));  // deferred row for 5
-  const std::size_t rows = std::as_const(p).log().row_count();
+  const std::size_t rows = std::as_const(p).log().size();
   ASSERT_EQ(rows, 2u);
 
   // Inquirers 3, 4 and 7 have no row here; answering must not make one.
@@ -441,19 +441,19 @@ TEST(GgdProcess, AnsweringAnInquiryInternsNoLogRow) {
     EXPECT_TRUE(reply.reply);
     EXPECT_TRUE(reply.behalf_rows.contains(P(5)));
   }
-  EXPECT_EQ(std::as_const(p).log().row_count(), rows);
+  EXPECT_EQ(std::as_const(p).log().size(), rows);
 
   DependencyVector d;
   d.set(P(1), Timestamp::destruction(1));
   (void)p.receive(vector_msg(P(1), P(2), d), roots({1}));
   ASSERT_TRUE(p.removed());
   p.retire_tombstone();
-  const std::size_t tomb_rows = std::as_const(p).log().row_count();
+  const std::size_t tomb_rows = std::as_const(p).log().size();
   for (std::uint64_t q : {3, 4, 7, 8}) {
     const GgdMessage post = answer_inquiry(p, P(q));
     EXPECT_TRUE(post.dead.contains(P(2)));
   }
-  EXPECT_EQ(std::as_const(p).log().row_count(), tomb_rows)
+  EXPECT_EQ(std::as_const(p).log().size(), tomb_rows)
       << "posthumous answers must not grow a tombstone's log";
 }
 
@@ -462,14 +462,14 @@ TEST(GgdProcess, SendPathsInternNoLogRow) {
   LazyLogKeeping lk;
   lk.on_receive_ref(p, P(9));           // acquaintance 9, row 9 at slot 3
   lk.on_send_own_ref(p, P(7));          // live in-edge from unknown 7
-  const std::size_t rows = std::as_const(p).log().row_count();
+  const std::size_t rows = std::as_const(p).log().size();
   (void)p.take_forwards();              // to 9
   (void)p.make_announce(P(4));
   (void)p.make_destruction_message(P(6));
   const std::vector<GgdMessage> out = p.decide(roots({1}), true);
   ASSERT_FALSE(out.empty());            // the blocked walk inquires 7
   EXPECT_TRUE(out.front().inquiry);
-  EXPECT_EQ(std::as_const(p).log().row_count(), rows);
+  EXPECT_EQ(std::as_const(p).log().size(), rows);
 }
 
 TEST(GgdProcess, AnnounceCarriesFreshVector) {
@@ -477,7 +477,7 @@ TEST(GgdProcess, AnnounceCarriesFreshVector) {
   LazyLogKeeping lk;
   lk.on_receive_ref(p, P(7));  // counter bumps AFTER any cached V
   const GgdMessage ann = p.make_announce(P(7));
-  EXPECT_EQ(ann.v.get(P(2)).index(), p.log().own_timestamp().index())
+  EXPECT_EQ(ann.v.get(P(2)).index(), p.own_timestamp().index())
       << "announce must reflect the acquisition it reports";
   EXPECT_FALSE(ann.reply);
 }
@@ -531,7 +531,7 @@ GgdProcess random_closure_state(std::uint64_t seed) {
     }
   }
   (void)p.receive(death, roots({}));
-  p.log().self_row() = random_row(rng, kUniverse, 8);
+  p.log().row(p.id()) = random_row(rng, kUniverse, 8);
   return p;
 }
 
@@ -573,7 +573,7 @@ GgdProcess random_dense_closure_state(std::uint64_t seed) {
                  k % 2 == 0 ? Timestamp::destruction(index)
                             : Timestamp::creation(index));
   }
-  p.log().self_row() = self_row;
+  p.log().row(p.id()) = self_row;
   return p;
 }
 
@@ -612,7 +612,7 @@ GgdProcess random_walk_state(std::uint64_t seed) {
   Rng rng(seed);
   GgdProcess p(P(2), /*is_root=*/false);
   for (int i = 0; i < 3; ++i) {
-    p.log().self_row().set(P(rng.between(1, kUniverse)), random_ts(rng));
+    p.log().row(p.id()).set(P(rng.between(1, kUniverse)), random_ts(rng));
   }
   GgdMessage relay;
   relay.from = P(kUniverse + 1);

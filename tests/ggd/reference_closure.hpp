@@ -27,7 +27,7 @@ inline DependencyVector reference_compute_v(const GgdProcess& proc,
                                             ClosureCoverage& cov) {
   const ProcessId self = proc.id();
   DependencyVector v;
-  for (const auto& [q, ts] : proc.log().self_row().entries()) {
+  for (const auto& [q, ts] : proc.self_row().entries()) {
     if (q == self || !proc.dead().contains(q)) {
       v.set(q, ts);
     }

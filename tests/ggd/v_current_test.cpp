@@ -96,7 +96,7 @@ void expect_recomputed(GgdProcess& p) {
 TEST(VCurrent, NoOpReceiveAndReplyReuseTheClosure) {
   GgdProcess::Observation sink;
   GgdProcess p = observed_root(1, sink);
-  p.log().self_row().set(P(3), C(1));
+  p.log().row(p.id()).set(P(3), C(1));
   const GgdMessage msg = reply_from(3, 1, dv({{4, C(1)}}));
   (void)p.receive(msg, all_roots);
   EXPECT_EQ(p.take_v_closures(), 1u);
@@ -170,7 +170,7 @@ TEST(VCurrent, ImportedStateInvalidates) {
 TEST(VCurrent, DeathLearnedFromTheDeadSetAloneInvalidates) {
   GgdProcess::Observation sink;
   GgdProcess p = observed_root(1, sink);
-  p.log().self_row().set(P(3), C(1));
+  p.log().row(p.id()).set(P(3), C(1));
   (void)p.receive(reply_from(3, 1, dv({{4, C(1)}, {5, C(1)}})), all_roots);
   expect_reused(p);
   // A message whose only news is a death certificate.
@@ -187,7 +187,7 @@ TEST(VCurrent, HistoryMergeThatChangesTheRowInvalidates) {
   // untouched.
   GgdProcess::Observation sink;
   GgdProcess p = observed_root(1, sink);
-  p.log().self_row().set(P(3), C(1));
+  p.log().row(p.id()).set(P(3), C(1));
   (void)p.receive(reply_from(3, 1, dv({{4, C(1)}})), all_roots);
   (void)p.take_v_closures();
   (void)p.receive(reply_from(3, 1, dv({{4, C(2)}, {5, C(1)}})), all_roots);
@@ -523,7 +523,7 @@ class FrontierCheck : public wire::Mailbox {
     }
     ++st_.current;
     check_content(i, r, replier.compute_v(),
-                  std::as_const(replier).log().self_row(), "current");
+                  replier.self_row(), "current");
   }
 
   static bool covers(const RowTable::RowView& known,

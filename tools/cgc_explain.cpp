@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "obs/explain.hpp"
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   bool have_seed = false;
   std::uint64_t proc = 0;
   bool have_proc = false;
-  SimTime tick = Simulator::kNever;
+  std::optional<SimTime> tick;
   std::string perfetto_path;
   std::string metrics_path;
   std::string trace_out_path;
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
   Scenario& s = *replay->scenario;
   const EngineRun& verdict = replay->verdict;
   const SimTime end = s.sim().now();
-  const SimTime at = tick == Simulator::kNever ? end : tick;
+  const SimTime at = tick.value_or(end);
   const int status = verdict.ok() ? 0 : 1;
 
   std::cout << "seed " << seed << ": " << replay->spec.describe() << "\n"
